@@ -8,12 +8,13 @@ the estimators can be checked against exact divergences.
 
 from .engine import Tape, Tensor, backward, parameter
 from .errors import ContractError, NumericsError, ParseError, ShapeError
-from .models import ModelBundle, TrainConfig, train_aae, train_gan, train_vae, train_vgh
+from .experiment import ExperimentConfig
+from .models import ModelBundle, train_aae, train_gan, train_vae, train_vgh
 from .rng import RngStream
 
 __all__ = [
     "Tape", "Tensor", "backward", "parameter", "RngStream",
     "ContractError", "NumericsError", "ParseError", "ShapeError",
-    "ModelBundle", "TrainConfig",
+    "ModelBundle", "ExperimentConfig",
     "train_vae", "train_aae", "train_gan", "train_vgh",
 ]

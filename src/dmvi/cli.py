@@ -2,19 +2,20 @@
 
 Precedence for every setting: package default, then config file values,
 then command-line flags, then the DMVI_SEED environment variable (seed
-only). Exit codes: 0 ok, 2 configuration error, 3 numeric divergence,
-4 I/O error.
+only). Every flag is derived from an ExperimentConfig field. Exit codes:
+0 ok, 2 configuration error, 3 numeric divergence, 4 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
+from .datasets import GENERATORS
 from .errors import ContractError, NumericsError, ParseError, ShapeError
-from .experiment import _FIELDS, ExperimentConfig, execute
+from .experiment import (SETTINGS, ExperimentConfig, execute, value_type,
+                         write_json)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -22,10 +23,29 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 
-def _add_common(p):
-    p.add_argument("--config", help="INI config file; flags override it")
-    p.add_argument("--out", dest="out", help="output directory")
-    p.add_argument("--seed", dest="seed", type=int)
+# Subcommand -> (help, flags). A flag is named after its field, or given as
+# (flag, field) where it is not, or as (flag, field, choices) where it
+# offers fewer choices than the field allows.
+_SUBCOMMANDS = {
+    "train": ("train a model", (
+        "model", "dataset", "n", "idx_path", "latent", "hidden", "lam", "lr",
+        "lr_enc", "lr_gen", "lr_disc", "lr_code", "iters", "batch", "visible",
+        "recon", "generator_loss", "mc_samples", "log_every")),
+    "estimate-kl": ("estimate marginal KL on a run", (
+        "method", "run", "num_z", "ratio_iters", "ratio_hidden",
+        "ratio_layers", "gmm_k", "gmm_iters", "ar_iters", "ar_hidden")),
+    "surgery": ("decompose the average posterior KL", ("run", "num_z")),
+    "low-posterior": ("decode prior draws with the smallest q(z)",
+                      ("run", "num_z", ("--n", "low_n"))),
+    "diversity": ("pairwise 1-SSIM of decoded samples",
+                  ("run", ("--n", "div_n"))),
+    "synth-gauss": ("affine-Gaussian estimation/minimization study", (
+        "mode", "k", ("--iters", "synth_iters"), "samples",
+        ("--log-every", "synth_log_every"))),
+    "dataset": ("generate or inspect datasets", (
+        ("--mode", "data_mode"), ("--kind", "dataset", tuple(GENERATORS)),
+        "n", ("--data", "data_path"))),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -34,76 +54,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Train small generative models and estimate how far "
                     "their aggregate posterior sits from the prior.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("train", help="train a model")
-    _add_common(p)
-    p.add_argument("--model", choices=("vae", "aae", "gan", "vgh", "vghpp"))
-    p.add_argument("--dataset", choices=("sprites", "grid2d", "rings", "idx"))
-    p.add_argument("--n", dest="n", type=int, help="dataset size")
-    p.add_argument("--idx-path", dest="idx_path")
-    p.add_argument("--latent", type=int)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--lam", type=float)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--lr-enc", dest="lr_enc", type=float)
-    p.add_argument("--lr-gen", dest="lr_gen", type=float)
-    p.add_argument("--lr-disc", dest="lr_disc", type=float)
-    p.add_argument("--lr-code", dest="lr_code", type=float)
-    p.add_argument("--iters", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--visible", choices=("bernoulli", "quantized", "real"))
-    p.add_argument("--recon", choices=("loglik", "l1"))
-    p.add_argument("--generator-loss", dest="generator_loss",
-                   choices=("nonsat", "reverse_kl"))
-    p.add_argument("--mc-samples", dest="mc_samples", type=int)
-    p.add_argument("--log-every", dest="log_every", type=int)
-
-    p = sub.add_parser("estimate-kl", help="estimate marginal KL on a run")
-    _add_common(p)
-    p.add_argument("--method", choices=("mc", "ratio", "gmm", "ar"))
-    p.add_argument("--run", help="directory of a finished training run")
-    p.add_argument("--num-z", dest="num_z", type=int)
-    p.add_argument("--ratio-iters", dest="ratio_iters", type=int)
-    p.add_argument("--ratio-hidden", dest="ratio_hidden", type=int)
-    p.add_argument("--ratio-layers", dest="ratio_layers", type=int)
-    p.add_argument("--gmm-k", dest="gmm_k", type=int)
-    p.add_argument("--gmm-iters", dest="gmm_iters", type=int)
-    p.add_argument("--ar-iters", dest="ar_iters", type=int)
-    p.add_argument("--ar-hidden", dest="ar_hidden", type=int)
-
-    p = sub.add_parser("surgery", help="decompose the average posterior KL")
-    _add_common(p)
-    p.add_argument("--run")
-    p.add_argument("--num-z", dest="num_z", type=int)
-
-    p = sub.add_parser("low-posterior",
-                       help="decode prior draws with the smallest q(z)")
-    _add_common(p)
-    p.add_argument("--run")
-    p.add_argument("--num-z", dest="num_z", type=int)
-    p.add_argument("--n", dest="low_n", type=int, help="samples to keep")
-
-    p = sub.add_parser("diversity", help="pairwise 1-SSIM of decoded samples")
-    _add_common(p)
-    p.add_argument("--run")
-    p.add_argument("--n", dest="div_n", type=int)
-
-    p = sub.add_parser("synth-gauss",
-                       help="affine-Gaussian estimation/minimization study")
-    _add_common(p)
-    p.add_argument("--mode", choices=("estimate", "minimize"))
-    p.add_argument("--k", type=int, help="latent dimension")
-    p.add_argument("--iters", dest="synth_iters", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--log-every", dest="synth_log_every", type=int)
-
-    p = sub.add_parser("dataset", help="generate or inspect datasets")
-    _add_common(p)
-    p.add_argument("--mode", dest="data_mode", choices=("generate", "inspect"))
-    p.add_argument("--kind", dest="dataset",
-                   choices=("sprites", "grid2d", "rings"))
-    p.add_argument("--n", dest="n", type=int)
-    p.add_argument("--data", dest="data_path", help="file to inspect")
+    for command, (help_text, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="INI config file; flags override it")
+        for spec in ("out", "seed") + flags:
+            if isinstance(spec, str):
+                spec = ("--" + spec.replace("_", "-"), spec)
+            flag, name, *narrowed = spec
+            meta = SETTINGS[name].metadata
+            p.add_argument(flag, dest=name, type=value_type(name),
+                           choices=narrowed[0] if narrowed else meta["choices"],
+                           help=meta["help"])
     return parser
 
 
@@ -116,7 +77,7 @@ def build_config(argv) -> ExperimentConfig:
         cfg = ExperimentConfig()
     cfg.command = args.command
     for name, value in vars(args).items():
-        if name in _FIELDS and name != "command" and value is not None:
+        if name in SETTINGS and name != "command" and value is not None:
             setattr(cfg, name, value)
     env_seed = os.environ.get("DMVI_SEED")
     if env_seed is not None:
@@ -124,40 +85,38 @@ def build_config(argv) -> ExperimentConfig:
     return cfg
 
 
-def _record_failure(cfg, code: int, exc: Exception) -> None:
+def _fail(out: str, code: int, exc: Exception) -> int:
+    """Report a failed command on stderr and in ``out``/status.json."""
+    print(f"error: {exc}", file=sys.stderr)
     try:
-        os.makedirs(cfg.out, exist_ok=True)
-        with open(os.path.join(cfg.out, "status.json"), "w") as f:
-            json.dump({"status": "error", "exit_code": code,
-                       "error": str(exc)}, f, sort_keys=True, indent=1)
-            f.write("\n")
+        write_json(out, "status.json",
+                   {"status": "error", "exit_code": code, "error": str(exc)})
     except OSError:
         pass
+    return code
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        cfg = build_config(sys.argv[1:] if argv is None else argv)
+        cfg = build_config(argv)
     except OSError as e:             # unreadable config file
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as e:          # bad DMVI_SEED or config field
+    except ContractError as e:       # rejected config file
+        out = _build_parser().parse_args(argv).out or ExperimentConfig.out
+        return _fail(out, EXIT_CONFIG, e)
+    except ValueError as e:          # bad DMVI_SEED
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     try:
         out = execute(cfg)
     except (ContractError, ShapeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        _record_failure(cfg, EXIT_CONFIG, e)
-        return EXIT_CONFIG
+        return _fail(cfg.out, EXIT_CONFIG, e)
     except NumericsError as e:
-        print(f"error: {e}", file=sys.stderr)
-        _record_failure(cfg, EXIT_NUMERIC, e)
-        return EXIT_NUMERIC
+        return _fail(cfg.out, EXIT_NUMERIC, e)
     except (ParseError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        _record_failure(cfg, EXIT_IO, e)
-        return EXIT_IO
+        return _fail(cfg.out, EXIT_IO, e)
     print(out)
     return EXIT_OK
 

@@ -59,7 +59,7 @@ def make_rings(n: int, rng: RngStream) -> np.ndarray:
     return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
 
 
-_GENERATORS = {
+GENERATORS = {
     "sprites": make_sprites,
     "grid2d": make_grid2d,
     "rings": make_rings,
@@ -67,12 +67,12 @@ _GENERATORS = {
 
 
 def dataset_generate(kind: str, n: int, seed: int) -> np.ndarray:
-    if kind not in _GENERATORS:
+    if kind not in GENERATORS:
         raise ContractError(
-            f"unknown dataset kind {kind!r}; have {sorted(_GENERATORS)}")
+            f"unknown dataset kind {kind!r}; have {sorted(GENERATORS)}")
     if n < 1:
         raise ContractError("dataset size must be positive")
-    return _GENERATORS[kind](n, RngStream(seed).child(kind))
+    return GENERATORS[kind](n, RngStream(seed).child(kind))
 
 
 def array_digest(arr: np.ndarray) -> str:

@@ -190,7 +190,7 @@ def ratio_kl(samples_q: np.ndarray, samples_p: np.ndarray,
         status = "invalid"
 
     if status == "ok":
-        probs = _sigmoid_np(net(engine.Tensor(eval_q)).data[:, 0])
+        probs = engine._sigmoid(net(engine.Tensor(eval_q)).data[:, 0])
         probs = np.clip(probs, 1e-7, 1.0 - 1e-7)
         terms = np.log(probs) - np.log1p(-probs)
         value = float(terms.mean())
@@ -200,15 +200,6 @@ def ratio_kl(samples_q: np.ndarray, samples_p: np.ndarray,
         value, stderr = float("nan"), float("nan")
     return EstimateReport("ratio", value, stderr, eval_q.shape[0],
                           inner=1, status=status)
-
-
-def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,115 +14,88 @@ import hashlib
 import io
 import json
 import os
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .checkpoint import apply_checkpoint, load_checkpoint, save_checkpoint
-from .datasets import array_digest, dataset_generate, load_idx
-from .errors import ContractError
-from .models import TRAINERS, TrainConfig, build_bundle
+from .datasets import GENERATORS, array_digest, dataset_generate, load_idx
+from .errors import ContractError, ParseError
+from .models import PARTS, TRAINERS, build_bundle
 from .rng import RngStream
 
-# field name -> (section, type); "opt_float" fields serialize only when set.
-_FIELDS = {
-    "command": ("run", str),
-    "out": ("run", str),
-    "seed": ("run", int),
-    "dataset": ("data", str),
-    "n": ("data", int),
-    "idx_path": ("data", str),
-    "data_path": ("data", str),
-    "data_mode": ("data", str),
-    "model": ("train", str),
-    "latent": ("train", int),
-    "hidden": ("train", int),
-    "lam": ("train", float),
-    "lr": ("train", float),
-    "lr_enc": ("train", "opt_float"),
-    "lr_gen": ("train", "opt_float"),
-    "lr_disc": ("train", "opt_float"),
-    "lr_code": ("train", "opt_float"),
-    "iters": ("train", int),
-    "batch": ("train", int),
-    "visible": ("train", str),
-    "recon": ("train", str),
-    "generator_loss": ("train", str),
-    "mc_samples": ("train", int),
-    "log_every": ("train", int),
-    "method": ("estimate", str),
-    "num_z": ("estimate", int),
-    "run": ("estimate", str),
-    "ratio_iters": ("estimate", int),
-    "ratio_hidden": ("estimate", int),
-    "ratio_layers": ("estimate", int),
-    "gmm_k": ("estimate", int),
-    "gmm_iters": ("estimate", int),
-    "ar_iters": ("estimate", int),
-    "ar_hidden": ("estimate", int),
-    "k": ("synth", int),
-    "mode": ("synth", str),
-    "synth_iters": ("synth", int),
-    "samples": ("synth", int),
-    "synth_log_every": ("synth", int),
-    "low_n": ("diagnostics", int),
-    "div_n": ("diagnostics", int),
-}
+
+def _setting(section: str, default, choices: tuple | None = None,
+             help: str | None = None):
+    """A field of ExperimentConfig: its INI section, its allowed values and
+    its flag's help text."""
+    return field(default=default, metadata={"section": section,
+                                            "choices": choices, "help": help})
 
 
 @dataclass
 class ExperimentConfig:
-    command: str = ""
-    out: str = "run_out"
-    seed: int = 0
-    dataset: str = "sprites"
-    n: int = 1024
-    idx_path: str = ""
-    data_path: str = ""
-    data_mode: str = "generate"
-    model: str = "vae"
-    latent: int = 16
-    hidden: int = 256
-    lam: float = 10.0
-    lr: float = 1e-3
-    lr_enc: float | None = None
-    lr_gen: float | None = None
-    lr_disc: float | None = None
-    lr_code: float | None = None
-    iters: int = 2000
-    batch: int = 64
-    visible: str = "bernoulli"
-    recon: str = "loglik"
-    generator_loss: str = "nonsat"
-    mc_samples: int = 1
-    log_every: int = 10
-    method: str = "mc"
-    num_z: int = 1024
-    run: str = ""
-    ratio_iters: int = 3000
-    ratio_hidden: int = 128
-    ratio_layers: int = 3
-    gmm_k: int = 10
-    gmm_iters: int = 50
-    ar_iters: int = 2000
-    ar_hidden: int = 32
-    k: int = 10
-    mode: str = "minimize"
-    synth_iters: int = 20000
-    samples: int = 10000
-    synth_log_every: int = 100
-    low_n: int = 64
-    div_n: int = 64
+    """Every setting of every command, declared once.
+
+    The annotation is the type a value parses to from the INI file and the
+    command line; optional rates are left out of the INI while None.
+    """
+
+    command: str = _setting("run", "")
+    out: str = _setting("run", "run_out", help="output directory")
+    seed: int = _setting("run", 0)
+    dataset: str = _setting("data", "sprites", (*GENERATORS, "idx"))
+    n: int = _setting("data", 1024, help="dataset size")
+    idx_path: str = _setting("data", "")
+    data_path: str = _setting("data", "", help="file to inspect")
+    data_mode: str = _setting("data", "generate", ("generate", "inspect"))
+    model: str = _setting("train", "vae", tuple(TRAINERS))
+    latent: int = _setting("train", 16)
+    hidden: int = _setting("train", 256)
+    lam: float = _setting("train", 10.0)
+    lr: float = _setting("train", 1e-3)
+    lr_enc: float | None = _setting("train", None)
+    lr_gen: float | None = _setting("train", None)
+    lr_disc: float | None = _setting("train", None)
+    lr_code: float | None = _setting("train", None)
+    iters: int = _setting("train", 2000)
+    batch: int = _setting("train", 64)
+    visible: str = _setting("train", "bernoulli",
+                            ("bernoulli", "quantized", "real"))
+    recon: str = _setting("train", "loglik", ("loglik", "l1"))
+    generator_loss: str = _setting("train", "nonsat", ("nonsat", "reverse_kl"))
+    mc_samples: int = _setting("train", 1)
+    log_every: int = _setting("train", 10)
+    method: str = _setting("estimate", "mc", ("mc", "ratio", "gmm", "ar"))
+    num_z: int = _setting("estimate", 1024)
+    run: str = _setting("estimate", "",
+                        help="directory of a finished training run")
+    ratio_iters: int = _setting("estimate", 3000)
+    ratio_hidden: int = _setting("estimate", 128)
+    ratio_layers: int = _setting("estimate", 3)
+    gmm_k: int = _setting("estimate", 10)
+    gmm_iters: int = _setting("estimate", 50)
+    ar_iters: int = _setting("estimate", 2000)
+    ar_hidden: int = _setting("estimate", 32)
+    k: int = _setting("synth", 10, help="latent dimension")
+    mode: str = _setting("synth", "minimize", ("estimate", "minimize"))
+    synth_iters: int = _setting("synth", 20000)
+    samples: int = _setting("synth", 10000)
+    synth_log_every: int = _setting("synth", 100)
+    low_n: int = _setting("diagnostics", 64, help="samples to keep")
+    div_n: int = _setting("diagnostics", 64)
 
     def to_ini(self) -> str:
         parser = configparser.ConfigParser()
-        for name, (section, kind) in _FIELDS.items():
-            value = getattr(self, name)
-            if kind == "opt_float" and value is None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None:
                 continue
+            section = f.metadata["section"]
             if not parser.has_section(section):
                 parser.add_section(section)
-            parser.set(section, name, repr(value) if isinstance(value, float)
+            parser.set(section, f.name, repr(value) if isinstance(value, float)
                        else str(value))
         buf = io.StringIO()
         parser.write(buf)
@@ -130,42 +103,51 @@ class ExperimentConfig:
 
     @classmethod
     def from_ini(cls, text: str) -> "ExperimentConfig":
+        """Parse an INI file; an unknown section or key, or a value of the
+        wrong type, is a ContractError."""
         parser = configparser.ConfigParser()
-        parser.read_string(text)
+        try:
+            parser.read_string(text)
+        except configparser.Error as e:
+            raise ContractError(f"malformed config: {e}") from e
         cfg = cls()
-        for name, (section, kind) in _FIELDS.items():
-            if not parser.has_option(section, name):
-                continue
-            raw = parser.get(section, name)
-            if kind is int:
-                value = int(raw)
-            elif kind is float or kind == "opt_float":
-                value = float(raw)
-            else:
-                value = raw
-            setattr(cfg, name, value)
+        for section in parser.sections():
+            if section not in SECTIONS:
+                raise ContractError(f"unknown config section [{section}]")
+            for name, raw in parser.items(section):
+                f = SETTINGS.get(name)
+                if f is None or f.metadata["section"] != section:
+                    raise ContractError(f"unknown setting {name!r} in [{section}]")
+                try:
+                    setattr(cfg, name, value_type(name)(raw))
+                except ValueError as e:
+                    raise ContractError(f"[{section}] {name}: {e}") from e
         return cfg
 
     def config_hash(self) -> bytes:
         return hashlib.sha256(self.to_ini().encode()).digest()
 
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            latent=self.latent, hidden=self.hidden, lam=self.lam,
-            lr=self.lr, lr_enc=self.lr_enc, lr_gen=self.lr_gen,
-            lr_disc=self.lr_disc, lr_code=self.lr_code, iters=self.iters,
-            batch=self.batch, seed=self.seed, visible=self.visible,
-            recon=self.recon, generator_loss=self.generator_loss,
-            mc_samples=self.mc_samples, log_every=self.log_every)
+    def validate(self) -> "ExperimentConfig":
+        """Check the training settings; every trainer calls this first."""
+        if self.latent < 1 or self.batch < 1 or self.iters < 1:
+            raise ContractError("latent, batch, iters must be positive")
+        if self.mc_samples < 1:
+            raise ContractError("mc_samples must be positive")
+        for f in fields(self):
+            value, choices = getattr(self, f.name), f.metadata["choices"]
+            if f.metadata["section"] == "train" and choices and value not in choices:
+                raise ContractError(f"unknown {f.name} {value!r}; have {choices}")
+        return self
 
 
-_MODEL_PARTS = {
-    "vae": ("enc", "gen"),
-    "aae": ("enc", "gen", "code_disc"),
-    "gan": ("gen", "data_disc"),
-    "vgh": ("enc", "gen", "data_disc", "code_disc"),
-    "vghpp": ("enc", "gen", "data_disc", "code_disc"),
-}
+SETTINGS = {f.name: f for f in fields(ExperimentConfig)}
+SECTIONS = {f.metadata["section"] for f in SETTINGS.values()}
+_HINTS = typing.get_type_hints(ExperimentConfig)
+
+
+def value_type(name: str) -> type:
+    """The type a setting's text parses to; float for ``float | None``."""
+    return (typing.get_args(_HINTS[name]) or (_HINTS[name],))[0]
 
 
 def load_data(cfg: ExperimentConfig) -> np.ndarray:
@@ -219,17 +201,32 @@ def _finish(cfg: ExperimentConfig, rows, extra_summary: dict | None = None):
 
 
 def load_run(run_dir: str):
-    """Rebuild the bundle and data of a finished training run."""
+    """Rebuild the bundle and data of a finished training run.
+
+    Refuses a run whose last command did not finish ok, and a checkpoint
+    written under another configuration than the run's config.ini.
+    """
     cfg_path = os.path.join(run_dir, "config.ini")
     if not os.path.exists(cfg_path):
         raise ContractError(f"{run_dir!r} has no config.ini")
+    try:
+        with open(os.path.join(run_dir, "status.json")) as f:
+            status = json.load(f)["status"]
+    except (OSError, ValueError, KeyError, TypeError):
+        status = "missing"
+    if status != "ok":
+        raise ContractError(f"run {run_dir!r} did not finish ok "
+                            f"(status.json: {status})")
     with open(cfg_path) as f:
         src = ExperimentConfig.from_ini(f.read())
+    tensors, stored_hash = load_checkpoint(os.path.join(run_dir,
+                                                        "checkpoint.dmvi"))
+    if stored_hash != src.config_hash():
+        raise ContractError(f"checkpoint in {run_dir!r} was not written "
+                            f"under its config.ini")
     data = load_data(src)
-    tc = src.train_config()
-    bundle = build_bundle(tc, data.shape[1], RngStream(tc.seed).child("init"),
-                          parts=_MODEL_PARTS[src.model])
-    tensors, _ = load_checkpoint(os.path.join(run_dir, "checkpoint.dmvi"))
+    bundle = build_bundle(src, data.shape[1], RngStream(src.seed).child("init"),
+                          PARTS[src.model])
     apply_checkpoint(bundle, tensors)
     return bundle, data, src
 
@@ -242,7 +239,7 @@ def _cmd_train(cfg: ExperimentConfig):
     data = load_data(cfg)
     if cfg.model not in TRAINERS:
         raise ContractError(f"unknown model {cfg.model!r}")
-    bundle, log = TRAINERS[cfg.model](data, cfg.train_config())
+    bundle, log = TRAINERS[cfg.model](data, cfg)
     os.makedirs(cfg.out, exist_ok=True)
     save_checkpoint(os.path.join(cfg.out, "checkpoint.dmvi"),
                     {k: v.data for k, v in bundle.named_parameters().items()},
@@ -281,7 +278,7 @@ def _cmd_estimate(cfg: ExperimentConfig):
     else:
         raise ContractError(f"unknown estimator {cfg.method!r}")
     payload = report.to_json(cfg.config_hash().hex())
-    _write_json(cfg, "report.json", payload)
+    write_json(cfg.out, "report.json", payload)
     rows = []
     if np.isfinite(report.value):
         rows.append({"step": 0, "name": f"kl_{cfg.method}",
@@ -295,7 +292,7 @@ def _cmd_surgery(cfg: ExperimentConfig):
     bundle, data, _src = load_run(cfg.run)
     rng = RngStream(cfg.seed).child("surgery")
     parts = surgery_decompose(bundle, data, cfg.num_z, rng)
-    _write_json(cfg, "report.json", parts)
+    write_json(cfg.out, "report.json", parts)
     rows = [{"step": 0, "name": name, "value": parts[name]}
             for name in ("avg_kl", "marginal_kl", "mutual_info", "floor")]
     return rows, None
@@ -327,7 +324,7 @@ def _cmd_diversity(cfg: ExperimentConfig):
     z = rng.normal((cfg.div_n, bundle.latent))
     decoded = bundle.decode_mean(z).data
     score = diversity(decoded)
-    _write_json(cfg, "report.json", {"diversity": score, "n": cfg.div_n})
+    write_json(cfg.out, "report.json", {"diversity": score, "n": cfg.div_n})
     return [{"step": 0, "name": "diversity", "value": score}], None
 
 
@@ -342,7 +339,7 @@ def _cmd_synth(cfg: ExperimentConfig):
             task, RatioConfig(hidden=cfg.ratio_hidden, layers=cfg.ratio_layers,
                               iters=cfg.ratio_iters),
             cfg.samples, RngStream(cfg.seed).child("synth_est"))
-        _write_json(cfg, "report.json",
+        write_json(cfg.out, "report.json",
                     {"true_kl": result["true_kl"], "est_kl": result["est_kl"],
                      "k": cfg.k, "d": task.d})
         rows = [{"step": 0, "name": "true_kl", "value": result["true_kl"]},
@@ -354,7 +351,7 @@ def _cmd_synth(cfg: ExperimentConfig):
         os.makedirs(cfg.out, exist_ok=True)
         with open(os.path.join(cfg.out, "trajectory.csv"), "w") as f:
             f.write(trajectory_csv(result["trajectory"]))
-        _write_json(cfg, "report.json",
+        write_json(cfg.out, "report.json",
                     {"status": result["status"], "k": cfg.k, "d": task.d,
                      "initial_kl": result["initial_kl"],
                      "final_kl": result["final_kl"]})
@@ -374,28 +371,33 @@ def _cmd_dataset(cfg: ExperimentConfig):
         os.makedirs(cfg.out, exist_ok=True)
         np.save(os.path.join(cfg.out, "data.npy"), data)
         digest = array_digest(data)
-        _write_json(cfg, "report.json",
+        write_json(cfg.out, "report.json",
                     {"kind": cfg.dataset, "shape": list(data.shape),
                      "digest": digest})
         return [], {"rows": float(data.shape[0])}
     if cfg.data_mode == "inspect":
         if not cfg.data_path:
             raise ContractError("inspect needs data_path")
-        data = (load_idx(cfg.data_path) if cfg.data_path.endswith((".idx", ".gz", "-ubyte"))
-                else np.load(cfg.data_path))
+        if cfg.data_path.endswith((".idx", ".gz", "-ubyte")):
+            data = load_idx(cfg.data_path)
+        else:
+            try:
+                data = np.load(cfg.data_path)
+            except (ValueError, EOFError) as e:
+                raise ParseError(f"{cfg.data_path!r} is not a .npy array: {e}") from e
         info = {"shape": list(data.shape), "min": float(data.min()),
                 "max": float(data.max()), "digest": array_digest(data)}
-        _write_json(cfg, "report.json", info)
+        write_json(cfg.out, "report.json", info)
         print(json.dumps(info, sort_keys=True))
         return [], None
     raise ContractError(f"unknown dataset mode {cfg.data_mode!r}")
 
 
-def _write_json(cfg: ExperimentConfig, name: str, payload: dict) -> None:
-    os.makedirs(cfg.out, exist_ok=True)
+def write_json(out: str, name: str, payload: dict) -> None:
+    os.makedirs(out, exist_ok=True)
     clean = {k: (None if isinstance(v, float) and not np.isfinite(v) else v)
              for k, v in payload.items()}
-    with open(os.path.join(cfg.out, name), "w") as f:
+    with open(os.path.join(out, name), "w") as f:
         json.dump(clean, f, sort_keys=True, indent=1)
         f.write("\n")
 
@@ -417,5 +419,5 @@ def execute(cfg: ExperimentConfig) -> str:
         raise ContractError(f"unknown command {cfg.command!r}")
     rows, extra = _COMMANDS[cfg.command](cfg)
     _finish(cfg, rows, extra)
-    _write_json(cfg, "status.json", {"status": "ok", "exit_code": 0})
+    write_json(cfg.out, "status.json", {"status": "ok", "exit_code": 0})
     return cfg.out

@@ -9,7 +9,7 @@ first, then generator, then data discriminator, then code discriminator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -26,47 +26,26 @@ from .distributions import (
 from .engine import Tensor
 from .errors import ContractError, NumericsError
 from .nn import MLP
+from .optim import Adam
 from .rng import RngStream
+
+if TYPE_CHECKING:
+    from .experiment import ExperimentConfig
 
 # Discriminator probabilities are clamped here before any log; keeps every
 # adversarial loss term finite (|log| <= 16.2) no matter how saturated the
 # classifier gets.
 PROB_CLAMP = 1e-7
 
-VISIBLE_KINDS = ("bernoulli", "quantized", "real")
-
-
-@dataclass
-class TrainConfig:
-    latent: int = 16
-    hidden: int = 256
-    lam: float = 10.0
-    lr: float = 1e-3
-    lr_enc: float | None = None
-    lr_gen: float | None = None
-    lr_disc: float | None = None
-    lr_code: float | None = None
-    iters: int = 2000
-    batch: int = 64
-    seed: int = 0
-    visible: str = "bernoulli"
-    recon: str = "loglik"              # aae reconstruction: loglik | l1
-    generator_loss: str = "nonsat"     # gan: nonsat | reverse_kl
-    mc_samples: int = 1
-    log_every: int = 10
-
-    def validate(self):
-        if self.latent < 1 or self.batch < 1 or self.iters < 1:
-            raise ContractError("latent, batch, iters must be positive")
-        if self.visible not in VISIBLE_KINDS:
-            raise ContractError(f"unknown visible kind {self.visible!r}")
-        if self.recon not in ("loglik", "l1"):
-            raise ContractError(f"unknown reconstruction {self.recon!r}")
-        if self.generator_loss not in ("nonsat", "reverse_kl"):
-            raise ContractError(f"unknown generator loss {self.generator_loss!r}")
-        if self.mc_samples < 1:
-            raise ContractError("mc_samples must be positive")
-        return self
+# The networks each model kind trains, in update order; its checkpoint holds
+# exactly these.
+PARTS = {
+    "vae": ("enc", "gen"),
+    "aae": ("enc", "gen", "code_disc"),
+    "gan": ("gen", "data_disc"),
+    "vgh": ("enc", "gen", "data_disc", "code_disc"),
+    "vghpp": ("enc", "gen", "data_disc", "code_disc"),
+}
 
 
 class MetricLog:
@@ -153,8 +132,8 @@ class ModelBundle:
         return out
 
 
-def build_bundle(cfg: TrainConfig, data_dim: int, rng: RngStream,
-                 parts=("enc", "gen")) -> ModelBundle:
+def build_bundle(cfg: ExperimentConfig, data_dim: int, rng: RngStream,
+                 parts=PARTS["vae"]) -> ModelBundle:
     dec_out = 2 * data_dim if cfg.visible == "quantized" else data_dim
     h = cfg.hidden
     enc = dec = ddisc = cdisc = None
@@ -260,7 +239,7 @@ def vgh_losses(x, bundle: ModelBundle, variant: str, lam: float,
 # Trainers.
 
 
-def _lr(cfg: TrainConfig, override) -> float:
+def _lr(cfg: ExperimentConfig, override) -> float:
     return cfg.lr if override is None else override
 
 
@@ -274,17 +253,20 @@ def _minibatch(data: np.ndarray, rng: RngStream, batch: int) -> np.ndarray:
     return data[idx]
 
 
-def train_vae(data: np.ndarray, cfg: TrainConfig):
-    """Adam ascent on the batch-mean ELBO."""
+def _start(data: np.ndarray, cfg: ExperimentConfig, model: str):
+    """Check ``cfg``; return the model's freshly initialised parts, the
+    training loop's stream and an empty log."""
     cfg.validate()
-    from .optim import Adam
-
     root = RngStream(cfg.seed)
-    bundle = build_bundle(cfg, data.shape[1], root.child("init"))
+    bundle = build_bundle(cfg, data.shape[1], root.child("init"), PARTS[model])
+    return bundle, root.child("loop"), MetricLog()
+
+
+def train_vae(data: np.ndarray, cfg: ExperimentConfig):
+    """Adam ascent on the batch-mean ELBO."""
+    bundle, loop, log = _start(data, cfg, "vae")
     params = bundle.encoder.parameters() + bundle.decoder.parameters()
     opt = Adam(params, _lr(cfg, cfg.lr_enc))
-    loop = root.child("loop")
-    log = MetricLog()
     for step in range(cfg.iters):
         x = _minibatch(data, loop, cfg.batch)
         with engine.Tape() as tape:
@@ -302,18 +284,11 @@ def train_vae(data: np.ndarray, cfg: TrainConfig):
     return bundle, log
 
 
-def train_gan(data: np.ndarray, cfg: TrainConfig):
+def train_gan(data: np.ndarray, cfg: ExperimentConfig):
     """Alternating cross-entropy discriminator and chosen generator loss."""
-    cfg.validate()
-    from .optim import Adam
-
-    root = RngStream(cfg.seed)
-    bundle = build_bundle(cfg, data.shape[1], root.child("init"),
-                          parts=("gen", "data_disc"))
+    bundle, loop, log = _start(data, cfg, "gan")
     opt_g = Adam(bundle.decoder.parameters(), _lr(cfg, cfg.lr_gen))
     opt_d = Adam(bundle.data_disc.parameters(), _lr(cfg, cfg.lr_disc))
-    loop = root.child("loop")
-    log = MetricLog()
     for step in range(cfg.iters):
         x = _minibatch(data, loop, cfg.batch)
         z = loop.normal((cfg.batch, cfg.latent))
@@ -344,19 +319,12 @@ def train_gan(data: np.ndarray, cfg: TrainConfig):
     return bundle, log
 
 
-def train_aae(data: np.ndarray, cfg: TrainConfig):
+def train_aae(data: np.ndarray, cfg: ExperimentConfig):
     """Reconstruction plus code-adversarial latent matching."""
-    cfg.validate()
-    from .optim import Adam
-
-    root = RngStream(cfg.seed)
-    bundle = build_bundle(cfg, data.shape[1], root.child("init"),
-                          parts=("enc", "gen", "code_disc"))
+    bundle, loop, log = _start(data, cfg, "aae")
     opt_e = Adam(bundle.encoder.parameters(), _lr(cfg, cfg.lr_enc))
     opt_g = Adam(bundle.decoder.parameters(), _lr(cfg, cfg.lr_gen))
     opt_c = Adam(bundle.code_disc.parameters(), _lr(cfg, cfg.lr_code))
-    loop = root.child("loop")
-    log = MetricLog()
     for step in range(cfg.iters):
         x = _minibatch(data, loop, cfg.batch)
         eps = loop.normal((cfg.batch, cfg.latent))
@@ -393,31 +361,24 @@ def train_aae(data: np.ndarray, cfg: TrainConfig):
     return bundle, log
 
 
-def train_vgh(data: np.ndarray, cfg: TrainConfig, variant: str = "vghpp"):
+def train_vgh(data: np.ndarray, cfg: ExperimentConfig, variant: str = "vghpp"):
     """One Adam step per component per iteration, encoder first.
 
     Component updates within an iteration share the same minibatch and
     noise draws; each update recomputes its loss from current parameters.
     """
-    cfg.validate()
-    from .optim import Adam
-
-    root = RngStream(cfg.seed)
-    bundle = build_bundle(cfg, data.shape[1], root.child("init"),
-                          parts=("enc", "gen", "data_disc", "code_disc"))
+    bundle, loop, log = _start(data, cfg, variant)
     groups = bundle.component_params()
     lrs = {"enc": _lr(cfg, cfg.lr_enc), "gen": _lr(cfg, cfg.lr_gen),
            "data_disc": _lr(cfg, cfg.lr_disc), "code_disc": _lr(cfg, cfg.lr_code)}
     opts = {name: Adam(ps, lrs[name]) for name, ps in groups.items()}
     all_params = [p for ps in groups.values() for p in ps]
-    loop = root.child("loop")
-    log = MetricLog()
     for step in range(cfg.iters):
         x = _minibatch(data, loop, cfg.batch)
         eps = loop.normal((cfg.batch, cfg.latent))
         z_prior = loop.normal((cfg.batch, cfg.latent))
         seen = {}
-        for name in ("enc", "gen", "data_disc", "code_disc"):
+        for name in PARTS[variant]:
             with engine.Tape() as tape:
                 losses = vgh_losses(x, bundle, variant, cfg.lam,
                                     noise=(eps, z_prior))

@@ -7,7 +7,8 @@ from types import SimpleNamespace
 import pytest
 
 from dmvi.datasets import dataset_generate
-from dmvi.models import TrainConfig, train_aae, train_vae
+from dmvi.experiment import ExperimentConfig
+from dmvi.models import train_aae, train_vae
 
 
 @pytest.fixture(scope="session")
@@ -30,7 +31,7 @@ def _timed(trainer, data, cfg, **kw):
 @pytest.fixture(scope="session")
 def vae_small(sprites256):
     """Quick Bernoulli VAE for estimator and diagnostic unit tests."""
-    cfg = TrainConfig(latent=8, hidden=64, iters=300, batch=64, seed=0,
+    cfg = ExperimentConfig(latent=8, hidden=64, iters=300, batch=64, seed=0,
                       log_every=50)
     return _timed(train_vae, sprites256, cfg)
 
@@ -38,7 +39,7 @@ def vae_small(sprites256):
 @pytest.fixture(scope="session")
 def toy_vae(sprites1024):
     """The reference toy model: 16 latents on 1024 sprites."""
-    cfg = TrainConfig(latent=16, hidden=256, iters=2000, batch=64, seed=0,
+    cfg = ExperimentConfig(latent=16, hidden=256, iters=2000, batch=64, seed=0,
                       log_every=100)
     return _timed(train_vae, sprites1024, cfg)
 
@@ -46,6 +47,6 @@ def toy_vae(sprites1024):
 @pytest.fixture(scope="session")
 def aae_small(sprites256):
     """Matched-architecture adversarial autoencoder for contrast tests."""
-    cfg = TrainConfig(latent=8, hidden=64, iters=300, batch=64, seed=0,
+    cfg = ExperimentConfig(latent=8, hidden=64, iters=300, batch=64, seed=0,
                       log_every=50)
     return _timed(train_aae, sprites256, cfg)

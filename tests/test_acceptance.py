@@ -37,8 +37,8 @@ from dmvi.estimators import (
     surgery_decompose,
 )
 from dmvi.gradcheck import grad_check
+from dmvi.experiment import ExperimentConfig
 from dmvi.models import (
-    TrainConfig,
     build_bundle,
     train_aae,
     train_vae,
@@ -221,7 +221,7 @@ def test_ratio_estimator_sanity(toy_vae):
         if seed == 0:
             bundle, data = toy_vae.bundle, toy_vae.data
         else:
-            cfg = TrainConfig(latent=16, hidden=256, iters=2000, batch=64,
+            cfg = ExperimentConfig(latent=16, hidden=256, iters=2000, batch=64,
                               seed=seed, log_every=100)
             bundle, _ = train_vae(toy_vae.data, cfg)
             data = toy_vae.data
@@ -293,7 +293,7 @@ def test_visible_distribution_tradeoff():
     for seed in range(5):
         pair = {}
         for visible in ("bernoulli", "quantized"):
-            cfg = TrainConfig(latent=8, hidden=64, iters=1000, batch=64,
+            cfg = ExperimentConfig(latent=8, hidden=64, iters=1000, batch=64,
                               seed=seed, visible=visible, log_every=1000)
             bundle, _ = train_vae(data, cfg)
             pair[visible] = (avg_posterior_kl(bundle, data),
@@ -346,7 +346,7 @@ def test_representation_contrast():
     for seed in range(5):
         stats = {}
         for name, trainer in (("vae", train_vae), ("aae", train_aae)):
-            cfg = TrainConfig(latent=16, hidden=64, iters=8000, batch=64,
+            cfg = ExperimentConfig(latent=16, hidden=64, iters=8000, batch=64,
                               seed=seed, lr=5e-3, log_every=8000)
             bundle, _ = trainer(data, cfg)
             stats[name] = posterior_kl_stats(bundle, data)
@@ -369,7 +369,7 @@ def test_representation_contrast():
 
 def test_vgh_plugins_and_reconstruction_halving():
     t0 = time.perf_counter()
-    cfg = TrainConfig(latent=4, hidden=16, visible="bernoulli")
+    cfg = ExperimentConfig(latent=4, hidden=16, visible="bernoulli")
     b = build_bundle(cfg, 10, RngStream(60).child("init"),
                      parts=("enc", "gen", "data_disc", "code_disc"))
     for net in (b.data_disc, b.code_disc):
@@ -392,7 +392,7 @@ def test_vgh_plugins_and_reconstruction_halving():
     halved = 0
     ratios = []
     for seed in range(5):
-        cfg = TrainConfig(latent=8, hidden=64, iters=1000, batch=64,
+        cfg = ExperimentConfig(latent=8, hidden=64, iters=1000, batch=64,
                           seed=seed, log_every=500)
         _, log = train_vgh(data, cfg, "vghpp")
         recon = [r["value"] for r in log.rows if r["name"] == "recon"]

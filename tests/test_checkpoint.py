@@ -14,7 +14,8 @@ from dmvi.checkpoint import (
     save_checkpoint,
 )
 from dmvi.errors import ParseError, ShapeError
-from dmvi.models import TrainConfig, build_bundle
+from dmvi.experiment import ExperimentConfig
+from dmvi.models import build_bundle
 from dmvi.rng import RngStream
 
 
@@ -117,7 +118,7 @@ def test_error_messages_carry_offsets(tmp_path):
 
 
 def test_apply_checkpoint_restores_parameters(tmp_path):
-    cfg = TrainConfig(latent=3, hidden=8, batch=4, seed=5)
+    cfg = ExperimentConfig(latent=3, hidden=8, batch=4, seed=5)
     bundle = build_bundle(cfg, data_dim=6, rng=RngStream(5))
     saved = {k: v.data.copy() for k, v in bundle.named_parameters().items()}
     p = str(tmp_path / "b.ckpt")
@@ -132,7 +133,7 @@ def test_apply_checkpoint_restores_parameters(tmp_path):
 
 
 def test_apply_checkpoint_shape_mismatch(tmp_path):
-    cfg = TrainConfig(latent=3, hidden=8, batch=4, seed=5)
+    cfg = ExperimentConfig(latent=3, hidden=8, batch=4, seed=5)
     bundle = build_bundle(cfg, data_dim=6, rng=RngStream(5))
     tensors = {k: np.zeros((1, 1)) for k in bundle.named_parameters()}
     with pytest.raises(ShapeError, match="does not match"):
@@ -140,7 +141,7 @@ def test_apply_checkpoint_shape_mismatch(tmp_path):
 
 
 def test_apply_checkpoint_missing_tensor():
-    cfg = TrainConfig(latent=3, hidden=8, batch=4, seed=5)
+    cfg = ExperimentConfig(latent=3, hidden=8, batch=4, seed=5)
     bundle = build_bundle(cfg, data_dim=6, rng=RngStream(5))
     with pytest.raises(ShapeError, match="missing"):
         apply_checkpoint(bundle, {})

@@ -7,6 +7,7 @@ in a subprocess to cover the installed path.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -63,6 +64,123 @@ def test_config_hash_tracks_content():
     assert a.config_hash() == b.config_hash()
     b.latent = 17
     assert a.config_hash() != b.config_hash()
+
+
+# Pins section order, key order and float repr, and with them the config
+# hash stored in every checkpoint.
+DEFAULT_INI = """\
+[run]
+command = 
+out = run_out
+seed = 0
+
+[data]
+dataset = sprites
+n = 1024
+idx_path = 
+data_path = 
+data_mode = generate
+
+[train]
+model = vae
+latent = 16
+hidden = 256
+lam = 10.0
+lr = 0.001
+iters = 2000
+batch = 64
+visible = bernoulli
+recon = loglik
+generator_loss = nonsat
+mc_samples = 1
+log_every = 10
+
+[estimate]
+method = mc
+num_z = 1024
+run = 
+ratio_iters = 3000
+ratio_hidden = 128
+ratio_layers = 3
+gmm_k = 10
+gmm_iters = 50
+ar_iters = 2000
+ar_hidden = 32
+
+[synth]
+k = 10
+mode = minimize
+synth_iters = 20000
+samples = 10000
+synth_log_every = 100
+
+[diagnostics]
+low_n = 64
+div_n = 64
+
+"""
+
+
+def test_default_ini_text_is_pinned():
+    assert ExperimentConfig().to_ini() == DEFAULT_INI
+
+
+# Every flag of every subcommand: (argv, the fields it sets).
+FLAG_CASES = [
+    (["train", "--model", "aae", "--dataset", "idx", "--n", "77",
+      "--idx-path", "x.idx", "--latent", "3", "--hidden", "9", "--lam", "0.5",
+      "--lr", "2e-4", "--lr-enc", "1e-3", "--lr-gen", "0.1", "--lr-disc", "3",
+      "--lr-code", "1e-7", "--iters", "5", "--batch", "7", "--visible", "real",
+      "--recon", "l1", "--generator-loss", "reverse_kl", "--mc-samples", "2",
+      "--log-every", "3", "--out", "o", "--seed", "4"],
+     dict(model="aae", dataset="idx", n=77, idx_path="x.idx", latent=3,
+          hidden=9, lam=0.5, lr=2e-4, lr_enc=1e-3, lr_gen=0.1, lr_disc=3.0,
+          lr_code=1e-7, iters=5, batch=7, visible="real", recon="l1",
+          generator_loss="reverse_kl", mc_samples=2, log_every=3, out="o",
+          seed=4)),
+    (["estimate-kl", "--method", "ar", "--run", "r", "--num-z", "5",
+      "--ratio-iters", "6", "--ratio-hidden", "7", "--ratio-layers", "8",
+      "--gmm-k", "9", "--gmm-iters", "10", "--ar-iters", "11",
+      "--ar-hidden", "12"],
+     dict(method="ar", run="r", num_z=5, ratio_iters=6, ratio_hidden=7,
+          ratio_layers=8, gmm_k=9, gmm_iters=10, ar_iters=11, ar_hidden=12)),
+    (["surgery", "--run", "r", "--num-z", "33"], dict(run="r", num_z=33)),
+    (["low-posterior", "--run", "r", "--num-z", "32", "--n", "6"],
+     dict(run="r", num_z=32, low_n=6)),
+    (["diversity", "--run", "r", "--n", "8"], dict(run="r", div_n=8)),
+    (["synth-gauss", "--mode", "estimate", "--k", "5", "--iters", "20",
+      "--samples", "400", "--log-every", "10"],
+     dict(mode="estimate", k=5, synth_iters=20, samples=400,
+          synth_log_every=10)),
+    (["dataset", "--mode", "inspect", "--kind", "grid2d", "--n", "128",
+      "--data", "d.npy"],
+     dict(data_mode="inspect", dataset="grid2d", n=128, data_path="d.npy")),
+]
+
+
+@pytest.mark.parametrize("argv,expected", FLAG_CASES,
+                         ids=[argv[0] for argv, _ in FLAG_CASES])
+def test_flags_set_their_fields(argv, expected):
+    cfg = cli.build_config(argv)
+    want = ExperimentConfig(command=argv[0], **expected)
+    assert cfg == want
+    for name, value in expected.items():
+        assert type(getattr(cfg, name)) is type(value), name
+
+
+@pytest.mark.parametrize("argv", [
+    ["dataset", "--kind", "idx"],
+    ["train", "--model", "vae2"],
+    ["train", "--visible", "poisson"],
+    ["estimate-kl", "--method", "exact"],
+    ["synth-gauss", "--mode", "sample"],
+    ["diversity", "--num-z", "4"],
+    ["train", "--num-z", "4"],
+])
+def test_flag_choices_and_scope(argv):
+    with pytest.raises(SystemExit) as e:
+        cli.build_config(argv)
+    assert e.value.code == 2
 
 
 def test_defaults_when_no_sources():
@@ -290,6 +408,63 @@ def test_missing_run_dir_is_config_error(tmp_path):
     assert code == 2
     status = _read_json(out / "status.json")
     assert status["exit_code"] == 2 and status["status"] == "error"
+
+
+@pytest.mark.parametrize("text", [
+    "[train]\nlantent = 32\n",              # misspelt key
+    "[train]\nn = 32\n",                    # key of another section
+    "[trian]\n",                             # unknown section
+    "[train]\nlatent = sixteen\n",          # value of the wrong type
+    "latent = 32\n",                         # no section header
+])
+def test_rejected_config_file_is_config_error(tmp_path, text):
+    ini = tmp_path / "typo.ini"
+    ini.write_text(text)
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(ini), "--out", str(out)]) == 2
+    status = _read_json(out / "status.json")
+    assert status["status"] == "error" and status["exit_code"] == 2
+    assert not (out / "checkpoint.dmvi").exists()
+
+
+def test_edited_run_config_is_refused(tiny_run, tmp_path):
+    run = tmp_path / "edited"
+    shutil.copytree(tiny_run, run)
+    ini = run / "config.ini"
+    ini.write_text(ini.read_text().replace("\nn = 64\n", "\nn = 80\n"))
+    out = tmp_path / "est"
+    assert cli.main(["estimate-kl", "--run", str(run), "--num-z", "16",
+                     "--out", str(out)]) == 2
+    assert "config.ini" in _read_json(out / "status.json")["error"]
+
+
+def test_failed_retrain_leaves_run_refused(tmp_path):
+    run = tmp_path / "run"
+    assert cli.main(_train_args(run, iters=5)) == 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(_train_args(run, iters=5, lr=1e30)) == 3
+    out = tmp_path / "est"
+    assert cli.main(["estimate-kl", "--run", str(run), "--num-z", "16",
+                     "--out", str(out)]) == 2
+    assert "did not finish" in _read_json(out / "status.json")["error"]
+
+
+def test_run_without_status_is_refused(tiny_run, tmp_path):
+    run = tmp_path / "unfinished"
+    shutil.copytree(tiny_run, run)
+    (run / "status.json").unlink()
+    out = tmp_path / "est"
+    assert cli.main(["surgery", "--run", str(run), "--num-z", "16",
+                     "--out", str(out)]) == 2
+
+
+def test_inspect_of_non_array_file_is_io_error(tmp_path):
+    bad = tmp_path / "notes.txt"
+    bad.write_text("not an array\n")
+    out = tmp_path / "ins"
+    assert cli.main(["dataset", "--mode", "inspect", "--data", str(bad),
+                     "--out", str(out)]) == 4
+    assert _read_json(out / "status.json")["exit_code"] == 4
 
 
 def test_unreadable_config_file_is_io_error(tmp_path):

@@ -18,7 +18,8 @@ from dmvi.diagnostics import (
 from dmvi.distributions import DiagGaussian
 from dmvi.errors import ContractError, ShapeError
 from dmvi.estimators import marginal_log_q
-from dmvi.models import TrainConfig, build_bundle
+from dmvi.experiment import ExperimentConfig
+from dmvi.models import build_bundle
 from dmvi.rng import RngStream
 
 
@@ -69,7 +70,7 @@ def test_nearest_neighbors_by_hand():
 
 
 def test_posterior_stats_at_standard_posterior():
-    cfg = TrainConfig(latent=3, hidden=8, visible="real")
+    cfg = ExperimentConfig(latent=3, hidden=8, visible="real")
     b = build_bundle(cfg, 5, RngStream(0).child("init"))
     for p in b.encoder.parameters():
         p.data[...] = 0.0

@@ -30,7 +30,8 @@ from dmvi.estimators import (
     ratio_kl,
     surgery_decompose,
 )
-from dmvi.models import TrainConfig, build_bundle
+from dmvi.experiment import ExperimentConfig
+from dmvi.models import build_bundle
 from dmvi.rng import RngStream
 
 # Quadrature of KL(0.5 N(-1,0.25) + 0.5 N(1,0.25) || N(0,1)), computed
@@ -41,7 +42,7 @@ MIX_MUTUAL_INFO = MIX_AVG_KL - MIX_MARGINAL_KL
 
 
 def _zeroed_encoder_bundle(latent=2, data_dim=4):
-    cfg = TrainConfig(latent=latent, hidden=8, visible="real")
+    cfg = ExperimentConfig(latent=latent, hidden=8, visible="real")
     b = build_bundle(cfg, data_dim, RngStream(0).child("init"))
     for p in b.encoder.parameters():
         p.data[...] = 0.0

@@ -13,9 +13,9 @@ from dmvi.datasets import dataset_generate
 from dmvi.distributions import kl_diag_standard, log_mean_exp
 from dmvi.errors import ContractError, NumericsError
 from dmvi.gradcheck import grad_check
+from dmvi.experiment import ExperimentConfig
 from dmvi.models import (
     ModelBundle,
-    TrainConfig,
     build_bundle,
     elbo,
     elbo_parts,
@@ -37,7 +37,7 @@ def _zero_weights(net):
 
 def _bundle(latent=4, hidden=16, data_dim=10, visible="bernoulli",
             parts=("enc", "gen", "data_disc", "code_disc"), seed=0):
-    cfg = TrainConfig(latent=latent, hidden=hidden, visible=visible)
+    cfg = ExperimentConfig(latent=latent, hidden=hidden, visible=visible)
     return build_bundle(cfg, data_dim, RngStream(seed).child("init"), parts)
 
 
@@ -50,11 +50,11 @@ def test_config_rejects_bad_values():
                 dict(visible="poisson"), dict(recon="l2"),
                 dict(generator_loss="wasserstein"), dict(mc_samples=0)):
         with pytest.raises(ContractError):
-            TrainConfig(**bad).validate()
+            ExperimentConfig(**bad).validate()
 
 
 def test_config_defaults_valid():
-    TrainConfig().validate()
+    ExperimentConfig().validate()
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +151,7 @@ def test_vae_training_improves_elbo(vae_small):
 
 
 def test_quantized_vae_trains(sprites256):
-    cfg = TrainConfig(latent=4, hidden=16, iters=30, batch=16, seed=0,
+    cfg = ExperimentConfig(latent=4, hidden=16, iters=30, batch=16, seed=0,
                       visible="quantized", log_every=10)
     bundle, log = train_vae(sprites256, cfg)
     assert all(np.isfinite(r["value"]) for r in log.rows)
@@ -186,7 +186,7 @@ def test_vae_loss_gradient_via_grad_check():
     # The composite training loss at a random parameter point; the noise is
     # fixed so finite differences see a deterministic function.
     def builder(rng):
-        cfg = TrainConfig(latent=3, hidden=12)
+        cfg = ExperimentConfig(latent=3, hidden=12)
         b = build_bundle(cfg, 8, RngStream(int(rng.integers(0, 2**31, ()))))
         x = (rng.uniform((4, 8)) < 0.5).astype(np.float64)
         eps = rng.normal((4, 3))
@@ -205,7 +205,7 @@ def test_vae_loss_gradient_via_grad_check():
 
 
 def test_vae_training_is_deterministic(sprites256):
-    cfg = TrainConfig(latent=4, hidden=32, iters=20, batch=32, seed=9)
+    cfg = ExperimentConfig(latent=4, hidden=32, iters=20, batch=32, seed=9)
     b1, log1 = train_vae(sprites256, cfg)
     b2, log2 = train_vae(sprites256, cfg)
     for k, v in b1.named_parameters().items():
@@ -216,7 +216,7 @@ def test_vae_training_is_deterministic(sprites256):
 def test_vae_aborts_on_divergence(sprites256):
     # At this rate the logvar head overflows exp() within 100 steps; the
     # trainer must stop with the step number rather than emit NaN rows.
-    cfg = TrainConfig(latent=4, hidden=32, iters=200, batch=32, seed=1,
+    cfg = ExperimentConfig(latent=4, hidden=32, iters=200, batch=32, seed=1,
                       lr=100.0)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericsError, match="step"):
@@ -257,7 +257,7 @@ def test_gan_loss_values_at_blind_discriminator():
 
 
 def test_gan_training_runs_and_logs(sprites256):
-    cfg = TrainConfig(latent=4, hidden=32, iters=30, batch=32, seed=1,
+    cfg = ExperimentConfig(latent=4, hidden=32, iters=30, batch=32, seed=1,
                       log_every=10)
     bundle, log = train_gan(sprites256, cfg)
     names = {r["name"] for r in log.rows}
@@ -267,14 +267,14 @@ def test_gan_training_runs_and_logs(sprites256):
 
 
 def test_gan_reverse_kl_variant_runs(sprites256):
-    cfg = TrainConfig(latent=4, hidden=32, iters=30, batch=32, seed=1,
+    cfg = ExperimentConfig(latent=4, hidden=32, iters=30, batch=32, seed=1,
                       generator_loss="reverse_kl", log_every=10)
     _, log = train_gan(sprites256, cfg)
     assert all(np.isfinite(r["value"]) for r in log.rows)
 
 
 def test_aae_training_reduces_reconstruction(sprites256):
-    cfg = TrainConfig(latent=8, hidden=64, iters=300, batch=64, seed=2,
+    cfg = ExperimentConfig(latent=8, hidden=64, iters=300, batch=64, seed=2,
                       log_every=50)
     bundle, log = train_aae(sprites256, cfg)
     recon = [r["value"] for r in log.rows if r["name"] == "recon"]
@@ -283,7 +283,7 @@ def test_aae_training_reduces_reconstruction(sprites256):
 
 
 def test_aae_l1_recon_mode_runs(sprites256):
-    cfg = TrainConfig(latent=4, hidden=32, iters=30, batch=32, seed=3,
+    cfg = ExperimentConfig(latent=4, hidden=32, iters=30, batch=32, seed=3,
                       recon="l1", log_every=10)
     _, log = train_aae(sprites256, cfg)
     recon = [r["value"] for r in log.rows if r["name"] == "recon"]
@@ -374,7 +374,7 @@ def test_vgh_noise_replay_reproduces_losses():
 
 def test_vgh_losses_gradients_via_grad_check():
     def builder(rng):
-        cfg = TrainConfig(latent=3, hidden=10, visible="real")
+        cfg = ExperimentConfig(latent=3, hidden=10, visible="real")
         b = build_bundle(cfg, 6, RngStream(int(rng.integers(0, 2**31, ()))),
                          parts=("enc", "gen", "data_disc", "code_disc"))
         x = rng.normal((4, 6))
@@ -393,7 +393,7 @@ def test_vgh_losses_gradients_via_grad_check():
 
 
 def test_train_vgh_step_counts_match_iterations(sprites256):
-    cfg = TrainConfig(latent=4, hidden=32, iters=17, batch=32, seed=5,
+    cfg = ExperimentConfig(latent=4, hidden=32, iters=17, batch=32, seed=5,
                       log_every=5)
     _, log = train_vgh(sprites256, cfg, "vghpp")
     counts = {r["name"]: r["value"] for r in log.rows
@@ -403,7 +403,7 @@ def test_train_vgh_step_counts_match_iterations(sprites256):
 
 
 def test_train_vgh_logs_all_losses_finite(sprites256):
-    cfg = TrainConfig(latent=4, hidden=32, iters=25, batch=32, seed=6,
+    cfg = ExperimentConfig(latent=4, hidden=32, iters=25, batch=32, seed=6,
                       log_every=5)
     for variant in ("vgh", "vghpp"):
         _, log = train_vgh(sprites256, cfg, variant)
