@@ -50,12 +50,12 @@ _SUBCOMMANDS = {
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="dmvi",
+        prog="dmvi", allow_abbrev=False,
         description="Train small generative models and estimate how far "
                     "their aggregate posterior sits from the prior.")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, flags) in _SUBCOMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         p.add_argument("--config", help="INI config file; flags override it")
         for spec in ("out", "seed") + flags:
             if isinstance(spec, str):

@@ -1,14 +1,12 @@
-"""Model forensics: low-posterior samples, ELBO histograms, posterior KL
-tables, and an SSIM-based sample-diversity score.
+"""Model forensics: low-posterior samples, posterior KL tables, and an
+SSIM-based sample-diversity score.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .distributions import LOGVAR_FLOOR
+from .distributions import LOGVAR_FLOOR, kl_standard_np
 from .errors import ContractError, ShapeError
 from .estimators import marginal_log_q, _posterior_arrays
 from .models import ModelBundle
@@ -34,82 +32,6 @@ def low_posterior_samples(bundle: ModelBundle, data: np.ndarray,
             "log_q": scores[order], "candidate_log_q": scores}
 
 
-def nearest_neighbors(queries: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """Index of the closest data row to each query row, in l2."""
-    q = np.atleast_2d(queries)
-    d2 = ((q[:, None, :] - data[None, :, :]) ** 2).sum(axis=2)
-    return d2.argmin(axis=1)
-
-
-# ---------------------------------------------------------------------------
-# Histograms.
-
-
-@dataclass
-class HistogramReport:
-    tag: str
-    edges: np.ndarray
-    counts: np.ndarray
-    kde_x: np.ndarray
-    kde_y: np.ndarray
-    mean: float
-
-
-def _silverman_bandwidth(values: np.ndarray) -> float:
-    n = values.size
-    std = values.std(ddof=1) if n > 1 else 1.0
-    iqr = np.subtract(*np.percentile(values, [75, 25]))
-    scale = min(std, iqr / 1.34) if iqr > 0 else std
-    if scale <= 0:
-        scale = max(abs(values.mean()), 1.0) * 1e-3
-    return 0.9 * scale * n ** (-0.2)
-
-
-def gaussian_kde(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Rule-of-thumb kernel density estimate evaluated on ``grid``."""
-    h = _silverman_bandwidth(values)
-    z = (grid[:, None] - values[None, :]) / h
-    return np.exp(-0.5 * z * z).sum(axis=1) / (values.size * h * np.sqrt(2 * np.pi))
-
-
-def value_histograms(populations: dict, bins: int = 30,
-                     grid_points: int = 200) -> dict:
-    """Histogram + KDE per population on shared edges."""
-    if not populations:
-        raise ContractError("no populations given")
-    pooled = np.concatenate([np.asarray(v, dtype=np.float64).ravel()
-                             for v in populations.values()])
-    lo, hi = float(pooled.min()), float(pooled.max())
-    if lo == hi:
-        lo, hi = lo - 0.5, hi + 0.5
-    edges = np.linspace(lo, hi, bins + 1)
-    grid = np.linspace(lo, hi, grid_points)
-    out = {}
-    for tag, values in populations.items():
-        values = np.asarray(values, dtype=np.float64).ravel()
-        counts, _ = np.histogram(values, bins=edges)
-        out[tag] = HistogramReport(tag, edges, counts, grid,
-                                   gaussian_kde(values, grid),
-                                   float(values.mean()))
-    return out
-
-
-def per_example_elbo(bundle: ModelBundle, data: np.ndarray,
-                     rng: RngStream, mc_samples: int = 1) -> np.ndarray:
-    from .models import elbo_parts
-
-    recon, kl = elbo_parts(data, bundle, rng, mc_samples)
-    return recon.data - kl.data
-
-
-def elbo_histogram(bundle: ModelBundle, populations: dict,
-                   rng: RngStream, bins: int = 30) -> dict:
-    """Per-example ELBO histogram for each named data population."""
-    values = {tag: per_example_elbo(bundle, arr, rng.child(tag))
-              for tag, arr in populations.items()}
-    return value_histograms(values, bins=bins)
-
-
 def posterior_kl_stats(bundle: ModelBundle, data: np.ndarray,
                        sparse_below: float = 0.01) -> dict:
     """Per-dimension KL profile plus collapse/sparsity summaries.
@@ -121,8 +43,7 @@ def posterior_kl_stats(bundle: ModelBundle, data: np.ndarray,
     that detects a collapsed unit without false negatives.
     """
     mean, logvar = _posterior_arrays(bundle, data)
-    var = np.exp(logvar)
-    per = 0.5 * (mean * mean + var - 1.0 - logvar)
+    per = kl_standard_np(mean, logvar)
     per_dim = per.mean(axis=0)
     floored = (logvar <= LOGVAR_FLOOR + 1e-12).mean(axis=0)
     return {
@@ -184,32 +105,6 @@ def ssim(a: np.ndarray, b: np.ndarray, window: int = 7,
     num = (2 * mu_a * mu_b + c1) * (2 * cov + c2)
     den = (mu_a ** 2 + mu_b ** 2 + c1) * (var_a + var_b + c2)
     return float((num / den).mean())
-
-
-def ms_ssim(a: np.ndarray, b: np.ndarray, scales: int = 3,
-            window: int = 7) -> float:
-    """Multi-scale variant for images of at least 32px per side."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if min(a.shape) < 32:
-        raise ContractError("multi-scale needs at least 32px per side")
-    weights = np.array([0.0448, 0.2856, 0.3001, 0.2363, 0.1333])[:scales]
-    weights = weights / weights.sum()
-    score = 1.0
-    for level in range(scales):
-        value = ssim(a, b, window)
-        score *= max(value, 1e-8) ** weights[level]
-        if level < scales - 1:
-            a = _downsample2(a)
-            b = _downsample2(b)
-    return float(score)
-
-
-def _downsample2(img: np.ndarray) -> np.ndarray:
-    h, w = (img.shape[0] // 2) * 2, (img.shape[1] // 2) * 2
-    img = img[:h, :w]
-    return 0.25 * (img[0::2, 0::2] + img[1::2, 0::2]
-                   + img[0::2, 1::2] + img[1::2, 1::2])
 
 
 def diversity(batch: np.ndarray, window: int = 7) -> float:

@@ -2,8 +2,8 @@
 
 Graph-valued operations (Tensor in, Tensor out) carry gradients for
 training. The estimators evaluate densities over large sample blocks where
-graph bookkeeping is dead weight, so the Gaussian log-density also exists
-as a plain-array twin; a test pins the two to each other.
+graph bookkeeping is dead weight, so the Gaussian log-density and KL also
+exist as plain-array twins; tests pin each pair to each other.
 """
 
 from __future__ import annotations
@@ -52,15 +52,6 @@ def reparam(q: DiagGaussian, rng: RngStream) -> Tensor:
     return q.mean + engine.exp(0.5 * q.logvar) * eps
 
 
-def diag_sample(q: DiagGaussian, rng: RngStream, n: int) -> Tensor:
-    """n draws from an unbatched q over R^d, shape (n, d)."""
-    if n < 1:
-        raise ContractError("need at least one sample")
-    d = q.mean.data.reshape(-1).shape[0]
-    eps = Tensor(rng.normal((n, d)))
-    return q.mean + engine.exp(0.5 * q.logvar) * eps
-
-
 def diag_log_prob(q: DiagGaussian, z) -> Tensor:
     """Log density per row."""
     z = as_tensor(z)
@@ -74,14 +65,6 @@ def kl_diag_standard(q: DiagGaussian) -> Tensor:
     var = engine.exp(q.logvar)
     terms = q.mean * q.mean + var - 1.0 - q.logvar
     return 0.5 * _sum_features(terms)
-
-
-def kl_diag_standard_per_dim(q: DiagGaussian) -> np.ndarray:
-    """Per-coordinate KL contributions, batch-averaged; plain array."""
-    mean, logvar = q.mean.data, q.logvar.data
-    var = np.exp(logvar)
-    per = 0.5 * (mean * mean + var - 1.0 - logvar)
-    return per.mean(axis=0) if per.ndim > 1 else per
 
 
 @dataclass
@@ -154,9 +137,7 @@ def mc_kl_full_gauss(p0, p1, n: int, rng: RngStream):
     """
     m0, s0 = p0
     x = sample_full_gauss(m0, s0, n, rng)
-    terms = full_gauss_logpdf(x, m0, s0) - full_gauss_logpdf(x, *p1)
-    stderr = float(terms.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return float(terms.mean()), stderr
+    return mean_stderr(full_gauss_logpdf(x, m0, s0) - full_gauss_logpdf(x, *p1))
 
 
 def full_gauss_logpdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -195,25 +176,13 @@ def bernoulli_log_prob(v: BernoulliVisible, x) -> Tensor:
     return _sum_features(x * v.logits - engine.softplus(v.logits))
 
 
-class QuantizedNormalVisible:
-    """Gaussian density on integer data dequantized with fresh uniform noise."""
-
-    def __init__(self, mean, logvar, floor: bool = True):
-        self.mean = as_tensor(mean)
-        logvar = as_tensor(logvar)
-        self.logvar = engine.clamp_min(logvar, LOGVAR_FLOOR) if floor else logvar
-
-
-def quantized_log_prob(v: QuantizedNormalVisible, x, rng: RngStream) -> Tensor:
+def quantized_log_prob(v: DiagGaussian, x, rng: RngStream) -> Tensor:
     """Log density at x + u with u ~ Uniform[0,1) drawn from ``rng``."""
     # x is a constant target; the noise rides outside the graph.
     if isinstance(x, Tensor):
         x = x.data
     x = np.asarray(x, dtype=np.float64)
-    noised = Tensor(x + rng.uniform(x.shape))
-    diff = noised - v.mean
-    quad = diff * diff * engine.exp(-v.logvar)
-    return -0.5 * _sum_features(quad + v.logvar + _LOG_2PI)
+    return diag_log_prob(v, x + rng.uniform(x.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +194,18 @@ def gauss_logpdf_np(z: np.ndarray, mean: np.ndarray, logvar: np.ndarray) -> np.n
     z = np.asarray(z, dtype=np.float64)
     diff = z - mean
     return -0.5 * (diff * diff * np.exp(-logvar) + logvar + _LOG_2PI).sum(axis=-1)
+
+
+def kl_standard_np(mean: np.ndarray, logvar: np.ndarray) -> np.ndarray:
+    """Per-coordinate KL(q ‖ N(0, 1)), the array twin of kl_diag_standard."""
+    return 0.5 * (mean * mean + np.exp(logvar) - 1.0 - logvar)
+
+
+def mean_stderr(terms: np.ndarray):
+    """Mean of per-sample terms and its standard error (0 for one term)."""
+    stderr = (float(terms.std(ddof=1) / np.sqrt(terms.size))
+              if terms.size > 1 else 0.0)
+    return float(terms.mean()), stderr
 
 
 def log_mean_exp(values, axis=None):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, NumericsError, ShapeError
+from .errors import ContractError, ShapeError
 
 _ACTIVE_TAPE = None
 
@@ -61,10 +61,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        """Same values, cut off from the graph."""
-        return Tensor(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self.op!r})"

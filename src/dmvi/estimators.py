@@ -18,10 +18,12 @@ from .distributions import (
     StandardPrior,
     VAR_FLOOR,
     gauss_logpdf_np,
+    kl_standard_np,
     log_mean_exp,
+    mean_stderr,
 )
 from .errors import ContractError, NumericsError
-from .models import ModelBundle, _log_not, _safe_log
+from .models import ModelBundle, bce
 from . import engine
 from .nn import MLP
 from .optim import Adam
@@ -88,17 +90,14 @@ def mc_marginal_kl(bundle: ModelBundle, data: np.ndarray, num_z: int,
         raise ContractError("num_z must be positive")
     z = _sample_codes(bundle, data, num_z, rng)
     prior = StandardPrior(bundle.latent)
-    terms = marginal_log_q(z, bundle, data) - prior.log_prob(z)
-    stderr = float(terms.std(ddof=1) / np.sqrt(num_z)) if num_z > 1 else 0.0
-    return EstimateReport("mc", float(terms.mean()), stderr, num_z,
-                          inner=data.shape[0])
+    value, stderr = mean_stderr(marginal_log_q(z, bundle, data)
+                                - prior.log_prob(z))
+    return EstimateReport("mc", value, stderr, num_z, inner=data.shape[0])
 
 
 def avg_posterior_kl(bundle: ModelBundle, data: np.ndarray) -> float:
     """Closed-form E_data KL(q(z|x) ‖ p(z))."""
-    mean, logvar = _posterior_arrays(bundle, data)
-    var = np.exp(logvar)
-    per_row = 0.5 * (mean * mean + var - 1.0 - logvar).sum(axis=1)
+    per_row = kl_standard_np(*_posterior_arrays(bundle, data)).sum(axis=1)
     return float(per_row.mean())
 
 
@@ -179,8 +178,7 @@ def ratio_kl(samples_q: np.ndarray, samples_p: np.ndarray,
             with engine.Tape() as tape:
                 pq = engine.sigmoid(net(engine.Tensor(bq)))
                 pp = engine.sigmoid(net(engine.Tensor(bp)))
-                loss = (-engine.tmean(_safe_log(pq))
-                        - engine.tmean(_log_not(pp)))
+                loss = bce(pq, pp)
             if not np.isfinite(loss.data):
                 raise NumericsError("classifier loss non-finite")
             opt.zero_grad()
@@ -192,10 +190,7 @@ def ratio_kl(samples_q: np.ndarray, samples_p: np.ndarray,
     if status == "ok":
         probs = engine._sigmoid(net(engine.Tensor(eval_q)).data[:, 0])
         probs = np.clip(probs, 1e-7, 1.0 - 1e-7)
-        terms = np.log(probs) - np.log1p(-probs)
-        value = float(terms.mean())
-        stderr = (float(terms.std(ddof=1) / np.sqrt(terms.size))
-                  if terms.size > 1 else 0.0)
+        value, stderr = mean_stderr(np.log(probs) - np.log1p(-probs))
     else:
         value, stderr = float("nan"), float("nan")
     return EstimateReport("ratio", value, stderr, eval_q.shape[0],
@@ -204,6 +199,15 @@ def ratio_kl(samples_q: np.ndarray, samples_p: np.ndarray,
 
 # ---------------------------------------------------------------------------
 # Explicit density models fitted to code samples.
+
+
+def _gmm_log_joint(x: np.ndarray, weights, means, variances):
+    """Per-component log weight + log density, (n, k), and their
+    log-sum-exp over components, (n, 1)."""
+    comp = gauss_logpdf_np(x[:, None, :], means, np.log(variances))
+    comp = comp + np.log(weights)
+    hi = comp.max(axis=1, keepdims=True)
+    return comp, np.log(np.exp(comp - hi).sum(axis=1, keepdims=True)) + hi
 
 
 @dataclass
@@ -216,11 +220,7 @@ class GmmModel:
 
     def log_prob(self, z: np.ndarray) -> np.ndarray:
         z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        comp = gauss_logpdf_np(z[:, None, :], self.means,
-                               np.log(self.variances))       # (n, k)
-        comp = comp + np.log(self.weights)
-        hi = comp.max(axis=1, keepdims=True)
-        return (np.log(np.exp(comp - hi).sum(axis=1)) + hi[:, 0])
+        return _gmm_log_joint(z, self.weights, self.means, self.variances)[1][:, 0]
 
 
 def _farthest_point_init(x: np.ndarray, k: int, rng: RngStream) -> np.ndarray:
@@ -256,10 +256,7 @@ def gmm_fit(samples: np.ndarray, k: int, iters: int,
     history = []
     reseeds = 0
     for _ in range(iters):
-        comp = gauss_logpdf_np(x[:, None, :], means, np.log(variances))
-        comp = comp + np.log(weights)
-        hi = comp.max(axis=1, keepdims=True)
-        norm = np.log(np.exp(comp - hi).sum(axis=1, keepdims=True)) + hi
+        comp, norm = _gmm_log_joint(x, weights, means, variances)
         history.append(float(norm.sum()))
         resp = np.exp(comp - norm)                           # (n, k)
         nk = resp.sum(axis=0)
@@ -370,7 +367,6 @@ def density_model_kl(model, bundle: ModelBundle, data: np.ndarray,
     """Plug-in estimate with a fitted density t: mean of log t(z) - log p(z)."""
     z = _sample_codes(bundle, data, num_z, rng)
     prior = StandardPrior(bundle.latent)
-    terms = model.log_prob(z) - prior.log_prob(z)
+    value, stderr = mean_stderr(model.log_prob(z) - prior.log_prob(z))
     method = "gmm" if isinstance(model, GmmModel) else "ar"
-    stderr = float(terms.std(ddof=1) / np.sqrt(num_z)) if num_z > 1 else 0.0
-    return EstimateReport(method, float(terms.mean()), stderr, num_z, inner=1)
+    return EstimateReport(method, value, stderr, num_z, inner=1)

@@ -22,6 +22,7 @@ import numpy as np
 from .checkpoint import apply_checkpoint, load_checkpoint, save_checkpoint
 from .datasets import GENERATORS, array_digest, dataset_generate, load_idx
 from .errors import ContractError, ParseError
+from .estimators import ArConfig, RatioConfig
 from .models import PARTS, TRAINERS, build_bundle
 from .rng import RngStream
 
@@ -71,13 +72,13 @@ class ExperimentConfig:
     num_z: int = _setting("estimate", 1024)
     run: str = _setting("estimate", "",
                         help="directory of a finished training run")
-    ratio_iters: int = _setting("estimate", 3000)
-    ratio_hidden: int = _setting("estimate", 128)
-    ratio_layers: int = _setting("estimate", 3)
+    ratio_iters: int = _setting("estimate", RatioConfig.iters)
+    ratio_hidden: int = _setting("estimate", RatioConfig.hidden)
+    ratio_layers: int = _setting("estimate", RatioConfig.layers)
     gmm_k: int = _setting("estimate", 10)
     gmm_iters: int = _setting("estimate", 50)
-    ar_iters: int = _setting("estimate", 2000)
-    ar_hidden: int = _setting("estimate", 32)
+    ar_iters: int = _setting("estimate", ArConfig.iters)
+    ar_hidden: int = _setting("estimate", ArConfig.hidden)
     k: int = _setting("synth", 10, help="latent dimension")
     mode: str = _setting("synth", "minimize", ("estimate", "minimize"))
     synth_iters: int = _setting("synth", 20000)
@@ -87,7 +88,7 @@ class ExperimentConfig:
     div_n: int = _setting("diagnostics", 64)
 
     def to_ini(self) -> str:
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)
         for f in fields(self):
             value = getattr(self, f.name)
             if value is None:
@@ -105,7 +106,7 @@ class ExperimentConfig:
     def from_ini(cls, text: str) -> "ExperimentConfig":
         """Parse an INI file; an unknown section or key, or a value of the
         wrong type, is a ContractError."""
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)
         try:
             parser.read_string(text)
         except configparser.Error as e:
@@ -138,6 +139,10 @@ class ExperimentConfig:
             if f.metadata["section"] == "train" and choices and value not in choices:
                 raise ContractError(f"unknown {f.name} {value!r}; have {choices}")
         return self
+
+    def ratio_config(self) -> RatioConfig:
+        return RatioConfig(hidden=self.ratio_hidden, layers=self.ratio_layers,
+                           iters=self.ratio_iters)
 
 
 SETTINGS = {f.name: f for f in fields(ExperimentConfig)}
@@ -200,11 +205,22 @@ def _finish(cfg: ExperimentConfig, rows, extra_summary: dict | None = None):
     _write_summary(os.path.join(out, "summary.csv"), summary_rows)
 
 
+def _recorded_digest(run_dir: str) -> str | None:
+    """The data_digest a training run recorded in its summary.csv, if any."""
+    try:
+        with open(os.path.join(run_dir, "summary.csv")) as f:
+            rows = dict(line.rstrip("\n").split(",", 1) for line in f)
+        return rows.get("data_digest")
+    except (OSError, ValueError):
+        return None
+
+
 def load_run(run_dir: str):
     """Rebuild the bundle and data of a finished training run.
 
-    Refuses a run whose last command did not finish ok, and a checkpoint
-    written under another configuration than the run's config.ini.
+    Refuses a run whose last command did not finish ok, a checkpoint
+    written under another configuration than the run's config.ini, and data
+    whose digest differs from the one the run recorded in summary.csv.
     """
     cfg_path = os.path.join(run_dir, "config.ini")
     if not os.path.exists(cfg_path):
@@ -225,6 +241,10 @@ def load_run(run_dir: str):
         raise ContractError(f"checkpoint in {run_dir!r} was not written "
                             f"under its config.ini")
     data = load_data(src)
+    recorded = _recorded_digest(run_dir)
+    if recorded != array_digest(data):
+        raise ContractError(f"data of run {run_dir!r} is not the data it was "
+                            f"trained on (recorded digest: {recorded})")
     bundle = build_bundle(src, data.shape[1], RngStream(src.seed).child("init"),
                           PARTS[src.model])
     apply_checkpoint(bundle, tensors)
@@ -260,9 +280,7 @@ def _cmd_estimate(cfg: ExperimentConfig):
         codes = est._sample_codes(bundle, data, cfg.num_z, rng.child("codes"))
         prior = est.StandardPrior(bundle.latent).sample(rng.child("prior"),
                                                         cfg.num_z)
-        rcfg = est.RatioConfig(hidden=cfg.ratio_hidden, layers=cfg.ratio_layers,
-                               iters=cfg.ratio_iters)
-        report = est.ratio_kl(codes, prior, rcfg, rng.child("clf"))
+        report = est.ratio_kl(codes, prior, cfg.ratio_config(), rng.child("clf"))
     elif cfg.method == "gmm":
         codes = est._sample_codes(bundle, data, cfg.num_z, rng.child("codes"))
         model = est.gmm_fit(codes, cfg.gmm_k, cfg.gmm_iters, rng.child("fit"))
@@ -270,8 +288,8 @@ def _cmd_estimate(cfg: ExperimentConfig):
                                       rng.child("eval"))
     elif cfg.method == "ar":
         codes = est._sample_codes(bundle, data, cfg.num_z, rng.child("codes"))
-        model = est.ar_fit(codes, est.ArConfig(hidden=cfg.ar_hidden,
-                                               iters=cfg.ar_iters),
+        model = est.ar_fit(codes, ArConfig(hidden=cfg.ar_hidden,
+                                           iters=cfg.ar_iters),
                            rng.child("fit"))
         report = est.density_model_kl(model, bundle, data, cfg.num_z,
                                       rng.child("eval"))
@@ -331,14 +349,11 @@ def _cmd_diversity(cfg: ExperimentConfig):
 def _cmd_synth(cfg: ExperimentConfig):
     from .synth_gauss import (make_task, run_estimation, run_minimization,
                               trajectory_csv)
-    from .estimators import RatioConfig
 
     task = make_task(cfg.k, cfg.seed)
     if cfg.mode == "estimate":
-        result = run_estimation(
-            task, RatioConfig(hidden=cfg.ratio_hidden, layers=cfg.ratio_layers,
-                              iters=cfg.ratio_iters),
-            cfg.samples, RngStream(cfg.seed).child("synth_est"))
+        result = run_estimation(task, cfg.ratio_config(), cfg.samples,
+                                RngStream(cfg.seed).child("synth_est"))
         write_json(cfg.out, "report.json",
                     {"true_kl": result["true_kl"], "est_kl": result["est_kl"],
                      "k": cfg.k, "d": task.d})

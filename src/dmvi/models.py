@@ -17,7 +17,6 @@ from . import engine
 from .distributions import (
     BernoulliVisible,
     DiagGaussian,
-    QuantizedNormalVisible,
     bernoulli_log_prob,
     kl_diag_standard,
     quantized_log_prob,
@@ -87,7 +86,7 @@ class ModelBundle:
         if self.visible == "quantized":
             mean = engine.narrow(h, 1, 0, self.data_dim)
             logvar = engine.narrow(h, 1, self.data_dim, self.data_dim)
-            return QuantizedNormalVisible(mean, logvar)
+            return DiagGaussian(mean, logvar)
         return h
 
     def decode_mean(self, z) -> Tensor:
@@ -160,6 +159,12 @@ def _log_not(p: Tensor) -> Tensor:
     return engine.log(engine.clip(1.0 - p, PROB_CLAMP, 1.0 - PROB_CLAMP))
 
 
+def bce(p_one: Tensor, p_zero: Tensor) -> Tensor:
+    """Classifier cross-entropy: batch means of -log p on rows labelled 1
+    and of -log(1-p) on rows labelled 0."""
+    return -engine.tmean(_safe_log(p_one)) - engine.tmean(_log_not(p_zero))
+
+
 def ratio_penalty(p: Tensor) -> Tensor:
     """-log p + log(1-p): pushes the classifier toward calling p 'real'."""
     return _log_not(p) - _safe_log(p)
@@ -176,11 +181,6 @@ def elbo_parts(x, bundle: ModelBundle, rng: RngStream, mc_samples: int = 1):
         lp = bundle.recon_log_prob(x, z, rng)
         total = lp if total is None else total + lp
     return total * (1.0 / mc_samples), kl
-
-
-def elbo(x, bundle: ModelBundle, rng: RngStream, mc_samples: int = 1) -> Tensor:
-    recon, kl = elbo_parts(x, bundle, rng, mc_samples)
-    return engine.tmean(recon - kl)
 
 
 def l1_reconstruction(x, x_hat) -> Tensor:
@@ -227,10 +227,8 @@ def vgh_losses(x, bundle: ModelBundle, variant: str, lam: float,
                      - engine.tmean(_log_not(d_hat))
                      - engine.tmean(_log_not(d_gen)))
     else:
-        loss_disc = (-engine.tmean(_safe_log(d_real))
-                     - engine.tmean(_log_not(d_hat)))
-    loss_code = (-engine.tmean(_log_not(c_hat))
-                 - engine.tmean(_safe_log(c_prior)))
+        loss_disc = bce(d_real, d_hat)
+    loss_code = bce(c_prior, c_hat)
     return {"enc": loss_enc, "gen": loss_gen, "data_disc": loss_disc,
             "code_disc": loss_code, "recon": recon}
 
@@ -295,8 +293,7 @@ def train_gan(data: np.ndarray, cfg: ExperimentConfig):
 
         fake = bundle.decode_mean(Tensor(z)).data
         with engine.Tape() as tape:
-            d_loss = (-engine.tmean(_safe_log(bundle.data_prob(x)))
-                      - engine.tmean(_log_not(bundle.data_prob(fake))))
+            d_loss = bce(bundle.data_prob(x), bundle.data_prob(fake))
         _check_finite(d_loss, "discriminator loss", step)
         opt_d.zero_grad()
         engine.backward(tape, d_loss)
@@ -347,8 +344,7 @@ def train_aae(data: np.ndarray, cfg: ExperimentConfig):
 
         z_hat_const = z_hat.data
         with engine.Tape() as tape:
-            c_loss = (-engine.tmean(_log_not(bundle.code_prob(z_hat_const)))
-                      - engine.tmean(_safe_log(bundle.code_prob(z_prior))))
+            c_loss = bce(bundle.code_prob(z_prior), bundle.code_prob(z_hat_const))
         _check_finite(c_loss, "code discriminator loss", step)
         opt_c.zero_grad()
         engine.backward(tape, c_loss)

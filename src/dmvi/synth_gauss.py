@@ -16,7 +16,7 @@ import numpy as np
 from . import engine
 from .distributions import AffineGaussian, affine_to_moments, kl_full_gauss
 from .errors import ContractError, NumericsError
-from .models import _log_not, _safe_log, ratio_penalty
+from .models import bce, ratio_penalty
 from .nn import MLP
 from .optim import Adam
 from .rng import RngStream
@@ -105,8 +105,8 @@ def run_minimization(task: SyntheticTask, iters: int,
         try:
             x_q = (engine.Tensor(z) @ task.learner_W + task.learner_b).data
             with engine.Tape() as tape:
-                c_loss = (-engine.tmean(_safe_log(engine.sigmoid(clf(engine.Tensor(x_p)))))
-                          - engine.tmean(_log_not(engine.sigmoid(clf(engine.Tensor(x_q))))))
+                c_loss = bce(engine.sigmoid(clf(engine.Tensor(x_p))),
+                             engine.sigmoid(clf(engine.Tensor(x_q))))
             opt_c.zero_grad()
             engine.backward(tape, c_loss)
             opt_c.step()

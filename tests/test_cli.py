@@ -8,6 +8,7 @@ in a subprocess to cover the installed path.
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -50,6 +51,11 @@ def tiny_run(tmp_path_factory):
 def test_ini_round_trip():
     cfg = ExperimentConfig(command="train", latent=5, lam=0.1, lr=3e-4,
                            lr_enc=0.005, out="somewhere")
+    assert ExperimentConfig.from_ini(cfg.to_ini()) == cfg
+
+
+def test_ini_round_trips_a_percent_sign():
+    cfg = ExperimentConfig(command="dataset", out="a%b", idx_path="100%/x")
     assert ExperimentConfig.from_ini(cfg.to_ini()) == cfg
 
 
@@ -176,6 +182,8 @@ def test_flags_set_their_fields(argv, expected):
     ["synth-gauss", "--mode", "sample"],
     ["diversity", "--num-z", "4"],
     ["train", "--num-z", "4"],
+    ["surgery", "--n", "16"],           # no prefix of another flag
+    ["train", "--lr-e", "0.1"],
 ])
 def test_flag_choices_and_scope(argv):
     with pytest.raises(SystemExit) as e:
@@ -397,6 +405,15 @@ def test_dataset_generate_then_inspect(tmp_path):
     assert _read_json(ins / "report.json")["digest"] == rep["digest"]
 
 
+def test_percent_in_out_dir_finishes(tmp_path):
+    out = tmp_path / "a%b"
+    assert cli.main(["dataset", "--mode", "generate", "--kind", "rings",
+                     "--n", "8", "--out", str(out)]) == 0
+    assert _read_json(out / "status.json")["status"] == "ok"
+    cfg = ExperimentConfig.from_ini((out / "config.ini").read_text())
+    assert cfg.out == str(out)
+
+
 # ---------------------------------------------------------------------------
 # Failure exit codes
 
@@ -447,6 +464,28 @@ def test_failed_retrain_leaves_run_refused(tmp_path):
     assert cli.main(["estimate-kl", "--run", str(run), "--num-z", "16",
                      "--out", str(out)]) == 2
     assert "did not finish" in _read_json(out / "status.json")["error"]
+
+
+def _write_idx(path, rows):
+    dims = rows.shape
+    path.write_bytes(struct.pack(">BBBB", 0, 0, 0x08, len(dims))
+                     + struct.pack(f">{len(dims)}I", *dims) + rows.tobytes())
+
+
+def test_changed_idx_data_is_refused(tmp_path):
+    idx = tmp_path / "digits.idx"
+    pixels = np.arange(48 * 3 * 3, dtype=np.uint8).reshape(48, 3, 3)
+    _write_idx(idx, pixels)
+    run = tmp_path / "run"
+    assert cli.main(_train_args(run, dataset="idx", idx_path=idx, n=48,
+                                iters=5)) == 0
+    est = ["estimate-kl", "--run", str(run), "--num-z", "16"]
+    assert cli.main(est + ["--out", str(tmp_path / "before")]) == 0
+    _write_idx(idx, pixels[::-1].copy())
+    out = tmp_path / "after"
+    assert cli.main(est + ["--out", str(out)]) == 2
+    assert "not the data it was trained on" in _read_json(
+        out / "status.json")["error"]
 
 
 def test_run_without_status_is_refused(tiny_run, tmp_path):

@@ -12,19 +12,18 @@ from dmvi.distributions import (
     AffineGaussian,
     BernoulliVisible,
     DiagGaussian,
-    QuantizedNormalVisible,
     StandardPrior,
     affine_to_moments,
     bernoulli_log_prob,
     diag_log_prob,
-    diag_sample,
     full_gauss_logpdf,
     gauss_logpdf_np,
     kl_diag_standard,
-    kl_diag_standard_per_dim,
     kl_full_gauss,
+    kl_standard_np,
     log_mean_exp,
     mc_kl_full_gauss,
+    mean_stderr,
     quantized_log_prob,
     reparam,
     sample_full_gauss,
@@ -150,7 +149,7 @@ def test_kl_per_dim_sums_to_total():
     mean = rng.normal((16, 5))
     logvar = rng.normal((16, 5))
     q = DiagGaussian(mean, logvar, floor=False)
-    per = kl_diag_standard_per_dim(q)
+    per = kl_standard_np(q.mean.data, q.logvar.data).mean(axis=0)
     total = float(kl_diag_standard(q).data.mean())
     assert per.shape == (5,)
     assert abs(per.sum() - total) < 1e-10
@@ -205,6 +204,14 @@ def test_mc_kl_agrees_with_closed_form():
     est, se = mc_kl_full_gauss(p0, p1, 100000, rng.child("mc"))
     assert se > 0.0
     assert abs(est - exact) < 4.0 * se
+
+
+def test_mean_stderr_by_hand():
+    terms = np.array([1.0, 2.0, 6.0])
+    mean, se = mean_stderr(terms)
+    assert mean == 3.0
+    assert se == float(np.sqrt(7.0 / 3.0))
+    assert mean_stderr(np.array([5.0])) == (5.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -278,21 +285,6 @@ def test_reparam_gradients_flow_to_both_parameters():
     assert logvar.grad is not None and np.abs(logvar.grad).max() > 0
 
 
-def test_diag_sample_rejects_degenerate_count():
-    q = DiagGaussian(np.zeros(2), np.zeros(2), floor=False)
-    with pytest.raises(ContractError):
-        diag_sample(q, RngStream(0), 0)
-
-
-def test_diag_sample_deterministic_and_calibrated():
-    q = DiagGaussian(np.array([2.0, -1.0]), np.log([4.0, 0.25]), floor=False)
-    z1 = diag_sample(q, RngStream(21), 50000).data
-    z2 = diag_sample(q, RngStream(21), 50000).data
-    assert np.array_equal(z1, z2)
-    assert np.allclose(z1.mean(axis=0), [2.0, -1.0], atol=0.05)
-    assert np.allclose(z1.std(axis=0), [2.0, 0.5], atol=0.02)
-
-
 # ---------------------------------------------------------------------------
 # Visible distributions.
 
@@ -338,7 +330,7 @@ def test_bernoulli_gradient_is_residual():
 
 def test_quantized_log_prob_uses_fresh_noise():
     x = np.zeros((4, 3))
-    v = QuantizedNormalVisible(np.zeros((4, 3)), np.zeros((4, 3)))
+    v = DiagGaussian(np.zeros((4, 3)), np.zeros((4, 3)))
     a = quantized_log_prob(v, x, RngStream(30)).data
     b = quantized_log_prob(v, x, RngStream(30)).data
     c = quantized_log_prob(v, x, RngStream(31)).data
@@ -351,7 +343,7 @@ def test_quantized_gradient_is_scaled_residual_with_replayed_noise():
     x = np.floor(rng.uniform((5, 3)) * 4.0)
     mean = engine.parameter(rng.normal((5, 3)))
     logvar = rng.normal((5, 3)) * 0.2
-    v = QuantizedNormalVisible(mean, logvar, floor=False)
+    v = DiagGaussian(mean, logvar, floor=False)
     noise_stream = RngStream(77)
     with engine.Tape() as tape:
         lp = quantized_log_prob(v, x, noise_stream)
@@ -365,7 +357,7 @@ def test_quantized_gradient_is_scaled_residual_with_replayed_noise():
 def test_quantized_log_prob_accepts_tensor_targets():
     # Training passes the batch through as a constant Tensor.
     x = np.floor(RngStream(32).uniform((4, 3)) * 3.0)
-    v = QuantizedNormalVisible(np.zeros((4, 3)), np.zeros((4, 3)))
+    v = DiagGaussian(np.zeros((4, 3)), np.zeros((4, 3)))
     a = quantized_log_prob(v, x, RngStream(33)).data
     b = quantized_log_prob(v, engine.Tensor(x), RngStream(33)).data
     assert np.array_equal(a, b)
@@ -375,7 +367,7 @@ def test_quantized_density_value_matches_normal_at_noised_point():
     x = np.array([[2.0, 3.0]])
     mean = np.array([[2.5, 2.5]])
     logvar = np.log(np.array([[0.25, 1.0]]))
-    v = QuantizedNormalVisible(mean, logvar, floor=False)
+    v = DiagGaussian(mean, logvar, floor=False)
     got = float(quantized_log_prob(v, x, RngStream(5)).data[0])
     u = RngStream(5).uniform((1, 2))
     want = stats.norm.logpdf(x + u, mean, np.exp(0.5 * logvar)).sum()

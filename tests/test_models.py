@@ -15,9 +15,10 @@ from dmvi.errors import ContractError, NumericsError
 from dmvi.gradcheck import grad_check
 from dmvi.experiment import ExperimentConfig
 from dmvi.models import (
+    PROB_CLAMP,
     ModelBundle,
+    bce,
     build_bundle,
-    elbo,
     elbo_parts,
     l1_reconstruction,
     ratio_penalty,
@@ -114,7 +115,8 @@ def test_elbo_matches_manual_computation():
 
     b = _bundle(latent=4, data_dim=10)
     x = (RngStream(6).uniform((8, 10)) < 0.5).astype(np.float64)
-    got = elbo(x, b, RngStream(50)).item()
+    recon, kl = elbo_parts(x, b, RngStream(50))
+    got = engine.tmean(recon - kl).item()
 
     q = b.posterior(x)
     eps = RngStream(50).normal((8, 4))
@@ -178,7 +180,8 @@ def test_elbo_is_below_importance_sampled_loglik(vae_small):
         log_q = gauss_logpdf_np(z, mean, logvar)
         log_w[s] = recon + log_prior - log_q
     is_bound = log_mean_exp(log_w, axis=0).mean()
-    one_sample = elbo(data, b, RngStream(321)).item()
+    recon, kl = elbo_parts(data, b, RngStream(321))
+    one_sample = engine.tmean(recon - kl).item()
     assert one_sample <= is_bound + 0.5  # slack for the single-draw noise
 
 
@@ -254,6 +257,22 @@ def test_gan_loss_values_at_blind_discriminator():
     nonsat = (-engine.tmean(_safe_log(p))).item()
     assert abs(nonsat - np.log(2.0)) < 1e-12
     assert ratio_penalty(p).data.max() == 0.0  # reverse-KL loss vanishes
+
+
+def test_bce_matches_hand_formula_and_saturates():
+    p_one = np.array([[0.9], [0.3], [1.0], [0.0]])
+    p_zero = np.array([[0.2], [1.0], [0.0]])
+    lo, hi = PROB_CLAMP, 1.0 - PROB_CLAMP
+    want = (-np.log(np.clip(p_one, lo, hi)).mean()
+            - np.log(np.clip(1.0 - p_zero, lo, hi)).mean())
+    got = bce(engine.Tensor(p_one), engine.Tensor(p_zero)).item()
+    assert abs(got - want) < 1e-12
+    # Certain and wrong costs -log PROB_CLAMP per side, not infinity;
+    # certain and right costs -log(1 - PROB_CLAMP) per side, not zero.
+    worst = bce(engine.Tensor([[0.0]]), engine.Tensor([[1.0]])).item()
+    assert abs(worst + 2.0 * np.log(PROB_CLAMP)) < 1e-12
+    best = bce(engine.Tensor([[1.0]]), engine.Tensor([[0.0]])).item()
+    assert abs(best + 2.0 * np.log1p(-PROB_CLAMP)) < 1e-12
 
 
 def test_gan_training_runs_and_logs(sprites256):
