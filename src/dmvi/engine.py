@@ -247,10 +247,13 @@ def softplus(x) -> Tensor:
 
 def leaky_relu(x, slope: float = 0.2) -> Tensor:
     x = as_tensor(x)
-    out = Tensor(np.where(x.data > 0, x.data, slope * x.data))
+    # One mask serves both passes; x * 1.0 and x * slope round exactly as
+    # x and slope * x do.
+    scale = np.where(x.data > 0, 1.0, slope)
+    out = Tensor(x.data * scale)
 
     def vjp(g):
-        return (g * np.where(x.data > 0, 1.0, slope),)
+        return (g * scale,)
 
     return _record(out, "leaky_relu", (x,), vjp)
 

@@ -267,13 +267,21 @@ def _cmd_train(cfg: ExperimentConfig):
     return log.rows, {"data_digest": array_digest(data)}
 
 
+def _load_posterior_run(cfg: ExperimentConfig):
+    """``load_run`` for the commands that read the encoder's posterior; a
+    run without one (a GAN) is a config error."""
+    bundle, data, _src = load_run(cfg.run)
+    if bundle.encoder is None:
+        raise ContractError(f"run {cfg.run!r} has no encoder; "
+                            f"{cfg.command} needs its posterior")
+    return bundle, data
+
+
 def _cmd_estimate(cfg: ExperimentConfig):
     from . import estimators as est
 
-    bundle, data, _src = load_run(cfg.run)
+    bundle, data = _load_posterior_run(cfg)
     rng = RngStream(cfg.seed).child("estimate")
-    if bundle.encoder is None:
-        raise ContractError(f"run {cfg.run!r} has no encoder to estimate from")
     if cfg.method == "mc":
         report = est.mc_marginal_kl(bundle, data, cfg.num_z, rng)
     elif cfg.method == "ratio":
@@ -307,7 +315,7 @@ def _cmd_estimate(cfg: ExperimentConfig):
 def _cmd_surgery(cfg: ExperimentConfig):
     from .estimators import surgery_decompose
 
-    bundle, data, _src = load_run(cfg.run)
+    bundle, data = _load_posterior_run(cfg)
     rng = RngStream(cfg.seed).child("surgery")
     parts = surgery_decompose(bundle, data, cfg.num_z, rng)
     write_json(cfg.out, "report.json", parts)
@@ -319,7 +327,7 @@ def _cmd_surgery(cfg: ExperimentConfig):
 def _cmd_low_posterior(cfg: ExperimentConfig):
     from .diagnostics import low_posterior_samples
 
-    bundle, data, _src = load_run(cfg.run)
+    bundle, data = _load_posterior_run(cfg)
     rng = RngStream(cfg.seed).child("low_posterior")
     result = low_posterior_samples(bundle, data, cfg.num_z, cfg.low_n, rng)
     os.makedirs(cfg.out, exist_ok=True)

@@ -190,6 +190,40 @@ def l1_reconstruction(x, x_hat) -> Tensor:
     return engine.l1_norm(x - x_hat) * (1.0 / n)
 
 
+def _posterior_code(x, bundle: ModelBundle, eps) -> Tensor:
+    """Reparameterised posterior code z_hat = mean + std * eps."""
+    q = bundle.posterior(x)
+    return q.mean + engine.exp(0.5 * q.logvar) * Tensor(eps)
+
+
+# The VGH component losses (the code discriminator's is ``bce``). ``recon``
+# is the l1 reconstruction of x from z_hat; c_* are code-discriminator and
+# d_* data-discriminator probabilities on prior codes (c_prior), posterior
+# codes (c_hat), data (d_real), reconstructions (d_hat) and prior samples
+# (d_gen, vghpp only: None for vgh).
+
+
+def _vgh_enc_loss(recon: Tensor, c_hat: Tensor, lam: float) -> Tensor:
+    return lam * recon + engine.tmean(ratio_penalty(c_hat))
+
+
+def _vgh_gen_loss(recon: Tensor, d_hat: Tensor, d_gen: Tensor | None,
+                  lam: float) -> Tensor:
+    loss = lam * recon + engine.tmean(ratio_penalty(d_hat))
+    if d_gen is not None:
+        loss = loss + engine.tmean(ratio_penalty(d_gen))
+    return loss
+
+
+def _vgh_disc_loss(d_real: Tensor, d_hat: Tensor,
+                   d_gen: Tensor | None) -> Tensor:
+    if d_gen is None:
+        return bce(d_real, d_hat)
+    return (-2.0 * engine.tmean(_safe_log(d_real))
+            - engine.tmean(_log_not(d_hat))
+            - engine.tmean(_log_not(d_gen)))
+
+
 def vgh_losses(x, bundle: ModelBundle, variant: str, lam: float,
                rng: RngStream | None = None, noise=None) -> dict:
     """The four component losses on one batch, as one graph.
@@ -207,30 +241,20 @@ def vgh_losses(x, bundle: ModelBundle, variant: str, lam: float,
         z_prior = rng.normal((n, bundle.latent))
     else:
         eps, z_prior = noise
-    q = bundle.posterior(x)
-    z_hat = q.mean + engine.exp(0.5 * q.logvar) * Tensor(eps)
+    z_hat = _posterior_code(x, bundle, eps)
     x_hat = bundle.decode_mean(z_hat)
-    x_gen = bundle.decode_mean(Tensor(z_prior))
+    x_gen = bundle.decode_mean(z_prior) if variant == "vghpp" else None
 
     recon = l1_reconstruction(x, x_hat)
     c_hat = bundle.code_prob(z_hat)
-    c_prior = bundle.code_prob(Tensor(z_prior))
+    c_prior = bundle.code_prob(z_prior)
     d_real = bundle.data_prob(x)
     d_hat = bundle.data_prob(x_hat)
-
-    loss_enc = lam * recon + engine.tmean(ratio_penalty(c_hat))
-    loss_gen = lam * recon + engine.tmean(ratio_penalty(d_hat))
-    if variant == "vghpp":
-        d_gen = bundle.data_prob(x_gen)
-        loss_gen = loss_gen + engine.tmean(ratio_penalty(d_gen))
-        loss_disc = (-2.0 * engine.tmean(_safe_log(d_real))
-                     - engine.tmean(_log_not(d_hat))
-                     - engine.tmean(_log_not(d_gen)))
-    else:
-        loss_disc = bce(d_real, d_hat)
-    loss_code = bce(c_prior, c_hat)
-    return {"enc": loss_enc, "gen": loss_gen, "data_disc": loss_disc,
-            "code_disc": loss_code, "recon": recon}
+    d_gen = None if x_gen is None else bundle.data_prob(x_gen)
+    return {"enc": _vgh_enc_loss(recon, c_hat, lam),
+            "gen": _vgh_gen_loss(recon, d_hat, d_gen, lam),
+            "data_disc": _vgh_disc_loss(d_real, d_hat, d_gen),
+            "code_disc": bce(c_prior, c_hat), "recon": recon}
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +352,7 @@ def train_aae(data: np.ndarray, cfg: ExperimentConfig):
         z_prior = loop.normal((cfg.batch, cfg.latent))
 
         with engine.Tape() as tape:
-            q = bundle.posterior(x)
-            z_hat = q.mean + engine.exp(0.5 * q.logvar) * Tensor(eps)
+            z_hat = _posterior_code(x, bundle, eps)
             if cfg.recon == "loglik":
                 recon = -engine.tmean(bundle.recon_log_prob(x, z_hat, loop))
             else:
@@ -362,6 +385,19 @@ def train_vgh(data: np.ndarray, cfg: ExperimentConfig, variant: str = "vghpp"):
 
     Component updates within an iteration share the same minibatch and
     noise draws; each update recomputes its loss from current parameters.
+    Each step tapes only the networks between the stepped component and its
+    loss; the other inputs are computed without a tape, from the parameters
+    as they stand at that step, and enter as constants:
+
+    - enc tapes encoder, decoder and code discriminator;
+    - gen recomputes z_hat from the just-stepped encoder;
+    - data_disc recomputes x_hat (and x_gen) from the just-stepped decoder,
+      and the logged reconstruction is the l1 of that x_hat;
+    - code_disc reuses gen's z_hat: the encoder has not moved since.
+
+    Every graph creates its nodes in the relative order of the full
+    ``vgh_losses`` graph, so the backward sweep sums each gradient in the
+    same order and the updates match it bit for bit.
     """
     bundle, loop, log = _start(data, cfg, variant)
     groups = bundle.component_params()
@@ -369,27 +405,57 @@ def train_vgh(data: np.ndarray, cfg: ExperimentConfig, variant: str = "vghpp"):
            "data_disc": _lr(cfg, cfg.lr_disc), "code_disc": _lr(cfg, cfg.lr_code)}
     opts = {name: Adam(ps, lrs[name]) for name, ps in groups.items()}
     all_params = [p for ps in groups.values() for p in ps]
+    pp = variant == "vghpp"
+    seen = {}
+
+    def update(name, tape, loss, step):
+        _check_finite(loss, f"{name} loss", step)
+        engine.zero_grads(all_params)
+        engine.backward(tape, loss)
+        opts[name].step()
+        seen[name] = loss.item()
+
     for step in range(cfg.iters):
-        x = _minibatch(data, loop, cfg.batch)
+        x = Tensor(_minibatch(data, loop, cfg.batch))
         eps = loop.normal((cfg.batch, cfg.latent))
         z_prior = loop.normal((cfg.batch, cfg.latent))
-        seen = {}
-        for name in PARTS[variant]:
-            with engine.Tape() as tape:
-                losses = vgh_losses(x, bundle, variant, cfg.lam,
-                                    noise=(eps, z_prior))
-            _check_finite(losses[name], f"{name} loss", step)
-            engine.zero_grads(all_params)
-            engine.backward(tape, losses[name])
-            opts[name].step()
-            seen[name] = losses[name].item()
-            seen["recon"] = losses["recon"].item()
+
+        with engine.Tape() as tape:
+            z_hat = _posterior_code(x, bundle, eps)
+            recon = l1_reconstruction(x, bundle.decode_mean(z_hat))
+            loss = _vgh_enc_loss(recon, bundle.code_prob(z_hat), cfg.lam)
+        update("enc", tape, loss, step)
+
+        z_hat = _posterior_code(x, bundle, eps).data
+        with engine.Tape() as tape:
+            x_hat = bundle.decode_mean(z_hat)
+            x_gen = bundle.decode_mean(z_prior) if pp else None
+            recon = l1_reconstruction(x, x_hat)
+            d_hat = bundle.data_prob(x_hat)
+            d_gen = bundle.data_prob(x_gen) if pp else None
+            loss = _vgh_gen_loss(recon, d_hat, d_gen, cfg.lam)
+        update("gen", tape, loss, step)
+
+        x_hat = bundle.decode_mean(z_hat).data
+        x_gen = bundle.decode_mean(z_prior).data if pp else None
+        with engine.Tape() as tape:
+            d_real = bundle.data_prob(x)
+            d_hat = bundle.data_prob(x_hat)
+            d_gen = bundle.data_prob(x_gen) if pp else None
+            loss = _vgh_disc_loss(d_real, d_hat, d_gen)
+        update("data_disc", tape, loss, step)
+
+        with engine.Tape() as tape:
+            c_hat = bundle.code_prob(z_hat)
+            loss = bce(bundle.code_prob(z_prior), c_hat)
+        update("code_disc", tape, loss, step)
+
         if step % cfg.log_every == 0 or step == cfg.iters - 1:
             log.add(step, "loss_enc", seen["enc"])
             log.add(step, "loss_gen", seen["gen"])
             log.add(step, "loss_disc", seen["data_disc"])
             log.add(step, "loss_code_disc", seen["code_disc"])
-            log.add(step, "recon", seen["recon"])
+            log.add(step, "recon", l1_reconstruction(x, x_hat).item())
     for name in groups:
         log.add(cfg.iters - 1, f"updates_{name}", float(opts[name].state.t))
     return bundle, log

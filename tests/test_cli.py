@@ -327,6 +327,18 @@ def test_estimate_without_encoder_is_config_error(tmp_path):
     assert _read_json(out / "status.json")["exit_code"] == 2
 
 
+def test_posterior_commands_refuse_a_run_without_encoder(tmp_path):
+    run = tmp_path / "gan"
+    assert cli.main(_train_args(run, model="gan", iters=5)) == 0
+    for command in ("estimate-kl", "surgery", "low-posterior"):
+        out = tmp_path / command
+        assert cli.main([command, "--run", str(run), "--num-z", "16",
+                         "--out", str(out)]) == 2, command
+        status = _read_json(out / "status.json")
+        assert status["exit_code"] == 2
+        assert "no encoder" in status["error"], status
+
+
 def test_surgery_identity_survives_serialization(tiny_run, tmp_path):
     out = tmp_path / "surgery"
     assert cli.main(["surgery", "--run", str(tiny_run), "--num-z", "128",

@@ -15,6 +15,7 @@ from dmvi.errors import ContractError, NumericsError
 from dmvi.gradcheck import grad_check
 from dmvi.experiment import ExperimentConfig
 from dmvi.models import (
+    PARTS,
     PROB_CLAMP,
     ModelBundle,
     bce,
@@ -28,6 +29,7 @@ from dmvi.models import (
     train_vgh,
     vgh_losses,
 )
+from dmvi.optim import Adam
 from dmvi.rng import RngStream
 
 
@@ -430,6 +432,66 @@ def test_train_vgh_logs_all_losses_finite(sprites256):
         assert {"loss_enc", "loss_gen", "loss_disc", "loss_code_disc",
                 "recon"} <= names
         assert all(np.isfinite(r["value"]) for r in log.rows)
+
+
+def _reference_train_vgh(data, cfg, variant):
+    """train_vgh as the full graph defines it: every component step builds
+    all four losses and backpropagates its own."""
+    root = RngStream(cfg.seed)
+    b = build_bundle(cfg, data.shape[1], root.child("init"), PARTS[variant])
+    loop = root.child("loop")
+    groups = b.component_params()
+    opts = {name: Adam(ps, cfg.lr) for name, ps in groups.items()}
+    all_params = [p for ps in groups.values() for p in ps]
+    rows = []
+    for step in range(cfg.iters):
+        x = data[loop.integers(0, data.shape[0], (cfg.batch,))]
+        eps = loop.normal((cfg.batch, cfg.latent))
+        z_prior = loop.normal((cfg.batch, cfg.latent))
+        seen = {}
+        for name in PARTS[variant]:
+            with engine.Tape() as tape:
+                losses = vgh_losses(x, b, variant, cfg.lam,
+                                    noise=(eps, z_prior))
+            engine.zero_grads(all_params)
+            engine.backward(tape, losses[name])
+            opts[name].step()
+            seen[name] = losses[name].item()
+            seen["recon"] = losses["recon"].item()
+        for key, name in (("enc", "loss_enc"), ("gen", "loss_gen"),
+                          ("data_disc", "loss_disc"),
+                          ("code_disc", "loss_code_disc"), ("recon", "recon")):
+            rows.append({"step": step, "name": name, "value": seen[key]})
+    return b, rows
+
+
+@pytest.mark.parametrize("variant", ["vgh", "vghpp"])
+def test_train_vgh_matches_full_graph_updates_exactly(sprites256, variant):
+    cfg = ExperimentConfig(latent=4, hidden=16, iters=5, batch=32, seed=8,
+                           log_every=1)
+    got, log = train_vgh(sprites256, cfg, variant)
+    want, rows = _reference_train_vgh(sprites256, cfg, variant)
+    got_params, want_params = got.named_parameters(), want.named_parameters()
+    assert got_params.keys() == want_params.keys()
+    for name, p in got_params.items():
+        assert np.array_equal(p.data, want_params[name].data), name
+    assert [r for r in log.rows if not r["name"].startswith("updates_")] == rows
+
+
+@pytest.mark.parametrize("variant,matmuls", [("vgh", 39), ("vghpp", 53)])
+def test_train_vgh_iteration_builds_only_needed_graphs(sprites256, monkeypatch,
+                                                       variant, matmuls):
+    calls = []
+    matmul = engine.matmul
+
+    def counting(a, b):
+        calls.append(1)
+        return matmul(a, b)
+
+    monkeypatch.setattr(engine, "matmul", counting)
+    cfg = ExperimentConfig(latent=4, hidden=16, iters=1, batch=8, seed=1)
+    train_vgh(sprites256, cfg, variant)
+    assert len(calls) == matmuls
 
 
 def test_l1_reconstruction_value():
