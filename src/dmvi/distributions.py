@@ -46,10 +46,10 @@ class DiagGaussian:
         self.logvar = engine.clamp_min(logvar, LOGVAR_FLOOR) if floor else logvar
 
 
-def reparam(q: DiagGaussian, rng: RngStream) -> Tensor:
-    """One reparameterized draw per row of ``q``; gradients flow to μ, logσ²."""
-    eps = Tensor(rng.normal(q.mean.data.shape))
-    return q.mean + engine.exp(0.5 * q.logvar) * eps
+def reparam(q: DiagGaussian, eps: np.ndarray) -> Tensor:
+    """The draw mean + std * eps per row of ``q``, for standard normal noise
+    ``eps`` of its shape; gradients flow to μ, logσ²."""
+    return q.mean + engine.exp(0.5 * q.logvar) * Tensor(eps)
 
 
 def diag_log_prob(q: DiagGaussian, z) -> Tensor:

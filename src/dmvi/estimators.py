@@ -21,12 +21,13 @@ from .distributions import (
     kl_standard_np,
     log_mean_exp,
     mean_stderr,
+    reparam,
 )
 from .errors import ContractError, NumericsError
 from .models import ModelBundle, bce
 from . import engine
 from .nn import MLP
-from .optim import Adam
+from .optim import Adam, minimize
 from .rng import RngStream
 
 # Rows of z scored against the whole dataset at once would need an
@@ -46,6 +47,7 @@ class EstimateReport:
     def to_json(self, config_hash: str = "") -> dict:
         return {"method": self.method, "value": self.value,
                 "stderr": self.stderr, "num_z": self.num_z,
+                "inner": self.inner, "status": self.status,
                 "config_hash": config_hash}
 
 
@@ -78,9 +80,8 @@ def _sample_codes(bundle: ModelBundle, data: np.ndarray, num_z: int,
                   rng: RngStream) -> np.ndarray:
     """num_z draws z ~ q(z|x) with x resampled from the data each time."""
     idx = rng.integers(0, data.shape[0], (num_z,))
-    mean, logvar = _posterior_arrays(bundle, data[idx])
-    eps = rng.normal(mean.shape)
-    return mean + np.exp(0.5 * logvar) * eps
+    q = bundle.posterior(data[idx])
+    return reparam(q, rng.normal(q.mean.data.shape)).data
 
 
 def mc_marginal_kl(bundle: ModelBundle, data: np.ndarray, num_z: int,
@@ -179,11 +180,7 @@ def ratio_kl(samples_q: np.ndarray, samples_p: np.ndarray,
                 pq = engine.sigmoid(net(engine.Tensor(bq)))
                 pp = engine.sigmoid(net(engine.Tensor(bp)))
                 loss = bce(pq, pp)
-            if not np.isfinite(loss.data):
-                raise NumericsError("classifier loss non-finite")
-            opt.zero_grad()
-            engine.backward(tape, loss)
-            opt.step()
+            minimize(tape, loss, opt, what="classifier loss")
     except NumericsError:
         status = "invalid"
 
@@ -350,15 +347,11 @@ def ar_fit(samples: np.ndarray, cfg: ArConfig, rng: RngStream) -> ArGaussModel:
     model = ArGaussModel(x.shape[1], cfg.hidden, rng.child("init"))
     opt = Adam(model.parameters(), cfg.lr)
     loop = rng.child("loop")
-    for _ in range(cfg.iters):
+    for step in range(cfg.iters):
         batch = x[loop.integers(0, x.shape[0], (cfg.batch,))]
         with engine.Tape() as tape:
             loss = model._nll(batch)
-        if not np.isfinite(loss.data):
-            raise NumericsError("autoregressive fit diverged")
-        opt.zero_grad()
-        engine.backward(tape, loss)
-        opt.step()
+        minimize(tape, loss, opt, what="autoregressive fit loss", step=step)
     return model
 
 

@@ -3,8 +3,9 @@
 All models share the same small fully connected parts: an encoder emitting
 (mean, logvar) of a diagonal Gaussian posterior, a decoder/generator, and
 up to two discriminators (one on data, one on codes). Training is plain
-alternating Adam; every iteration performs one step per component, encoder
-first, then generator, then data discriminator, then code discriminator.
+alternating Adam through ``optim.minimize``; every iteration performs one
+step per component, encoder first, then generator, then data discriminator,
+then code discriminator.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from .distributions import (
     reparam,
 )
 from .engine import Tensor
-from .errors import ContractError, NumericsError
+from .errors import ContractError
 from .nn import MLP
-from .optim import Adam
+from .optim import Adam, minimize
 from .rng import RngStream
 
 if TYPE_CHECKING:
@@ -177,7 +178,7 @@ def elbo_parts(x, bundle: ModelBundle, rng: RngStream, mc_samples: int = 1):
     kl = kl_diag_standard(q)
     total = None
     for _ in range(mc_samples):
-        z = reparam(q, rng)
+        z = reparam(q, rng.normal(q.mean.data.shape))
         lp = bundle.recon_log_prob(x, z, rng)
         total = lp if total is None else total + lp
     return total * (1.0 / mc_samples), kl
@@ -190,14 +191,9 @@ def l1_reconstruction(x, x_hat) -> Tensor:
     return engine.l1_norm(x - x_hat) * (1.0 / n)
 
 
-def _posterior_code(x, bundle: ModelBundle, eps) -> Tensor:
-    """Reparameterised posterior code z_hat = mean + std * eps."""
-    q = bundle.posterior(x)
-    return q.mean + engine.exp(0.5 * q.logvar) * Tensor(eps)
-
-
 # The VGH component losses (the code discriminator's is ``bce``). ``recon``
-# is the l1 reconstruction of x from z_hat; c_* are code-discriminator and
+# is the l1 reconstruction of x from the reparameterised posterior code
+# z_hat = mean + std * eps; c_* are code-discriminator and
 # d_* data-discriminator probabilities on prior codes (c_prior), posterior
 # codes (c_hat), data (d_real), reconstructions (d_hat) and prior samples
 # (d_gen, vghpp only: None for vgh).
@@ -241,7 +237,7 @@ def vgh_losses(x, bundle: ModelBundle, variant: str, lam: float,
         z_prior = rng.normal((n, bundle.latent))
     else:
         eps, z_prior = noise
-    z_hat = _posterior_code(x, bundle, eps)
+    z_hat = reparam(bundle.posterior(x), eps)
     x_hat = bundle.decode_mean(z_hat)
     x_gen = bundle.decode_mean(z_prior) if variant == "vghpp" else None
 
@@ -263,11 +259,6 @@ def vgh_losses(x, bundle: ModelBundle, variant: str, lam: float,
 
 def _lr(cfg: ExperimentConfig, override) -> float:
     return cfg.lr if override is None else override
-
-
-def _check_finite(value: Tensor, what: str, step: int):
-    if not np.isfinite(value.data):
-        raise NumericsError(f"non-finite {what} at step {step}")
 
 
 def _minibatch(data: np.ndarray, rng: RngStream, batch: int) -> np.ndarray:
@@ -295,10 +286,7 @@ def train_vae(data: np.ndarray, cfg: ExperimentConfig):
             recon, kl = elbo_parts(x, bundle, loop, cfg.mc_samples)
             bound = engine.tmean(recon - kl)
             loss = -bound
-        _check_finite(loss, "vae loss", step)
-        opt.zero_grad()
-        engine.backward(tape, loss)
-        opt.step()
+        minimize(tape, loss, opt, what="vae loss", step=step)
         if step % cfg.log_every == 0 or step == cfg.iters - 1:
             log.add(step, "elbo", bound.item())
             log.add(step, "kl_avg", engine.tmean(kl).item())
@@ -318,10 +306,7 @@ def train_gan(data: np.ndarray, cfg: ExperimentConfig):
         fake = bundle.decode_mean(Tensor(z)).data
         with engine.Tape() as tape:
             d_loss = bce(bundle.data_prob(x), bundle.data_prob(fake))
-        _check_finite(d_loss, "discriminator loss", step)
-        opt_d.zero_grad()
-        engine.backward(tape, d_loss)
-        opt_d.step()
+        minimize(tape, d_loss, opt_d, what="discriminator loss", step=step)
 
         with engine.Tape() as tape:
             p_fake = bundle.data_prob(bundle.decode_mean(Tensor(z)))
@@ -329,10 +314,7 @@ def train_gan(data: np.ndarray, cfg: ExperimentConfig):
                 g_loss = -engine.tmean(_safe_log(p_fake))
             else:
                 g_loss = engine.tmean(ratio_penalty(p_fake))
-        _check_finite(g_loss, "generator loss", step)
-        opt_g.zero_grad()
-        engine.backward(tape, g_loss)
-        opt_g.step()
+        minimize(tape, g_loss, opt_g, what="generator loss", step=step)
 
         if step % cfg.log_every == 0 or step == cfg.iters - 1:
             log.add(step, "loss_disc", d_loss.item())
@@ -352,26 +334,18 @@ def train_aae(data: np.ndarray, cfg: ExperimentConfig):
         z_prior = loop.normal((cfg.batch, cfg.latent))
 
         with engine.Tape() as tape:
-            z_hat = _posterior_code(x, bundle, eps)
+            z_hat = reparam(bundle.posterior(x), eps)
             if cfg.recon == "loglik":
                 recon = -engine.tmean(bundle.recon_log_prob(x, z_hat, loop))
             else:
                 recon = l1_reconstruction(x, bundle.decode_mean(z_hat))
             ae_loss = recon + engine.tmean(ratio_penalty(bundle.code_prob(z_hat)))
-        _check_finite(ae_loss, "autoencoder loss", step)
-        opt_e.zero_grad()
-        opt_g.zero_grad()
-        engine.backward(tape, ae_loss)
-        opt_e.step()
-        opt_g.step()
+        minimize(tape, ae_loss, opt_e, opt_g, what="autoencoder loss", step=step)
 
         z_hat_const = z_hat.data
         with engine.Tape() as tape:
             c_loss = bce(bundle.code_prob(z_prior), bundle.code_prob(z_hat_const))
-        _check_finite(c_loss, "code discriminator loss", step)
-        opt_c.zero_grad()
-        engine.backward(tape, c_loss)
-        opt_c.step()
+        minimize(tape, c_loss, opt_c, what="code discriminator loss", step=step)
 
         if step % cfg.log_every == 0 or step == cfg.iters - 1:
             log.add(step, "recon", recon.item())
@@ -404,15 +378,11 @@ def train_vgh(data: np.ndarray, cfg: ExperimentConfig, variant: str = "vghpp"):
     lrs = {"enc": _lr(cfg, cfg.lr_enc), "gen": _lr(cfg, cfg.lr_gen),
            "data_disc": _lr(cfg, cfg.lr_disc), "code_disc": _lr(cfg, cfg.lr_code)}
     opts = {name: Adam(ps, lrs[name]) for name, ps in groups.items()}
-    all_params = [p for ps in groups.values() for p in ps]
     pp = variant == "vghpp"
     seen = {}
 
     def update(name, tape, loss, step):
-        _check_finite(loss, f"{name} loss", step)
-        engine.zero_grads(all_params)
-        engine.backward(tape, loss)
-        opts[name].step()
+        minimize(tape, loss, opts[name], what=f"{name} loss", step=step)
         seen[name] = loss.item()
 
     for step in range(cfg.iters):
@@ -421,12 +391,12 @@ def train_vgh(data: np.ndarray, cfg: ExperimentConfig, variant: str = "vghpp"):
         z_prior = loop.normal((cfg.batch, cfg.latent))
 
         with engine.Tape() as tape:
-            z_hat = _posterior_code(x, bundle, eps)
+            z_hat = reparam(bundle.posterior(x), eps)
             recon = l1_reconstruction(x, bundle.decode_mean(z_hat))
             loss = _vgh_enc_loss(recon, bundle.code_prob(z_hat), cfg.lam)
         update("enc", tape, loss, step)
 
-        z_hat = _posterior_code(x, bundle, eps).data
+        z_hat = reparam(bundle.posterior(x), eps).data
         with engine.Tape() as tape:
             x_hat = bundle.decode_mean(z_hat)
             x_gen = bundle.decode_mean(z_prior) if pp else None
@@ -457,7 +427,7 @@ def train_vgh(data: np.ndarray, cfg: ExperimentConfig, variant: str = "vghpp"):
             log.add(step, "loss_code_disc", seen["code_disc"])
             log.add(step, "recon", l1_reconstruction(x, x_hat).item())
     for name in groups:
-        log.add(cfg.iters - 1, f"updates_{name}", float(opts[name].state.t))
+        log.add(cfg.iters - 1, f"updates_{name}", float(opts[name].t))
     return bundle, log
 
 

@@ -1,54 +1,24 @@
-"""Adam with bias correction.
+"""Adam with bias correction, and the one optimisation step every learner takes.
 
 The moment decay rates default to beta1=0.5, beta2=0.9: much shorter moment
 memory than the common 0.9/0.999, which keeps adversarial updates from
 coasting on stale directions.
+
+``minimize`` is the step: every trainer, estimator fit and the
+affine-Gaussian study check their loss, back-propagate and update through it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
+from . import engine
 from .errors import NumericsError
 
 
-@dataclass
-class AdamState:
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
-    t: int = 0
-
-
-def adam_step(params, grads, state: AdamState, lr: float,
-              beta1: float = 0.5, beta2: float = 0.9, eps: float = 1e-8) -> AdamState:
-    """One in-place update of ``params``; returns the advanced state.
-
-    Refuses the whole step (no state or parameter is touched) if any
-    gradient entry is non-finite.
-    """
-    if not state.m:
-        state.m = [np.zeros_like(p) for p in params]
-        state.v = [np.zeros_like(p) for p in params]
-    for g in grads:
-        if g is None or not np.all(np.isfinite(g)):
-            raise NumericsError("non-finite gradient; step refused")
-    state.t += 1
-    t = state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
-    return state
-
-
 class Adam:
-    """Convenience wrapper stepping a fixed list of graph parameters."""
+    """Adam over a fixed list of graph parameters; holds its moments and the
+    step count ``t``."""
 
     def __init__(self, params, lr: float, beta1: float = 0.5,
                  beta2: float = 0.9, eps: float = 1e-8):
@@ -57,13 +27,44 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.state = AdamState()
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.t = 0
 
     def step(self):
-        grads = [p.grad for p in self.params]
-        adam_step([p.data for p in self.params], grads, self.state, self.lr,
-                  self.beta1, self.beta2, self.eps)
+        """One in-place update from the parameters' ``.grad``.
 
-    def zero_grad(self):
-        for p in self.params:
-            p.grad = None
+        Refuses the whole step (no moment, parameter or ``t`` is touched) if
+        any gradient entry is non-finite.
+        """
+        grads = [p.grad for p in self.params]
+        for g in grads:
+            if g is None or not np.all(np.isfinite(g)):
+                raise NumericsError("non-finite gradient; step refused")
+        self.t += 1
+        t, beta1, beta2 = self.t, self.beta1, self.beta2
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * g * g
+            m_hat = m / (1.0 - beta1 ** t)
+            v_hat = v / (1.0 - beta2 ** t)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def minimize(tape: engine.Tape, loss: engine.Tensor, *opts: Adam, what: str,
+             step: int | None = None) -> None:
+    """Step ``opts``, in order, down the gradient of ``loss`` on ``tape``.
+
+    A non-finite loss raises ``NumericsError`` naming ``what`` (and
+    ``step``) before any gradient or parameter is touched.
+    """
+    if not np.isfinite(loss.data):
+        at = "" if step is None else f" at step {step}"
+        raise NumericsError(f"non-finite {what}{at}")
+    for opt in opts:
+        engine.zero_grads(opt.params)
+    engine.backward(tape, loss)
+    for opt in opts:
+        opt.step()

@@ -1,8 +1,8 @@
 """Counter-based random streams.
 
 Every draw rebuilds a Philox generator from (seed, counter), so a stream's
-output is a pure function of those two integers: replaying a run, or handing
-out substreams by index, cannot depend on call order elsewhere in the
+output is a pure function of those two integers: replaying a run, or deriving
+a labelled child stream, cannot depend on call order elsewhere in the
 program.
 """
 
@@ -55,10 +55,6 @@ class RngStream:
         already drawn.
         """
         return RngStream(_derive_key(self.seed, label))
-
-    def substream(self, index: int) -> "RngStream":
-        """Indexed substream for order-free parallel sampling."""
-        return self.child(f"sub{index}")
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, counter={self.counter})"

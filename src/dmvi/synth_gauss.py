@@ -18,7 +18,7 @@ from .distributions import AffineGaussian, affine_to_moments, kl_full_gauss
 from .errors import ContractError, NumericsError
 from .models import bce, ratio_penalty
 from .nn import MLP
-from .optim import Adam
+from .optim import Adam, minimize
 from .rng import RngStream
 
 DIVERGENCE_FACTOR = 10.0
@@ -107,17 +107,13 @@ def run_minimization(task: SyntheticTask, iters: int,
             with engine.Tape() as tape:
                 c_loss = bce(engine.sigmoid(clf(engine.Tensor(x_p))),
                              engine.sigmoid(clf(engine.Tensor(x_q))))
-            opt_c.zero_grad()
-            engine.backward(tape, c_loss)
-            opt_c.step()
+            minimize(tape, c_loss, opt_c, what="classifier loss", step=step)
 
             with engine.Tape() as tape:
                 x_gen = engine.Tensor(z) @ task.learner_W + task.learner_b
                 probs = engine.sigmoid(clf(x_gen))
                 l_loss = engine.tmean(ratio_penalty(probs))
-            opt_l.zero_grad()
-            engine.backward(tape, l_loss)
-            opt_l.step()
+            minimize(tape, l_loss, opt_l, what="learner loss", step=step)
         except NumericsError:
             status = "diverged"
             rows.append({"step": step, "true_kl": float("nan"),

@@ -12,6 +12,13 @@ from dmvi.models import train_aae, train_vae
 
 
 @pytest.fixture(scope="session")
+def prop_dir(tmp_path_factory):
+    """Scratch directory for property tests, which rewrite one file per
+    example (hypothesis refuses function-scoped fixtures)."""
+    return tmp_path_factory.mktemp("properties")
+
+
+@pytest.fixture(scope="session")
 def sprites256():
     return dataset_generate("sprites", 256, 0)
 

@@ -5,6 +5,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dmvi.checkpoint import (
     MAGIC,
@@ -145,3 +148,49 @@ def test_apply_checkpoint_missing_tensor():
     bundle = build_bundle(cfg, data_dim=6, rng=RngStream(5))
     with pytest.raises(ShapeError, match="missing"):
         apply_checkpoint(bundle, {})
+
+
+# ---------------------------------------------------------------------------
+# Properties, over generated tensors and corruptions. Derandomized so the
+# suite draws the same examples on every run.
+
+_PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+
+# Any float64 bit pattern, NaN payloads and signed zeros included, at ranks
+# 0 to 3 with possibly empty extents.
+_float_bits = (hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
+               .flatmap(lambda shape: hnp.arrays(np.uint64, shape))
+               .map(lambda a: a.view(np.float64)))
+
+
+def _corruptions(raw: bytes):
+    """Every proper prefix of ``raw``, and ``raw`` with one byte flipped."""
+    truncated = st.integers(0, len(raw) - 1).map(lambda n: raw[:n])
+    flipped = st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255)).map(
+        lambda im: raw[:im[0]] + bytes([raw[im[0]] ^ im[1]]) + raw[im[0] + 1:])
+    return truncated | flipped
+
+
+@_PROPERTY
+@given(tensors=st.dictionaries(st.text(max_size=6), _float_bits, max_size=4),
+       config_hash=st.binary(max_size=31) | st.binary(min_size=32, max_size=40))
+def test_roundtrip_bitwise_property(prop_dir, tensors, config_hash):
+    p = str(prop_dir / "rt.ckpt")
+    save_checkpoint(p, tensors, config_hash)
+    loaded, h = load_checkpoint(p)
+    assert list(loaded) == list(tensors)
+    for name, arr in tensors.items():
+        assert loaded[name].dtype == np.float64
+        assert loaded[name].shape == arr.shape
+        assert loaded[name].tobytes() == arr.tobytes()
+    assert h == config_hash[:32].ljust(32, b"\0")
+
+
+@_PROPERTY
+@given(data=st.data())
+def test_corrupt_checkpoint_raises_only_parse_error(prop_dir, data):
+    p = prop_dir / "corrupt.ckpt"
+    save_checkpoint(str(p), _sample_tensors(), b"confighash")
+    p.write_bytes(data.draw(_corruptions(p.read_bytes())))
+    with pytest.raises(ParseError):
+        load_checkpoint(str(p))

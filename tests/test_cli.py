@@ -310,7 +310,8 @@ def test_estimate_mc_writes_report(tiny_run, tmp_path):
     assert cli.main(["estimate-kl", "--run", str(tiny_run), "--method", "mc",
                      "--num-z", "64", "--out", str(out), "--seed", "5"]) == 0
     report = _read_json(out / "report.json")
-    assert set(report) == {"method", "value", "stderr", "num_z", "config_hash"}
+    assert set(report) == {"method", "value", "stderr", "num_z", "inner",
+                           "status", "config_hash"}
     assert report["method"] == "mc" and report["num_z"] == 64
     assert np.isfinite(report["value"])
     rows = [json.loads(l) for l in

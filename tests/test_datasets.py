@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmvi.datasets import (
     GRID2D_SPACING,
@@ -158,3 +160,27 @@ def test_load_idx_payload_size_mismatch(tmp_path):
     _write_idx(p, (3, 3), b"\x00" * 8)  # needs 9
     with pytest.raises(ParseError, match="require 9"):
         load_idx(str(p))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(data=st.data())
+def test_corrupt_idx_raises_only_parse_error(prop_dir, data):
+    # A truncated file never matches its dimension table; a flipped payload
+    # byte leaves a valid file, so a flipped file may also load.
+    dims = data.draw(st.lists(st.integers(0, 4), max_size=3), label="dims")
+    size = int(np.prod(dims))
+    p = prop_dir / "corrupt.idx"
+    _write_idx(p, dims, data.draw(st.binary(min_size=size, max_size=size)))
+    raw = p.read_bytes()
+    at = data.draw(st.integers(0, len(raw) - 1), label="at")
+    if data.draw(st.booleans(), label="truncate"):
+        p.write_bytes(raw[:at])
+        with pytest.raises(ParseError):
+            load_idx(str(p))
+    else:
+        mask = data.draw(st.integers(1, 255), label="mask")
+        p.write_bytes(raw[:at] + bytes([raw[at] ^ mask]) + raw[at + 1:])
+        try:
+            load_idx(str(p))
+        except ParseError:
+            pass

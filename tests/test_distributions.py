@@ -268,7 +268,7 @@ def test_reparam_draw_is_mean_plus_scaled_noise():
     mean = rng.normal((5, 2))
     logvar = rng.normal((5, 2))
     q = DiagGaussian(mean, logvar, floor=False)
-    z = reparam(q, RngStream(99)).data
+    z = reparam(q, RngStream(99).normal((5, 2))).data
     eps = RngStream(99).normal((5, 2))
     assert np.allclose(z, mean + np.exp(0.5 * logvar) * eps, atol=1e-12)
 
@@ -278,7 +278,7 @@ def test_reparam_gradients_flow_to_both_parameters():
     logvar = engine.parameter(np.zeros(3))
     q = DiagGaussian(mean, logvar, floor=False)
     with engine.Tape() as tape:
-        z = reparam(q, RngStream(1))
+        z = reparam(q, RngStream(1).normal((3,)))
         loss = engine.tsum(z * z)
     engine.backward(tape, loss)
     assert mean.grad is not None and np.abs(mean.grad).max() > 0

@@ -8,7 +8,7 @@ from dmvi import engine
 from dmvi.errors import ContractError, NumericsError, ShapeError
 from dmvi.gradcheck import grad_check
 from dmvi.nn import MLP
-from dmvi.optim import Adam, AdamState, adam_step
+from dmvi.optim import Adam, minimize
 from dmvi.rng import RngStream
 
 
@@ -235,45 +235,51 @@ def test_grad_check_propagates_nan():
 # Adam.
 
 
+def _step(opt, grad):
+    """Step a one-parameter optimizer with the gradient ``grad``."""
+    opt.params[0].grad = np.array(grad, dtype=np.float64)
+    opt.step()
+
+
 def test_adam_zero_grad_leaves_params():
-    p = np.array([1.0, -1.0])
-    state = AdamState()
-    adam_step([p], [np.zeros(2)], state, lr=0.1)
-    assert np.array_equal(p, [1.0, -1.0])
-    assert state.t == 1
+    p = engine.parameter([1.0, -1.0])
+    opt = Adam([p], lr=0.1)
+    _step(opt, np.zeros(2))
+    assert np.array_equal(p.data, [1.0, -1.0])
+    assert opt.t == 1
 
 
 def test_adam_first_step_is_signed_lr():
     # Bias correction makes m_hat = g and v_hat = g^2 on step one, so the
     # update is -lr * g/(|g| + eps) = -lr * sign(g) up to eps effects.
-    p = np.array([1.0, 1.0, 1.0])
+    p = engine.parameter([1.0, 1.0, 1.0])
     g = np.array([0.5, -2.0, 1e-3])
-    adam_step([p], [g], AdamState(), lr=0.1)
-    delta = p - 1.0
+    _step(Adam([p], lr=0.1), g)
+    delta = p.data - 1.0
     assert np.allclose(delta, -0.1 * np.sign(g), atol=1e-5)
 
 
 def test_adam_constant_grad_steps_shrink():
-    p = np.array([0.0])
+    p = engine.parameter([0.0])
     g = np.array([0.7])
-    state = AdamState()
-    adam_step([p], [g], state, lr=0.05)
-    first = abs(p[0])
-    before = p[0]
-    adam_step([p], [g], state, lr=0.05)
-    second = abs(p[0] - before)
+    opt = Adam([p], lr=0.05)
+    _step(opt, g)
+    first = abs(p.data[0])
+    before = p.data[0]
+    _step(opt, g)
+    second = abs(p.data[0] - before)
     assert second <= first * (1 + 1e-9)
 
 
 def test_adam_refuses_non_finite_gradient():
-    p = np.array([1.0])
-    state = AdamState()
-    adam_step([p], [np.array([0.5])], state, lr=0.1)
-    saved = p.copy()
+    p = engine.parameter([1.0])
+    opt = Adam([p], lr=0.1)
+    _step(opt, np.array([0.5]))
+    saved = p.data.copy()
     with pytest.raises(NumericsError):
-        adam_step([p], [np.array([np.nan])], state, lr=0.1)
-    assert np.array_equal(p, saved)
-    assert state.t == 1  # refused step did not advance time
+        _step(opt, np.array([np.nan]))
+    assert np.array_equal(p.data, saved)
+    assert opt.t == 1  # refused step did not advance time
 
 
 def test_adam_wrapper_steps_tensor_params():
@@ -281,7 +287,76 @@ def test_adam_wrapper_steps_tensor_params():
     opt = Adam([x], lr=0.1)
     with engine.Tape() as tape:
         loss = engine.tsum(x * x)
-    opt.zero_grad()
-    engine.backward(tape, loss)
-    opt.step()
+    minimize(tape, loss, opt, what="loss")
     assert x.data[0] < 3.0
+
+
+# ---------------------------------------------------------------------------
+# minimize: the one check/zero/backward/step sequence.
+
+
+def _two_nets(seed):
+    rng = RngStream(seed)
+    return (MLP((3, 5, 2), rng.child("a"), "relu", "a"),
+            MLP((2, 5, 1), rng.child("b"), "leaky", "b"),
+            MLP((2, 4, 1), rng.child("c"), "leaky", "c"))
+
+
+def _chain_loss(nets, x, scale=1.0):
+    a, b, c = nets
+    h = a(engine.Tensor(x))
+    return engine.tmean(b(h) * scale) + engine.tmean(c(h))
+
+
+@pytest.mark.parametrize("step,message", [(None, "non-finite test loss$"),
+                                          (7, "non-finite test loss at step 7$")])
+def test_minimize_refuses_non_finite_loss_untouched(step, message):
+    nets = _two_nets(1)
+    opts = [Adam(nets[0].parameters(), 0.1), Adam(nets[1].parameters(), 0.1)]
+    x = RngStream(2).normal((4, 3))
+    with engine.Tape() as tape:
+        loss = _chain_loss(nets, x)
+    minimize(tape, loss, *opts, what="test loss")
+    params = [p for net in nets for p in net.parameters()]
+    saved = [(p.data.copy(), None if p.grad is None else p.grad.copy())
+             for p in params]
+    with engine.Tape() as tape:
+        loss = _chain_loss(nets, x, scale=np.nan)
+    with pytest.raises(NumericsError, match=message):
+        minimize(tape, loss, *opts, what="test loss", step=step)
+    for p, (data, grad) in zip(params, saved):
+        assert np.array_equal(p.data, data)
+        assert (p.grad is None) == (grad is None)
+        assert grad is None or np.array_equal(p.grad, grad)
+    assert [opt.t for opt in opts] == [1, 1]
+
+
+def test_minimize_steps_two_optimizers_like_the_hand_sequence():
+    # Two optimizers on one loss, with a third network on the tape that
+    # neither steps: the autoencoder step of the adversarial autoencoder.
+    x = RngStream(3).normal((6, 3))
+    got, want = _two_nets(4), _two_nets(4)
+    got_opts = [Adam(got[0].parameters(), 0.05), Adam(got[1].parameters(), 0.02)]
+    want_opts = [Adam(want[0].parameters(), 0.05),
+                 Adam(want[1].parameters(), 0.02)]
+    for _ in range(3):
+        with engine.Tape() as tape:
+            loss = _chain_loss(got, x)
+        minimize(tape, loss, *got_opts, what="loss")
+
+        with engine.Tape() as tape:
+            loss = _chain_loss(want, x)
+        engine.zero_grads(want_opts[0].params)
+        engine.zero_grads(want_opts[1].params)
+        engine.backward(tape, loss)
+        want_opts[0].step()
+        want_opts[1].step()
+    for g_net, w_net in zip(got, want):
+        for g, w in zip(g_net.parameters(), w_net.parameters()):
+            assert np.array_equal(g.data, w.data)
+    assert [o.t for o in got_opts] == [o.t for o in want_opts] == [3, 3]
+    fresh = _two_nets(4)
+    assert not np.array_equal(got[1].parameters()[0].data,
+                              fresh[1].parameters()[0].data)
+    for g, f in zip(got[2].parameters(), fresh[2].parameters()):
+        assert np.array_equal(g.data, f.data)

@@ -206,7 +206,8 @@ def test_report_serialization():
     rep = EstimateReport("mc", 1.5, 0.1, 100, inner=4)
     js = rep.to_json("abc")
     assert js == {"method": "mc", "value": 1.5, "stderr": 0.1,
-                  "num_z": 100, "config_hash": "abc"}
+                  "num_z": 100, "inner": 4, "status": "ok",
+                  "config_hash": "abc"}
 
 
 # ---------------------------------------------------------------------------

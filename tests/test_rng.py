@@ -48,15 +48,6 @@ def test_child_independent_of_parent_position():
     assert np.array_equal(late.normal((5,)), early.normal((5,)))
 
 
-def test_substreams_indexable():
-    root = RngStream(4)
-    s0 = root.substream(0)
-    s1 = root.substream(1)
-    assert not np.array_equal(s0.normal((4,)), s1.normal((4,)))
-    assert np.array_equal(RngStream(4).substream(1).normal((4,)),
-                          RngStream(4).substream(1).normal((4,)))
-
-
 def test_uniform_range_and_normal_moments():
     r = RngStream(77)
     u = r.uniform((100000,))
