@@ -92,7 +92,12 @@ def load_checkpoint(path: str):
     tensors = {}
     for _ in range(count):
         name_len = r.u("<H", "name length")
-        name = r.take(name_len, "name").decode("utf-8")
+        raw_name = r.take(name_len, "name")
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ParseError(f"tensor name at offset {r.pos - name_len} is "
+                             f"not UTF-8: {raw_name[:16]!r}") from e
         rank = r.u("<I", "rank")
         shape = tuple(
             struct.unpack(f"<{rank}Q", r.take(8 * rank, "extents")))

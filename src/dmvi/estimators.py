@@ -15,8 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (
+    DiagGaussian,
     StandardPrior,
     VAR_FLOOR,
+    diag_log_prob,
     gauss_logpdf_np,
     kl_standard_np,
     log_mean_exp,
@@ -24,7 +26,7 @@ from .distributions import (
     reparam,
 )
 from .errors import ContractError, NumericsError
-from .models import ModelBundle, bce
+from .models import PROB_CLAMP, ModelBundle, bce
 from . import engine
 from .nn import MLP
 from .optim import Adam, minimize
@@ -186,7 +188,7 @@ def ratio_kl(samples_q: np.ndarray, samples_p: np.ndarray,
 
     if status == "ok":
         probs = engine._sigmoid(net(engine.Tensor(eval_q)).data[:, 0])
-        probs = np.clip(probs, 1e-7, 1.0 - 1e-7)
+        probs = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
         value, stderr = mean_stderr(np.log(probs) - np.log1p(-probs))
     else:
         value, stderr = float("nan"), float("nan")
@@ -274,63 +276,51 @@ def gmm_fit(samples: np.ndarray, k: int, iters: int,
 
 
 class ArGaussModel:
-    """Fully factorized q(z) = Π q(z_i | z_<i) with perceptron heads.
+    """Autoregressive q(z) = Π q(z_i | z_<i) with Gaussian conditionals, as
+    one masked two-layer network (MADE, Germain et al. 2015).
 
-    Coordinate 0 gets free (mean, logvar) parameters; coordinate i > 0 gets
-    a one-hidden-layer net from the prefix to its Gaussian parameters.
+    Hidden block i (``hidden`` relu units, for i ≥ 1) sees only z_<i and
+    feeds only coordinate i's (mean, logvar); coordinate 0's pair is a free
+    output bias. The masks multiply the weights in every forward pass, so
+    no update can open a masked connection.
     """
 
     def __init__(self, dim: int, hidden: int, rng: RngStream):
+        if hidden < 1:
+            raise ContractError(f"autoregressive model needs at least one "
+                                f"hidden unit per conditional, got {hidden}")
         self.dim = dim
-        self.head0 = engine.parameter(np.zeros(2))
-        self.nets = [
-            MLP((i, hidden, 2), rng.child(f"coord{i}"), "relu", f"coord{i}")
-            for i in range(1, dim)
-        ]
+        block = np.repeat(np.arange(1, dim), hidden)     # coordinate fed
+        self.mask_in = (np.arange(dim)[:, None] < block).astype(np.float64)
+        self.mask_out = np.tile(block[:, None] == np.arange(dim),
+                                2).astype(np.float64)
+        # He scale over each unit's unmasked fan-in.
+        self.W1 = engine.parameter(rng.normal((dim, block.size))
+                                   * np.sqrt(2.0 / block))
+        self.b1 = engine.parameter(np.zeros(block.size))
+        self.W2 = engine.parameter(rng.normal((block.size, 2 * dim))
+                                   * np.sqrt(2.0 / hidden))
+        self.b2 = engine.parameter(np.zeros(2 * dim))
 
     def parameters(self):
-        out = [self.head0]
-        for net in self.nets:
-            out.extend(net.parameters())
-        return out
+        return [self.W1, self.b1, self.W2, self.b2]
 
-    def _coord_params(self, z: np.ndarray):
-        """Per-coordinate (mean, logvar) arrays, each (n, dim)."""
-        n = z.shape[0]
-        means = np.empty((n, self.dim))
-        logvars = np.empty((n, self.dim))
-        means[:, 0] = self.head0.data[0]
-        logvars[:, 0] = self.head0.data[1]
-        for i in range(1, self.dim):
-            h = self.nets[i - 1](engine.Tensor(z[:, :i])).data
-            means[:, i] = h[:, 0]
-            logvars[:, i] = h[:, 1]
-        return means, np.maximum(logvars, np.log(VAR_FLOOR))
+    def conditionals(self, z) -> DiagGaussian:
+        """Every coordinate's Gaussian given its prefix, rows of z batched."""
+        h = engine.relu(engine.matmul(z, self.W1 * self.mask_in) + self.b1)
+        out = engine.matmul(h, self.W2 * self.mask_out) + self.b2
+        return DiagGaussian(engine.narrow(out, 1, 0, self.dim),
+                            engine.narrow(out, 1, self.dim, self.dim))
+
+    def _log_lik(self, z) -> engine.Tensor:
+        z = engine.Tensor(np.atleast_2d(np.asarray(z, dtype=np.float64)))
+        return diag_log_prob(self.conditionals(z), z)
 
     def log_prob(self, z: np.ndarray) -> np.ndarray:
-        z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        means, logvars = self._coord_params(z)
-        return gauss_logpdf_np(z, means, logvars)
+        return self._log_lik(z).data
 
     def _nll(self, z_batch: np.ndarray) -> engine.Tensor:
-        zt = engine.Tensor(z_batch)
-        total = None
-        for i in range(self.dim):
-            if i == 0:
-                mean = engine.narrow(self.head0, 0, 0, 1)
-                logvar = engine.narrow(self.head0, 0, 1, 1)
-            else:
-                h = self.nets[i - 1](engine.narrow(zt, 1, 0, i))
-                mean = engine.narrow(h, 1, 0, 1)
-                logvar = engine.narrow(h, 1, 1, 1)
-            logvar = engine.clamp_min(logvar, float(np.log(VAR_FLOOR)))
-            zi = engine.narrow(zt, 1, i, 1)
-            diff = zi - mean
-            ll = -0.5 * (diff * diff * engine.exp(-logvar) + logvar
-                         + float(np.log(2.0 * np.pi)))
-            term = engine.tmean(ll)
-            total = term if total is None else total + term
-        return -total
+        return -engine.tmean(self._log_lik(z_batch))
 
 
 @dataclass

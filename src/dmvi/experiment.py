@@ -78,7 +78,9 @@ class ExperimentConfig:
     gmm_k: int = _setting("estimate", 10)
     gmm_iters: int = _setting("estimate", 50)
     ar_iters: int = _setting("estimate", ArConfig.iters)
-    ar_hidden: int = _setting("estimate", ArConfig.hidden)
+    ar_hidden: int = _setting("estimate", ArConfig.hidden,
+                              help="hidden units per conditional of the "
+                                   "autoregressive density")
     k: int = _setting("synth", 10, help="latent dimension")
     mode: str = _setting("synth", "minimize", ("estimate", "minimize"))
     synth_iters: int = _setting("synth", 20000)
@@ -408,6 +410,9 @@ def _cmd_dataset(cfg: ExperimentConfig):
                 data = np.load(cfg.data_path)
             except (ValueError, EOFError) as e:
                 raise ParseError(f"{cfg.data_path!r} is not a .npy array: {e}") from e
+        if data.size == 0 or data.dtype.kind not in "biuf":
+            raise ParseError(f"{cfg.data_path!r} holds no numeric values: "
+                             f"dtype {data.dtype}, shape {list(data.shape)}")
         info = {"shape": list(data.shape), "min": float(data.min()),
                 "max": float(data.max()), "digest": array_digest(data)}
         write_json(cfg.out, "report.json", info)

@@ -15,6 +15,9 @@ import numpy as np
 from . import engine
 from .errors import NumericsError
 
+# Past this magnitude g * g, and with it the second moment, overflows.
+_GRAD_BOUND = float(np.sqrt(np.finfo(np.float64).max))
+
 
 class Adam:
     """Adam over a fixed list of graph parameters; holds its moments and the
@@ -35,12 +38,14 @@ class Adam:
         """One in-place update from the parameters' ``.grad``.
 
         Refuses the whole step (no moment, parameter or ``t`` is touched) if
-        any gradient entry is non-finite.
+        any gradient entry is NaN or so large that its square overflows.
         """
         grads = [p.grad for p in self.params]
         for g in grads:
-            if g is None or not np.all(np.isfinite(g)):
-                raise NumericsError("non-finite gradient; step refused")
+            # A NaN maximum fails the comparison too.
+            if g is None or not np.abs(g).max(initial=0.0) <= _GRAD_BOUND:
+                raise NumericsError("non-finite or overflowing gradient; "
+                                    "step refused")
         self.t += 1
         t, beta1, beta2 = self.t, self.beta1, self.beta2
         for p, g, m, v in zip(self.params, grads, self.m, self.v):

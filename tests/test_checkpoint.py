@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -194,3 +194,24 @@ def test_corrupt_checkpoint_raises_only_parse_error(prop_dir, data):
     p.write_bytes(data.draw(_corruptions(p.read_bytes())))
     with pytest.raises(ParseError):
         load_checkpoint(str(p))
+
+
+@_PROPERTY
+@given(name=st.binary(max_size=8))
+@example(name=b"\xff\xfe")
+def test_any_name_bytes_under_a_valid_digest(prop_dir, name):
+    # The digest vouches only for the bytes; a name that is not UTF-8 is
+    # still a malformed file.
+    body = (MAGIC + struct.pack("<I", VERSION) + b"\0" * 32
+            + struct.pack("<I", 1) + struct.pack("<H", len(name)) + name
+            + struct.pack("<I", 0) + struct.pack("<d", 2.5))
+    p = prop_dir / "names.ckpt"
+    p.write_bytes(body + hashlib.sha256(body).digest())
+    try:
+        text = name.decode("utf-8")
+    except UnicodeDecodeError:
+        with pytest.raises(ParseError, match="not UTF-8"):
+            load_checkpoint(str(p))
+    else:
+        tensors, _ = load_checkpoint(str(p))
+        assert list(tensors) == [text] and tensors[text] == 2.5

@@ -5,6 +5,7 @@ contents can be asserted directly; one test drives the module entry point
 in a subprocess to cover the installed path.
 """
 
+import hashlib
 import json
 import os
 import shutil
@@ -538,6 +539,65 @@ def test_divergent_training_exits_three(tmp_path):
         assert cli.main(args) == 3
     assert _read_json(out / "status.json")["exit_code"] == 3
     assert not (out / "checkpoint.dmvi").exists()
+
+
+def _npy(tmp, name, arr):
+    path = tmp / name
+    np.save(path, arr)
+    return str(path)
+
+
+def _non_utf8_name_run(tmp, run):
+    """A copy of ``run`` whose first tensor is renamed to the bytes ff fe,
+    under a valid digest."""
+    copy = tmp / "renamed"
+    shutil.copytree(run, copy)
+    ckpt = copy / "checkpoint.dmvi"
+    body = ckpt.read_bytes()[:-32]
+    at = 4 + 4 + 32 + 4            # magic, version, config hash, count
+    (n,) = struct.unpack_from("<H", body, at)
+    body = body[:at] + struct.pack("<H", 2) + b"\xff\xfe" + body[at + 2 + n:]
+    ckpt.write_bytes(body + hashlib.sha256(body).digest())
+    return str(copy)
+
+
+# (argv from tmp_path and a finished run, exit code, text of the error)
+_EXIT_CODES = [
+    pytest.param(lambda tmp, run: ["surgery", "--run", str(run),
+                                   "--num-z", "16"],
+                 0, None, id="ok"),
+    pytest.param(lambda tmp, run: ["estimate-kl", "--run", str(run),
+                                   "--method", "ar", "--ar-hidden", "0"],
+                 2, "at least one hidden unit", id="ar-hidden-0"),
+    pytest.param(lambda tmp, run: ["train", "--model", "aae", "--lr", "1e30",
+                                   "--dataset", "sprites", "--n", "256",
+                                   "--hidden", "32", "--latent", "4",
+                                   "--iters", "60", "--seed", "3"],
+                 3, "overflowing gradient", id="diverging-aae"),
+    pytest.param(lambda tmp, run: ["dataset", "--mode", "inspect", "--data",
+                                   _npy(tmp, "empty.npy", np.zeros((0, 3)))],
+                 4, "no numeric values", id="empty-npy"),
+    pytest.param(lambda tmp, run: ["dataset", "--mode", "inspect", "--data",
+                                   _npy(tmp, "text.npy", np.array(["a", "b"]))],
+                 4, "no numeric values", id="string-npy"),
+    pytest.param(lambda tmp, run: ["surgery", "--num-z", "16", "--run",
+                                   _non_utf8_name_run(tmp, run)],
+                 4, "not UTF-8", id="non-utf8-tensor-name"),
+]
+
+
+@pytest.mark.parametrize("argv, code, error", _EXIT_CODES)
+def test_exit_code_table(tiny_run, tmp_path, argv, code, error):
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(argv(tmp_path, tiny_run) + ["--out", str(out)]) == code
+    status = _read_json(out / "status.json")
+    if code == 0:
+        assert status == {"status": "ok", "exit_code": 0}
+    else:
+        assert set(status) == {"status", "exit_code", "error"}
+        assert status["status"] == "error" and status["exit_code"] == code
+        assert error in status["error"]
 
 
 def test_module_entry_point(tmp_path):

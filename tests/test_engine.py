@@ -282,6 +282,20 @@ def test_adam_refuses_non_finite_gradient():
     assert opt.t == 1  # refused step did not advance time
 
 
+def test_adam_refuses_gradient_whose_square_overflows():
+    p = engine.parameter([1.0, 2.0])
+    opt = Adam([p], lr=0.1)
+    _step(opt, np.array([0.5, -0.5]))
+    saved, m, v = p.data.copy(), opt.m[0].copy(), opt.v[0].copy()
+    with pytest.raises(NumericsError, match="overflowing gradient"):
+        _step(opt, np.array([0.5, -1e200]))       # finite, but g * g is inf
+    assert np.array_equal(p.data, saved)
+    assert np.array_equal(opt.m[0], m) and np.array_equal(opt.v[0], v)
+    assert opt.t == 1
+    _step(opt, np.array([0.5, -1e150]))           # g * g still finite
+    assert opt.t == 2 and np.all(np.isfinite(opt.v[0]))
+
+
 def test_adam_wrapper_steps_tensor_params():
     x = engine.parameter([3.0])
     opt = Adam([x], lr=0.1)

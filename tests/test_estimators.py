@@ -347,6 +347,28 @@ def test_ar_fit_captures_correlation():
     assert model.log_prob(held).mean() > baseline.mean() + 0.3
 
 
+@pytest.mark.parametrize("fit_steps", [0, 5])
+def test_ar_conditionals_see_only_their_prefix(fit_steps):
+    # Moving z_j must leave the (mean, logvar) of every coordinate i <= j
+    # bitwise unchanged and move every later one, after training too: masks
+    # applied only at init would let Adam open the masked weights.
+    r = RngStream(27)
+    dim = 4
+    model = ar_fit(r.normal((256, dim)) * [1.0, 2.0, 0.5, 1.5],
+                   ArConfig(hidden=8, iters=fit_steps, lr=1e-2), r.child("ar"))
+    z = r.normal((32, dim))
+    base = model.conditionals(z)
+    for j in range(dim):
+        moved = z.copy()
+        moved[:, j] += 1.5
+        q = model.conditionals(moved)
+        for i in range(dim):
+            same = (np.array_equal(q.mean.data[:, i], base.mean.data[:, i])
+                    and np.array_equal(q.logvar.data[:, i],
+                                       base.logvar.data[:, i]))
+            assert same == (i <= j), (i, j)
+
+
 # ---------------------------------------------------------------------------
 # density_model_kl
 
