@@ -107,13 +107,22 @@ def as_tensor(x) -> Tensor:
 
 
 def _record(out: Tensor, op: str, parents, vjp) -> Tensor:
-    """Attach graph metadata to ``out`` if a tape is recording."""
-    if _ACTIVE_TAPE is not None and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out.parents = parents
-        out.vjp = vjp
-        out.op = op
-        _ACTIVE_TAPE.nodes.append(out)
+    """Attach graph metadata to ``out`` if a tape is recording.
+
+    ``vjp`` must not refer to ``out`` itself (capture ``out.data`` instead):
+    that cycle would keep the whole graph, arrays and all, alive until the
+    garbage collector's next pass instead of freeing it with its last
+    reference.
+    """
+    if _ACTIVE_TAPE is not None:
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out.parents = parents
+                out.vjp = vjp
+                out.op = op
+                _ACTIVE_TAPE.nodes.append(out)
+                break
     return out
 
 
@@ -189,17 +198,21 @@ def matmul(a, b) -> Tensor:
     out = Tensor(a.data @ b.data)
 
     def vjp(g):
-        return g @ b.data.T, a.data.T @ g
+        # A constant operand (say a data batch) needs no gradient; backward
+        # never reads the None in its place.
+        return (g @ b.data.T if a.requires_grad else None,
+                a.data.T @ g if b.requires_grad else None)
 
     return _record(out, "matmul", (a, b), vjp)
 
 
 def exp(x) -> Tensor:
     x = as_tensor(x)
-    out = Tensor(np.exp(x.data))
+    y = np.exp(x.data)
+    out = Tensor(y)
 
     def vjp(g):
-        return (g * out.data,)
+        return (g * y,)
 
     return _record(out, "exp", (x,), vjp)
 
@@ -215,21 +228,19 @@ def log(x) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Branch on sign so exp never overflows.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows; it is exp(-x) where x >= 0, giving
+    # 1 / (1 + exp(-x)), and exp(x) elsewhere, giving exp(x) / (1 + exp(x)).
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
 
 
 def sigmoid(x) -> Tensor:
     x = as_tensor(x)
-    out = Tensor(_sigmoid(np.atleast_1d(x.data)).reshape(x.data.shape))
+    y = _sigmoid(np.atleast_1d(x.data)).reshape(x.data.shape)
+    out = Tensor(y)
 
     def vjp(g):
-        return (g * out.data * (1.0 - out.data),)
+        return (g * y * (1.0 - y),)
 
     return _record(out, "sigmoid", (x,), vjp)
 
@@ -396,7 +407,9 @@ def backward(tape: Tape, loss: Tensor) -> None:
             if not p.requires_grad:
                 continue
             if p.grad is None:
-                p.grad = np.array(pg, dtype=np.float64)
+                # Gradients are never updated in place (accumulation below
+                # rebinds), so the first one need not be copied.
+                p.grad = np.asarray(pg, dtype=np.float64)
             else:
                 p.grad = p.grad + pg
 

@@ -1,6 +1,8 @@
 """Tape engine: every primitive against central differences, backward
 semantics, and the Adam update algebra."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,34 @@ def test_no_tape_records_nothing():
     assert y.parents == () and not y.requires_grad
 
 
+def test_taped_graph_is_freed_without_the_cycle_collector():
+    # A vjp that refers to its own output makes a reference cycle, which
+    # keeps the whole graph alive until the collector's next pass.
+    rng = RngStream(8)
+    a = engine.parameter(rng.normal((3, 4)))
+    b = engine.parameter(rng.normal((4, 2)))
+    gc.collect()
+    gc.disable()
+    try:
+        with engine.Tape() as tape:
+            h = engine.matmul(engine.leaky_relu(a, 0.2), b) + 1.0
+            h = engine.concat([engine.sigmoid(h), engine.exp(h * 0.1)], axis=1)
+            pos = engine.clamp_min(engine.clip(engine.absval(h), 0.1, 2.0), 0.2)
+            h = engine.narrow(engine.softplus(h), 1, 1, 2) - engine.log(
+                engine.narrow(pos, 1, 0, 2))
+            loss = (engine.tmean(engine.reshape(h / 2.0, (-1,)))
+                    + engine.l1_norm(h))
+        assert {n.op for n in tape.nodes} >= {
+            "matmul", "add", "sub", "mul", "div", "exp", "log", "sigmoid",
+            "softplus", "leaky_relu", "abs", "clip", "clamp_min", "sum",
+            "mean", "reshape", "concat", "narrow"}
+        engine.backward(tape, loss)
+        del tape, h, pos, loss
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_gradients_accumulate_on_leaves_until_zeroed():
     x = engine.parameter([2.0])
     for _ in range(2):
@@ -294,6 +324,36 @@ def test_adam_refuses_gradient_whose_square_overflows():
     assert opt.t == 1
     _step(opt, np.array([0.5, -1e150]))           # g * g still finite
     assert opt.t == 2 and np.all(np.isfinite(opt.v[0]))
+
+
+def test_adam_flat_step_matches_the_per_parameter_update_exactly():
+    # Adam keeps its moments in flat buffers; every entry must still round
+    # as the textbook per-parameter update does.
+    rng = RngStream(12)
+    shapes = [(5, 3), (3,), (), (2, 1, 4), (7, 2)]
+    params = [engine.parameter(rng.child(f"p{i}").normal(s))
+              for i, s in enumerate(shapes)]
+    want = [p.data.copy() for p in params]
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    opt = Adam(params, lr=0.03)
+    for t in range(1, 6):
+        grads = [rng.child(f"g{t}.{i}").normal(s) * 10.0 ** (i - 2)
+                 for i, s in enumerate(shapes)]
+        for p, g in zip(params, grads):
+            p.grad = g
+        opt.step()
+        for i, g in enumerate(grads):
+            m[i] = 0.5 * m[i] + (1.0 - 0.5) * g
+            v[i] = 0.9 * v[i] + (1.0 - 0.9) * g * g
+            m_hat = m[i] / (1.0 - 0.5 ** t)
+            v_hat = v[i] / (1.0 - 0.9 ** t)
+            want[i] = want[i] - 0.03 * m_hat / (np.sqrt(v_hat) + 1e-8)
+        for i, p in enumerate(params):
+            assert np.array_equal(p.data, want[i])
+            assert np.array_equal(opt.m[i], m[i])
+            assert np.array_equal(opt.v[i], v[i])
+    assert opt.t == 5
 
 
 def test_adam_wrapper_steps_tensor_params():
