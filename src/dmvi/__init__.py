@@ -6,15 +6,6 @@ posterior and the prior, and the closed-form affine-Gaussian study where
 the estimators can be checked against exact divergences.
 """
 
-import os
-
-# One BLAS thread unless the caller chose otherwise. The matrices here are
-# small (a 64-row batch, widths of a few hundred), where a second thread
-# costs more in hand-off than it saves and, spin-waiting on a busy machine,
-# can double a training step. Takes effect only if numpy is not yet loaded.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
 from .engine import Tape, Tensor, backward, parameter
 from .errors import ContractError, NumericsError, ParseError, ShapeError
 from .experiment import ExperimentConfig

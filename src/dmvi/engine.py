@@ -114,15 +114,12 @@ def _record(out: Tensor, op: str, parents, vjp) -> Tensor:
     garbage collector's next pass instead of freeing it with its last
     reference.
     """
-    if _ACTIVE_TAPE is not None:
-        for p in parents:
-            if p.requires_grad:
-                out.requires_grad = True
-                out.parents = parents
-                out.vjp = vjp
-                out.op = op
-                _ACTIVE_TAPE.nodes.append(out)
-                break
+    if _ACTIVE_TAPE is not None and any(p.requires_grad for p in parents):
+        out.requires_grad = True
+        out.parents = parents
+        out.vjp = vjp
+        out.op = op
+        _ACTIVE_TAPE.nodes.append(out)
     return out
 
 
@@ -198,10 +195,7 @@ def matmul(a, b) -> Tensor:
     out = Tensor(a.data @ b.data)
 
     def vjp(g):
-        # A constant operand (say a data batch) needs no gradient; backward
-        # never reads the None in its place.
-        return (g @ b.data.T if a.requires_grad else None,
-                a.data.T @ g if b.requires_grad else None)
+        return g @ b.data.T, a.data.T @ g
 
     return _record(out, "matmul", (a, b), vjp)
 
@@ -228,10 +222,13 @@ def log(x) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) never overflows; it is exp(-x) where x >= 0, giving
-    # 1 / (1 + exp(-x)), and exp(x) elsewhere, giving exp(x) / (1 + exp(x)).
-    ex = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
+    # Branch on sign so exp never overflows.
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
 def sigmoid(x) -> Tensor:
@@ -407,9 +404,7 @@ def backward(tape: Tape, loss: Tensor) -> None:
             if not p.requires_grad:
                 continue
             if p.grad is None:
-                # Gradients are never updated in place (accumulation below
-                # rebinds), so the first one need not be copied.
-                p.grad = np.asarray(pg, dtype=np.float64)
+                p.grad = np.array(pg, dtype=np.float64)
             else:
                 p.grad = p.grad + pg
 

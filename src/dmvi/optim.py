@@ -30,19 +30,8 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        # The moments live in one flat buffer each, so a step is a handful
-        # of whole-buffer operations however many parameters there are;
-        # ``m`` and ``v`` are per-parameter views into them. ``_g`` gathers
-        # the gradients and ``_tmp`` holds intermediates, so a step allocates
-        # nothing.
-        sizes = [p.data.size for p in self.params]
-        self._slices = [slice(end - n, end)
-                        for end, n in zip(np.cumsum(sizes).tolist(), sizes)]
-        self._m, self._v, self._g, self._tmp = np.zeros((4, sum(sizes)))
-        self.m = [self._m[sl].reshape(p.data.shape)
-                  for sl, p in zip(self._slices, self.params)]
-        self.v = [self._v[sl].reshape(p.data.shape)
-                  for sl, p in zip(self._slices, self.params)]
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
         self.t = 0
 
     def step(self):
@@ -52,35 +41,21 @@ class Adam:
         any gradient entry is NaN or so large that its square overflows.
         """
         grads = [p.grad for p in self.params]
-        refused = "non-finite or overflowing gradient; step refused"
-        if any(g is None for g in grads):
-            raise NumericsError(refused)
-        g, tmp = self._g, self._tmp
-        if grads:
-            np.concatenate([g.ravel() for g in grads], out=g)
-        # A NaN maximum fails the comparison too.
-        if not np.abs(g, out=tmp).max(initial=0.0) <= _GRAD_BOUND:
-            raise NumericsError(refused)
+        for g in grads:
+            # A NaN maximum fails the comparison too.
+            if g is None or not np.abs(g).max(initial=0.0) <= _GRAD_BOUND:
+                raise NumericsError("non-finite or overflowing gradient; "
+                                    "step refused")
         self.t += 1
         t, beta1, beta2 = self.t, self.beta1, self.beta2
-        # Each line rounds as m = beta1 m + (1 - beta1) g,
-        # v = beta2 v + (1 - beta2) g g and
-        # update = lr m_hat / (sqrt(v_hat) + eps) do, operation by operation.
-        m, v = self._m, self._v
-        m *= beta1
-        m += np.multiply(g, 1.0 - beta1, out=tmp)
-        v *= beta2
-        np.multiply(g, 1.0 - beta2, out=tmp)
-        tmp *= g
-        v += tmp
-        update = np.divide(m, 1.0 - beta1 ** t, out=g)
-        update *= self.lr
-        denom = np.divide(v, 1.0 - beta2 ** t, out=tmp)
-        np.sqrt(denom, out=denom)
-        denom += self.eps
-        update /= denom
-        for p, sl in zip(self.params, self._slices):
-            p.data -= update[sl].reshape(p.data.shape)
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * g * g
+            m_hat = m / (1.0 - beta1 ** t)
+            v_hat = v / (1.0 - beta2 ** t)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def minimize(tape: engine.Tape, loss: engine.Tensor, *opts: Adam, what: str,

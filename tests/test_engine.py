@@ -326,36 +326,6 @@ def test_adam_refuses_gradient_whose_square_overflows():
     assert opt.t == 2 and np.all(np.isfinite(opt.v[0]))
 
 
-def test_adam_flat_step_matches_the_per_parameter_update_exactly():
-    # Adam keeps its moments in flat buffers; every entry must still round
-    # as the textbook per-parameter update does.
-    rng = RngStream(12)
-    shapes = [(5, 3), (3,), (), (2, 1, 4), (7, 2)]
-    params = [engine.parameter(rng.child(f"p{i}").normal(s))
-              for i, s in enumerate(shapes)]
-    want = [p.data.copy() for p in params]
-    m = [np.zeros(s) for s in shapes]
-    v = [np.zeros(s) for s in shapes]
-    opt = Adam(params, lr=0.03)
-    for t in range(1, 6):
-        grads = [rng.child(f"g{t}.{i}").normal(s) * 10.0 ** (i - 2)
-                 for i, s in enumerate(shapes)]
-        for p, g in zip(params, grads):
-            p.grad = g
-        opt.step()
-        for i, g in enumerate(grads):
-            m[i] = 0.5 * m[i] + (1.0 - 0.5) * g
-            v[i] = 0.9 * v[i] + (1.0 - 0.9) * g * g
-            m_hat = m[i] / (1.0 - 0.5 ** t)
-            v_hat = v[i] / (1.0 - 0.9 ** t)
-            want[i] = want[i] - 0.03 * m_hat / (np.sqrt(v_hat) + 1e-8)
-        for i, p in enumerate(params):
-            assert np.array_equal(p.data, want[i])
-            assert np.array_equal(opt.m[i], m[i])
-            assert np.array_equal(opt.v[i], v[i])
-    assert opt.t == 5
-
-
 def test_adam_wrapper_steps_tensor_params():
     x = engine.parameter([3.0])
     opt = Adam([x], lr=0.1)
