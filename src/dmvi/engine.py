@@ -4,6 +4,10 @@ Values are numpy arrays; the graph is a Wengert list. Nodes are appended to
 the active tape in creation order, so parents always precede children and the
 backward sweep is a single reverse pass over the list. With no tape active,
 the same operations run as plain value computations and record nothing.
+
+Every dense layer of the package is one ``linear`` node: affine map and
+activation fused, rounding as the separate ops would and sitting where the
+last of them would sit, so gradients still accumulate in the same order.
 """
 
 from __future__ import annotations
@@ -198,6 +202,40 @@ def matmul(a, b) -> Tensor:
         return g @ b.data.T, a.data.T @ g
 
     return _record(out, "matmul", (a, b), vjp)
+
+
+def linear(x, W, b, slope: float | None = None) -> Tensor:
+    """Dense layer ``x @ W + b``, followed by a leaky relu of ``slope``
+    (0.0 for relu) unless ``slope`` is None, recorded as one node.
+
+    Each step rounds as the separate matmul, add and leaky_relu ops do, and
+    the node takes the place on the tape the last of them would have taken.
+    Those three ops are always created back to back, so the backward sweep
+    reaches them back to back too: every gradient that ``x``, ``W`` and
+    ``b`` receive from this layer arrives at the same point relative to
+    their other contributions, and each sum accumulates in the same order.
+    """
+    x, W, b = as_tensor(x), as_tensor(W), as_tensor(b)
+    if x.data.ndim != 2 or W.data.ndim != 2 or x.data.shape[1] != W.data.shape[0]:
+        raise ShapeError(
+            f"linear needs (m,k) @ (k,n); got {x.data.shape} @ {W.data.shape}"
+        )
+    h = x.data @ W.data
+    h += b.data
+    scale = None
+    if slope is not None:
+        # x * 1.0 and x * slope round exactly as x and slope * x do.
+        scale = np.where(h > 0, 1.0, slope)
+        h *= scale
+    out = Tensor(h)
+
+    def vjp(g):
+        if scale is not None:
+            g = g * scale
+        gx = g @ W.data.T if x.requires_grad else None
+        return gx, x.data.T @ g, g.sum(axis=0)
+
+    return _record(out, "linear", (x, W, b), vjp)
 
 
 def exp(x) -> Tensor:

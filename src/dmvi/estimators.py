@@ -286,9 +286,6 @@ class ArGaussModel:
     """
 
     def __init__(self, dim: int, hidden: int, rng: RngStream):
-        if hidden < 1:
-            raise ContractError(f"autoregressive model needs at least one "
-                                f"hidden unit per conditional, got {hidden}")
         self.dim = dim
         block = np.repeat(np.arange(1, dim), hidden)     # coordinate fed
         self.mask_in = (np.arange(dim)[:, None] < block).astype(np.float64)
@@ -307,8 +304,8 @@ class ArGaussModel:
 
     def conditionals(self, z) -> DiagGaussian:
         """Every coordinate's Gaussian given its prefix, rows of z batched."""
-        h = engine.relu(engine.matmul(z, self.W1 * self.mask_in) + self.b1)
-        out = engine.matmul(h, self.W2 * self.mask_out) + self.b2
+        h = engine.linear(z, self.W1 * self.mask_in, self.b1, 0.0)
+        out = engine.linear(h, self.W2 * self.mask_out, self.b2)
         return DiagGaussian(engine.narrow(out, 1, 0, self.dim),
                             engine.narrow(out, 1, self.dim, self.dim))
 

@@ -28,11 +28,12 @@ from .rng import RngStream
 
 
 def _setting(section: str, default, choices: tuple | None = None,
-             help: str | None = None):
-    """A field of ExperimentConfig: its INI section, its allowed values and
-    its flag's help text."""
+             help: str | None = None, positive: bool = False):
+    """A field of ExperimentConfig: its INI section, its allowed values, its
+    flag's help text and whether it is a count that must be at least 1."""
     return field(default=default, metadata={"section": section,
-                                            "choices": choices, "help": help})
+                                            "choices": choices, "help": help,
+                                            "positive": positive})
 
 
 @dataclass
@@ -52,40 +53,40 @@ class ExperimentConfig:
     data_path: str = _setting("data", "", help="file to inspect")
     data_mode: str = _setting("data", "generate", ("generate", "inspect"))
     model: str = _setting("train", "vae", tuple(TRAINERS))
-    latent: int = _setting("train", 16)
-    hidden: int = _setting("train", 256)
+    latent: int = _setting("train", 16, positive=True)
+    hidden: int = _setting("train", 256, positive=True)
     lam: float = _setting("train", 10.0)
     lr: float = _setting("train", 1e-3)
     lr_enc: float | None = _setting("train", None)
     lr_gen: float | None = _setting("train", None)
     lr_disc: float | None = _setting("train", None)
     lr_code: float | None = _setting("train", None)
-    iters: int = _setting("train", 2000)
-    batch: int = _setting("train", 64)
+    iters: int = _setting("train", 2000, positive=True)
+    batch: int = _setting("train", 64, positive=True)
     visible: str = _setting("train", "bernoulli",
                             ("bernoulli", "quantized", "real"))
     recon: str = _setting("train", "loglik", ("loglik", "l1"))
     generator_loss: str = _setting("train", "nonsat", ("nonsat", "reverse_kl"))
-    mc_samples: int = _setting("train", 1)
-    log_every: int = _setting("train", 10)
+    mc_samples: int = _setting("train", 1, positive=True)
+    log_every: int = _setting("train", 10, positive=True)
     method: str = _setting("estimate", "mc", ("mc", "ratio", "gmm", "ar"))
-    num_z: int = _setting("estimate", 1024)
+    num_z: int = _setting("estimate", 1024, positive=True)
     run: str = _setting("estimate", "",
                         help="directory of a finished training run")
     ratio_iters: int = _setting("estimate", RatioConfig.iters)
-    ratio_hidden: int = _setting("estimate", RatioConfig.hidden)
+    ratio_hidden: int = _setting("estimate", RatioConfig.hidden, positive=True)
     ratio_layers: int = _setting("estimate", RatioConfig.layers)
-    gmm_k: int = _setting("estimate", 10)
+    gmm_k: int = _setting("estimate", 10, positive=True)
     gmm_iters: int = _setting("estimate", 50)
     ar_iters: int = _setting("estimate", ArConfig.iters)
     ar_hidden: int = _setting("estimate", ArConfig.hidden,
                               help="hidden units per conditional of the "
-                                   "autoregressive density")
+                                   "autoregressive density", positive=True)
     k: int = _setting("synth", 10, help="latent dimension")
     mode: str = _setting("synth", "minimize", ("estimate", "minimize"))
     synth_iters: int = _setting("synth", 20000)
     samples: int = _setting("synth", 10000)
-    synth_log_every: int = _setting("synth", 100)
+    synth_log_every: int = _setting("synth", 100, positive=True)
     low_n: int = _setting("diagnostics", 64, help="samples to keep")
     div_n: int = _setting("diagnostics", 64)
 
@@ -131,13 +132,12 @@ class ExperimentConfig:
         return hashlib.sha256(self.to_ini().encode()).digest()
 
     def validate(self) -> "ExperimentConfig":
-        """Check the training settings; every trainer calls this first."""
-        if self.latent < 1 or self.batch < 1 or self.iters < 1:
-            raise ContractError("latent, batch, iters must be positive")
-        if self.mc_samples < 1:
-            raise ContractError("mc_samples must be positive")
+        """Check the counts and the training choices; every command and
+        every trainer calls this first."""
         for f in fields(self):
             value, choices = getattr(self, f.name), f.metadata["choices"]
+            if f.metadata["positive"] and value < 1:
+                raise ContractError(f"{f.name} must be positive, got {value}")
             if f.metadata["section"] == "train" and choices and value not in choices:
                 raise ContractError(f"unknown {f.name} {value!r}; have {choices}")
         return self
@@ -379,7 +379,9 @@ def _cmd_synth(cfg: ExperimentConfig):
         write_json(cfg.out, "report.json",
                     {"status": result["status"], "k": cfg.k, "d": task.d,
                      "initial_kl": result["initial_kl"],
-                     "final_kl": result["final_kl"]})
+                     "final_kl": result["final_kl"],
+                     "min_kl": result["min_kl"],
+                     "min_kl_step": result["min_kl_step"]})
         rows = []
         for r in result["trajectory"]:
             rows.append({"step": r["step"], "name": "true_kl",
@@ -445,6 +447,7 @@ def execute(cfg: ExperimentConfig) -> str:
     """Run one command; artifacts land in cfg.out. Returns the out dir."""
     if cfg.command not in _COMMANDS:
         raise ContractError(f"unknown command {cfg.command!r}")
+    cfg.validate()
     rows, extra = _COMMANDS[cfg.command](cfg)
     _finish(cfg, rows, extra)
     write_json(cfg.out, "status.json", {"status": "ok", "exit_code": 0})

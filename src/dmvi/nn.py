@@ -8,12 +8,14 @@ from . import engine
 from .errors import ContractError
 from .rng import RngStream
 
+# Activations fused into the dense layer, as the leaky-relu slope
+# ``engine.linear`` takes (None: no activation).
+_SLOPES = {"relu": 0.0, "leaky": 0.2, "linear": None}
+
+# Activations applied as their own node after the layer.
 _ACTIVATIONS = {
-    "relu": engine.relu,
-    "leaky": lambda x: engine.leaky_relu(x, 0.2),
     "sigmoid": engine.sigmoid,
     "softplus": engine.softplus,
-    "linear": lambda x: x,
 }
 
 
@@ -26,8 +28,9 @@ class Linear:
         self.b = engine.parameter(np.zeros(out_dim))
         self.name = name
 
-    def __call__(self, x):
-        return engine.matmul(x, self.W) + self.b
+    def __call__(self, x, slope: float | None = None):
+        """The affine map, then a leaky relu of ``slope`` unless None."""
+        return engine.linear(x, self.W, self.b, slope)
 
     def named_parameters(self):
         return {f"{self.name}.W": self.W, f"{self.name}.b": self.b}
@@ -44,18 +47,21 @@ class MLP:
                  name: str = "mlp"):
         if len(dims) < 2:
             raise ContractError("an MLP needs at least input and output dims")
-        if activation not in _ACTIVATIONS:
+        if activation not in _SLOPES and activation not in _ACTIVATIONS:
             raise ContractError(f"unknown activation {activation!r}")
         self.layers = [
             Linear(dims[i], dims[i + 1], rng.child(f"{name}.fc{i}"),
                    f"{name}.fc{i}")
             for i in range(len(dims) - 1)
         ]
-        self.act = _ACTIVATIONS[activation]
+        self.slope = _SLOPES.get(activation)
+        self.act = _ACTIVATIONS.get(activation)
 
     def __call__(self, x):
         for layer in self.layers[:-1]:
-            x = self.act(layer(x))
+            x = layer(x, self.slope)
+            if self.act is not None:
+                x = self.act(x)
         return self.layers[-1](x)
 
     def parameters(self):

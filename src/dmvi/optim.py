@@ -18,6 +18,11 @@ from .errors import NumericsError
 # Past this magnitude g * g, and with it the second moment, overflows.
 _GRAD_BOUND = float(np.sqrt(np.finfo(np.float64).max))
 
+# Entries per pass of the update arithmetic. A block of each buffer stays in
+# the core's cache through all the operations on it; the whole buffers of a
+# wide network would instead be read from memory once per operation.
+_BLOCK = 1 << 15
+
 
 class Adam:
     """Adam over a fixed list of graph parameters; holds its moments and the
@@ -30,8 +35,19 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        # The moments live in one flat buffer each, so a step costs a handful
+        # of operations per block of entries rather than per parameter;
+        # ``m`` and ``v`` are per-parameter views into them. ``_g`` gathers
+        # the gradients and ``_tmp`` holds intermediates, so a step allocates
+        # no array.
+        sizes = [p.data.size for p in self.params]
+        self._slices = [slice(end - n, end)
+                        for end, n in zip(np.cumsum(sizes).tolist(), sizes)]
+        self._m, self._v, self._g, self._tmp = np.zeros((4, sum(sizes)))
+        self.m = [self._m[sl].reshape(p.data.shape)
+                  for sl, p in zip(self._slices, self.params)]
+        self.v = [self._v[sl].reshape(p.data.shape)
+                  for sl, p in zip(self._slices, self.params)]
         self.t = 0
 
     def step(self):
@@ -41,21 +57,39 @@ class Adam:
         any gradient entry is NaN or so large that its square overflows.
         """
         grads = [p.grad for p in self.params]
-        for g in grads:
-            # A NaN maximum fails the comparison too.
-            if g is None or not np.abs(g).max(initial=0.0) <= _GRAD_BOUND:
-                raise NumericsError("non-finite or overflowing gradient; "
-                                    "step refused")
+        refused = "non-finite or overflowing gradient; step refused"
+        if any(g is None for g in grads):
+            raise NumericsError(refused)
+        g, tmp = self._g, self._tmp
+        if grads:
+            np.concatenate([grad.ravel() for grad in grads], out=g)
+        # A NaN maximum fails the comparison too.
+        if not np.abs(g, out=tmp).max(initial=0.0) <= _GRAD_BOUND:
+            raise NumericsError(refused)
         self.t += 1
-        t, beta1, beta2 = self.t, self.beta1, self.beta2
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+        beta1, beta2 = self.beta1, self.beta2
+        bias1, bias2 = 1.0 - beta1 ** self.t, 1.0 - beta2 ** self.t
+        # Each line rounds as m = beta1 m + (1 - beta1) g,
+        # v = beta2 v + (1 - beta2) g g and
+        # update = lr m_hat / (sqrt(v_hat) + eps) do, operation by operation;
+        # the update overwrites the gathered gradient.
+        for lo in range(0, g.size, _BLOCK):
+            blk = slice(lo, lo + _BLOCK)
+            m, v, gb, tb = self._m[blk], self._v[blk], g[blk], tmp[blk]
             m *= beta1
-            m += (1.0 - beta1) * g
+            m += np.multiply(gb, 1.0 - beta1, out=tb)
             v *= beta2
-            v += (1.0 - beta2) * g * g
-            m_hat = m / (1.0 - beta1 ** t)
-            v_hat = v / (1.0 - beta2 ** t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.multiply(gb, 1.0 - beta2, out=tb)
+            tb *= gb
+            v += tb
+            np.divide(m, bias1, out=gb)
+            gb *= self.lr
+            np.divide(v, bias2, out=tb)
+            np.sqrt(tb, out=tb)
+            tb += self.eps
+            gb /= tb
+        for p, sl in zip(self.params, self._slices):
+            p.data -= g[sl].reshape(p.data.shape)
 
 
 def minimize(tape: engine.Tape, loss: engine.Tensor, *opts: Adam, what: str,

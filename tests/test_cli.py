@@ -5,6 +5,7 @@ contents can be asserted directly; one test drives the module entry point
 in a subprocess to cover the installed path.
 """
 
+import csv
 import hashlib
 import json
 import os
@@ -391,6 +392,22 @@ def test_synth_minimize_artifacts(tmp_path):
         assert np.isfinite(json.loads(line)["value"])
 
 
+def test_synth_minimize_reports_best_iterate(tmp_path):
+    # At this seed the learner dips well below its start and then ends
+    # above it; final_kl alone would hide that the minimization ever worked.
+    out = tmp_path / "synth"
+    assert cli.main(["synth-gauss", "--mode", "minimize", "--k", "10",
+                     "--iters", "500", "--out", str(out),
+                     "--seed", "5551212"]) == 0
+    rep = _read_json(out / "report.json")
+    assert rep["status"] == "ok"
+    assert rep["min_kl"] < rep["initial_kl"] < rep["final_kl"]
+    rows = list(csv.DictReader((out / "trajectory.csv").open()))
+    best = min(rows, key=lambda r: float(r["true_kl"]))
+    assert rep["min_kl_step"] == int(best["step"]) == 300
+    assert rep["min_kl"] == pytest.approx(float(best["true_kl"]), rel=1e-9)
+
+
 def test_synth_estimate_report(tmp_path):
     # The classifier budget has no dedicated flag here; a config file sets
     # it, and the flags layer the rest on top.
@@ -568,7 +585,25 @@ _EXIT_CODES = [
                  0, None, id="ok"),
     pytest.param(lambda tmp, run: ["estimate-kl", "--run", str(run),
                                    "--method", "ar", "--ar-hidden", "0"],
-                 2, "at least one hidden unit", id="ar-hidden-0"),
+                 2, "ar_hidden must be positive", id="ar-hidden-0"),
+    pytest.param(lambda tmp, run: ["train", "--hidden", "0", "--n", "64",
+                                   "--iters", "2"],
+                 2, "hidden must be positive", id="hidden-0"),
+    pytest.param(lambda tmp, run: ["estimate-kl", "--run", str(run),
+                                   "--method", "ratio", "--ratio-hidden", "0"],
+                 2, "ratio_hidden must be positive", id="ratio-hidden-0"),
+    pytest.param(lambda tmp, run: ["estimate-kl", "--run", str(run),
+                                   "--method", "gmm", "--gmm-k", "0"],
+                 2, "gmm_k must be positive", id="gmm-k-0"),
+    pytest.param(lambda tmp, run: ["estimate-kl", "--run", str(run),
+                                   "--method", "ar", "--num-z", "0"],
+                 2, "num_z must be positive", id="ar-num-z-0"),
+    pytest.param(lambda tmp, run: ["train", "--log-every", "0", "--n", "64",
+                                   "--iters", "2"],
+                 2, "log_every must be positive", id="log-every-0"),
+    pytest.param(lambda tmp, run: ["synth-gauss", "--iters", "5",
+                                   "--log-every", "0"],
+                 2, "synth_log_every must be positive", id="synth-log-every-0"),
     pytest.param(lambda tmp, run: ["train", "--model", "aae", "--lr", "1e30",
                                    "--dataset", "sprites", "--n", "256",
                                    "--hidden", "32", "--latent", "4",

@@ -1,17 +1,23 @@
 """Tape engine: every primitive against central differences, backward
-semantics, and the Adam update algebra."""
+semantics, the Adam update algebra, and the fused dense layer against the
+separate ops it replaces."""
 
 import gc
+import json
 
 import numpy as np
 import pytest
 
-from dmvi import engine
+from dmvi import engine, optim
 from dmvi.errors import ContractError, NumericsError, ShapeError
+from dmvi.estimators import ArConfig, RatioConfig, ar_fit, ratio_kl
+from dmvi.experiment import ExperimentConfig
 from dmvi.gradcheck import grad_check
+from dmvi.models import train_aae, train_vae
 from dmvi.nn import MLP
 from dmvi.optim import Adam, minimize
 from dmvi.rng import RngStream
+from dmvi.synth_gauss import make_task, run_minimization
 
 
 def _finite_diff(loss_fn, params, eps=1e-5):
@@ -105,6 +111,21 @@ def test_every_primitive_matches_central_differences():
             if name == "matmul":
                 b = engine.parameter(r.normal((4, 2)))
             _assert_matches_fd(lambda: fn(a, b), [a, b])
+    # The fused dense layer, on an input that needs its gradient and on a
+    # constant one, whose gradient the vjp skips.
+    for slope in (None, 0.0, 0.2):
+        for trial in range(20):
+            r = rng.child(f"linear{slope}-{trial}")
+            x = engine.parameter(r.normal((3, 4)))
+            w = engine.parameter(r.normal((4, 2)))
+            bias = engine.parameter(r.normal((2,)))
+            y = r.normal((3, 2))
+            for inp, params in ((x, [x, w, bias]),
+                                (engine.Tensor(x.data), [w, bias])):
+                def loss_fn():
+                    return engine.tsum(engine.linear(inp, w, bias, slope) * y)
+
+                _assert_matches_fd(loss_fn, params)
 
 
 def test_broadcast_gradients_match_fd():
@@ -155,6 +176,14 @@ def test_matmul_shape_error_names_both_shapes():
     assert "(2, 3)" in str(exc.value) and "(4, 5)" in str(exc.value)
 
 
+def test_linear_shape_error_names_both_shapes():
+    x = engine.Tensor(np.zeros((2, 3)))
+    w = engine.parameter(np.zeros((4, 5)))
+    with pytest.raises(ShapeError) as exc:
+        engine.linear(x, w, engine.parameter(np.zeros(5)))
+    assert "(2, 3)" in str(exc.value) and "(4, 5)" in str(exc.value)
+
+
 def test_nested_tapes_rejected():
     with engine.Tape():
         with pytest.raises(ContractError):
@@ -174,11 +203,14 @@ def test_taped_graph_is_freed_without_the_cycle_collector():
     rng = RngStream(8)
     a = engine.parameter(rng.normal((3, 4)))
     b = engine.parameter(rng.normal((4, 2)))
+    c = engine.parameter(rng.normal((2, 2)))
+    bias = engine.parameter(rng.normal((2,)))
     gc.collect()
     gc.disable()
     try:
         with engine.Tape() as tape:
             h = engine.matmul(engine.leaky_relu(a, 0.2), b) + 1.0
+            h = engine.linear(h, c, bias, 0.2)
             h = engine.concat([engine.sigmoid(h), engine.exp(h * 0.1)], axis=1)
             pos = engine.clamp_min(engine.clip(engine.absval(h), 0.1, 2.0), 0.2)
             h = engine.narrow(engine.softplus(h), 1, 1, 2) - engine.log(
@@ -186,9 +218,9 @@ def test_taped_graph_is_freed_without_the_cycle_collector():
             loss = (engine.tmean(engine.reshape(h / 2.0, (-1,)))
                     + engine.l1_norm(h))
         assert {n.op for n in tape.nodes} >= {
-            "matmul", "add", "sub", "mul", "div", "exp", "log", "sigmoid",
-            "softplus", "leaky_relu", "abs", "clip", "clamp_min", "sum",
-            "mean", "reshape", "concat", "narrow"}
+            "matmul", "linear", "add", "sub", "mul", "div", "exp", "log",
+            "sigmoid", "softplus", "leaky_relu", "abs", "clip", "clamp_min",
+            "sum", "mean", "reshape", "concat", "narrow"}
         engine.backward(tape, loss)
         del tape, h, pos, loss
         assert gc.collect() == 0
@@ -326,6 +358,39 @@ def test_adam_refuses_gradient_whose_square_overflows():
     assert opt.t == 2 and np.all(np.isfinite(opt.v[0]))
 
 
+@pytest.mark.parametrize("block", [None, 5])
+def test_adam_rounds_as_the_per_parameter_formula(monkeypatch, block):
+    # The flat buffers change where the moments live, not how any entry of
+    # an update rounds, whether one block holds every entry or blocks split
+    # parameters.
+    if block is not None:
+        monkeypatch.setattr(optim, "_BLOCK", block)
+    # Parameters start at zero so that no rounding of an update hides in a
+    # much larger parameter value.
+    rng = RngStream(12)
+    shapes = [(3, 4), (4,), (2, 1)]
+    params = [engine.parameter(np.zeros(s)) for s in shapes]
+    want = [p.data.copy() for p in params]
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    opt = Adam(params, lr=0.01)
+    beta1, beta2, eps = opt.beta1, opt.beta2, opt.eps
+    for t in range(1, 6):
+        grads = [rng.normal(s) * 10.0 ** (t - 3) for s in shapes]
+        for p, g in zip(params, grads):
+            p.grad = g
+        opt.step()
+        for i, g in enumerate(grads):
+            m[i] = beta1 * m[i] + (1.0 - beta1) * g
+            v[i] = beta2 * v[i] + (1.0 - beta2) * g * g
+            m_hat = m[i] / (1.0 - beta1 ** t)
+            v_hat = v[i] / (1.0 - beta2 ** t)
+            want[i] = want[i] - 0.01 * m_hat / (np.sqrt(v_hat) + eps)
+        for p, w, mi, vi, pm, pv in zip(params, want, m, v, opt.m, opt.v):
+            assert np.array_equal(p.data, w)
+            assert np.array_equal(pm, mi) and np.array_equal(pv, vi)
+
+
 def test_adam_wrapper_steps_tensor_params():
     x = engine.parameter([3.0])
     opt = Adam([x], lr=0.1)
@@ -404,3 +469,75 @@ def test_minimize_steps_two_optimizers_like_the_hand_sequence():
                               fresh[1].parameters()[0].data)
     for g, f in zip(got[2].parameters(), fresh[2].parameters()):
         assert np.array_equal(g.data, f.data)
+
+
+# ---------------------------------------------------------------------------
+# The fused dense layer against the three ops it replaces, through every
+# learner that trains dense layers.
+
+
+def _unfused_linear(x, W, b, slope=None):
+    """engine.linear as separate matmul, add and leaky_relu nodes."""
+    h = engine.matmul(x, W) + b
+    return h if slope is None else engine.leaky_relu(h, slope)
+
+
+def _train_rows(trainer, data, **over):
+    cfg = ExperimentConfig(latent=4, hidden=16, iters=4, batch=16, seed=2,
+                           log_every=1, **over)
+    return trainer(data, cfg)[1].rows
+
+
+def _codes(seed, shift=0.0):
+    return RngStream(seed).normal((64, 3)) + shift
+
+
+_LEARNERS = {
+    "vae": lambda data: _train_rows(train_vae, data),
+    "aae-loglik": lambda data: _train_rows(train_aae, data),
+    "aae-l1": lambda data: _train_rows(train_aae, data, recon="l1"),
+    "ratio": lambda data: ratio_kl(
+        _codes(3, 0.5), _codes(4),
+        RatioConfig(hidden=16, layers=2, iters=4, batch=16),
+        RngStream(5)).to_json(),
+    "ar": lambda data: ar_fit(
+        _codes(6), ArConfig(hidden=4, iters=4, batch=16),
+        RngStream(7)).log_prob(_codes(8)).tolist(),
+    "minimize": lambda data: run_minimization(make_task(10, 9), 4,
+                                              log_every=1)["trajectory"],
+}
+
+
+def _run_learner(monkeypatch, name, data):
+    """The learner's log and every parameter any of its optimizers stepped."""
+    built = []
+    init = Adam.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(Adam, "__init__", recording)
+        log = _LEARNERS[name](data)
+    params = [p.data.copy() for opt in built for p in opt.params]
+    return json.dumps(log), params
+
+
+@pytest.mark.parametrize("name", sorted(_LEARNERS))
+def test_fused_layers_train_exactly_as_separate_ops(sprites256, monkeypatch,
+                                                    name):
+    got_log, got = _run_learner(monkeypatch, name, sprites256)
+    layers = []
+
+    def reference(*args):
+        layers.append(1)
+        return _unfused_linear(*args)
+
+    monkeypatch.setattr(engine, "linear", reference)
+    want_log, want = _run_learner(monkeypatch, name, sprites256)
+    assert layers and got
+    assert got_log == want_log
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)

@@ -478,20 +478,21 @@ def test_train_vgh_matches_full_graph_updates_exactly(sprites256, variant):
     assert [r for r in log.rows if not r["name"].startswith("updates_")] == rows
 
 
-@pytest.mark.parametrize("variant,matmuls", [("vgh", 39), ("vghpp", 53)])
+@pytest.mark.parametrize("variant,layers", [("vgh", 39), ("vghpp", 53)])
 def test_train_vgh_iteration_builds_only_needed_graphs(sprites256, monkeypatch,
-                                                       variant, matmuls):
+                                                       variant, layers):
+    # Dense-layer applications, taped or not, in one iteration.
     calls = []
-    matmul = engine.matmul
+    linear = engine.linear
 
-    def counting(a, b):
+    def counting(*args):
         calls.append(1)
-        return matmul(a, b)
+        return linear(*args)
 
-    monkeypatch.setattr(engine, "matmul", counting)
+    monkeypatch.setattr(engine, "linear", counting)
     cfg = ExperimentConfig(latent=4, hidden=16, iters=1, batch=8, seed=1)
     train_vgh(sprites256, cfg, variant)
-    assert len(calls) == matmuls
+    assert len(calls) == layers
 
 
 def test_l1_reconstruction_value():
