@@ -16,6 +16,7 @@ Round-trips are bitwise: loading returns exactly the arrays saved.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 
 import numpy as np
@@ -24,6 +25,22 @@ from .errors import ParseError, ShapeError
 
 MAGIC = b"DMVI"
 VERSION = 1
+
+
+def new_file(path: str, mode: str = "w"):
+    """Open ``path`` for writing as a new file, making its directory.
+
+    Any file already at ``path`` is unlinked first, never truncated: on ext4
+    mounted with ``discard`` a truncate-and-rewrite stalls for tens of
+    milliseconds, a fresh inode for well under one. A hard or symbolic link
+    at ``path`` is therefore replaced, not written through.
+    """
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    return open(path, mode)
 
 
 def save_checkpoint(path: str, tensors: dict, config_hash: bytes = b"") -> None:
@@ -42,7 +59,7 @@ def save_checkpoint(path: str, tensors: dict, config_hash: bytes = b"") -> None:
         parts.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
         parts.append(np.ascontiguousarray(arr).tobytes())
     body = b"".join(parts)
-    with open(path, "wb") as f:
+    with new_file(path, "wb") as f:
         f.write(body)
         f.write(hashlib.sha256(body).digest())
 

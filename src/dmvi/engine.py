@@ -260,18 +260,16 @@ def log(x) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Branch on sign so exp never overflows.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows. minimum(x, -x) rather than -abs(x) keeps
+    # the sign bit of a NaN input.
+    e = np.exp(np.minimum(x, -x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def sigmoid(x) -> Tensor:
     x = as_tensor(x)
-    y = _sigmoid(np.atleast_1d(x.data)).reshape(x.data.shape)
+    y = _sigmoid(x.data)
     out = Tensor(y)
 
     def vjp(g):
@@ -286,7 +284,7 @@ def softplus(x) -> Tensor:
     out = Tensor(np.logaddexp(0.0, x.data))
 
     def vjp(g):
-        return (g * _sigmoid(np.atleast_1d(x.data)).reshape(x.data.shape),)
+        return (g * _sigmoid(x.data),)
 
     return _record(out, "softplus", (x,), vjp)
 

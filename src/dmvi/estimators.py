@@ -33,8 +33,9 @@ from .optim import Adam, minimize
 from .rng import RngStream
 
 # Rows of z scored against the whole dataset at once would need an
-# (num_z, N, d) block; chunking keeps it tens of megabytes.
-_CHUNK = 64
+# (num_z, N, d) block; 16-row chunks keep it near 2 MB at N = 1024, d = 16,
+# small enough not to fragment the heap of a process running many commands.
+_CHUNK = 16
 
 
 @dataclass
@@ -163,6 +164,10 @@ def ratio_kl(samples_q: np.ndarray, samples_p: np.ndarray,
 
     def split(samples, stream):
         n_eval = max(1, int(round(cfg.holdout * samples.shape[0])))
+        if n_eval >= samples.shape[0]:
+            raise ContractError(
+                f"ratio estimate has no samples left to train on: "
+                f"{samples.shape[0]} on one side, {n_eval} held out")
         perm = stream.permutation(samples.shape[0])
         return samples[perm[n_eval:]], samples[perm[:n_eval]]
 

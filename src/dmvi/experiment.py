@@ -19,7 +19,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .checkpoint import apply_checkpoint, load_checkpoint, save_checkpoint
+from .checkpoint import (apply_checkpoint, load_checkpoint, new_file,
+                         save_checkpoint)
 from .datasets import GENERATORS, array_digest, dataset_generate, load_idx
 from .errors import ContractError, ParseError
 from .estimators import ArConfig, RatioConfig
@@ -167,7 +168,7 @@ def load_data(cfg: ExperimentConfig) -> np.ndarray:
 
 
 def _write_metrics(path: str, rows) -> None:
-    with open(path, "w") as f:
+    with new_file(path) as f:
         for r in rows:
             value = r["value"]
             if not np.isfinite(value):
@@ -184,7 +185,7 @@ def _write_summary(path: str, rows) -> None:
         if r["name"] not in last:
             order.append(r["name"])
         last[r["name"]] = r["value"]
-    with open(path, "w") as f:
+    with new_file(path) as f:
         f.write("name,value\n")
         for name in order:
             value = last[name]
@@ -196,8 +197,7 @@ def _write_summary(path: str, rows) -> None:
 
 def _finish(cfg: ExperimentConfig, rows, extra_summary: dict | None = None):
     out = cfg.out
-    os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "config.ini"), "w") as f:
+    with new_file(os.path.join(out, "config.ini")) as f:
         f.write(cfg.to_ini())
     _write_metrics(os.path.join(out, "metrics.jsonl"), rows)
     summary_rows = list(rows)
@@ -262,7 +262,6 @@ def _cmd_train(cfg: ExperimentConfig):
     if cfg.model not in TRAINERS:
         raise ContractError(f"unknown model {cfg.model!r}")
     bundle, log = TRAINERS[cfg.model](data, cfg)
-    os.makedirs(cfg.out, exist_ok=True)
     save_checkpoint(os.path.join(cfg.out, "checkpoint.dmvi"),
                     {k: v.data for k, v in bundle.named_parameters().items()},
                     cfg.config_hash())
@@ -332,10 +331,10 @@ def _cmd_low_posterior(cfg: ExperimentConfig):
     bundle, data = _load_posterior_run(cfg)
     rng = RngStream(cfg.seed).child("low_posterior")
     result = low_posterior_samples(bundle, data, cfg.num_z, cfg.low_n, rng)
-    os.makedirs(cfg.out, exist_ok=True)
-    np.save(os.path.join(cfg.out, "latents.npy"), result["latents"])
-    np.save(os.path.join(cfg.out, "decoded.npy"), result["decoded"])
-    with open(os.path.join(cfg.out, "low_posterior.csv"), "w") as f:
+    for name in ("latents", "decoded"):
+        with new_file(os.path.join(cfg.out, name + ".npy"), "wb") as f:
+            np.save(f, result[name])
+    with new_file(os.path.join(cfg.out, "low_posterior.csv")) as f:
         f.write("rank,log_q\n")
         for i, v in enumerate(result["log_q"]):
             f.write(f"{i},{float(v)!r}\n")
@@ -373,8 +372,7 @@ def _cmd_synth(cfg: ExperimentConfig):
     if cfg.mode == "minimize":
         result = run_minimization(task, cfg.synth_iters,
                                   log_every=cfg.synth_log_every)
-        os.makedirs(cfg.out, exist_ok=True)
-        with open(os.path.join(cfg.out, "trajectory.csv"), "w") as f:
+        with new_file(os.path.join(cfg.out, "trajectory.csv")) as f:
             f.write(trajectory_csv(result["trajectory"]))
         write_json(cfg.out, "report.json",
                     {"status": result["status"], "k": cfg.k, "d": task.d,
@@ -395,8 +393,8 @@ def _cmd_synth(cfg: ExperimentConfig):
 def _cmd_dataset(cfg: ExperimentConfig):
     if cfg.data_mode == "generate":
         data = load_data(cfg)
-        os.makedirs(cfg.out, exist_ok=True)
-        np.save(os.path.join(cfg.out, "data.npy"), data)
+        with new_file(os.path.join(cfg.out, "data.npy"), "wb") as f:
+            np.save(f, data)
         digest = array_digest(data)
         write_json(cfg.out, "report.json",
                     {"kind": cfg.dataset, "shape": list(data.shape),
@@ -424,10 +422,9 @@ def _cmd_dataset(cfg: ExperimentConfig):
 
 
 def write_json(out: str, name: str, payload: dict) -> None:
-    os.makedirs(out, exist_ok=True)
     clean = {k: (None if isinstance(v, float) and not np.isfinite(v) else v)
              for k, v in payload.items()}
-    with open(os.path.join(out, name), "w") as f:
+    with new_file(os.path.join(out, name)) as f:
         json.dump(clean, f, sort_keys=True, indent=1)
         f.write("\n")
 

@@ -267,14 +267,16 @@ def test_summary_keeps_last_value_per_name(tiny_run):
     assert float(table["elbo"]) == last_elbo
 
 
+def _artifacts(out):
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
 def test_rerun_is_bitwise_identical(tmp_path):
     out = tmp_path / "a"
     assert cli.main(_train_args(out)) == 0
-    first = {name: (out / name).read_bytes()
-             for name in ("checkpoint.dmvi", "metrics.jsonl", "summary.csv")}
+    first = _artifacts(out)
     assert cli.main(_train_args(out)) == 0
-    for name, payload in first.items():
-        assert (out / name).read_bytes() == payload, name
+    assert _artifacts(out) == first
 
 
 def test_out_dir_does_not_affect_training(tmp_path):
@@ -604,6 +606,12 @@ _EXIT_CODES = [
     pytest.param(lambda tmp, run: ["synth-gauss", "--iters", "5",
                                    "--log-every", "0"],
                  2, "synth_log_every must be positive", id="synth-log-every-0"),
+    pytest.param(lambda tmp, run: ["estimate-kl", "--run", str(run),
+                                   "--method", "ratio", "--num-z", "1"],
+                 2, "no samples left to train on", id="ratio-num-z-1"),
+    pytest.param(lambda tmp, run: ["synth-gauss", "--mode", "estimate",
+                                   "--samples", "1", "--k", "5"],
+                 2, "no samples left to train on", id="synth-samples-1"),
     pytest.param(lambda tmp, run: ["train", "--model", "aae", "--lr", "1e30",
                                    "--dataset", "sprites", "--n", "256",
                                    "--hidden", "32", "--latent", "4",
@@ -633,6 +641,62 @@ def test_exit_code_table(tiny_run, tmp_path, argv, code, error):
         assert set(status) == {"status", "exit_code", "error"}
         assert status["status"] == "error" and status["exit_code"] == code
         assert error in status["error"]
+
+
+_RUN_FILES = ("config.ini", "metrics.jsonl", "summary.csv", "status.json")
+
+
+# (argv from tmp_path and a finished run, exit code, every file it writes)
+_REPLACED = [
+    pytest.param(lambda tmp, run: ["train", "--n", "64", "--latent", "4",
+                                   "--hidden", "32", "--iters", "10",
+                                   "--batch", "16", "--log-every", "5"],
+                 0, _RUN_FILES + ("checkpoint.dmvi",), id="train"),
+    pytest.param(lambda tmp, run: ["estimate-kl", "--run", str(run),
+                                   "--num-z", "16"],
+                 0, _RUN_FILES + ("report.json",), id="estimate-kl"),
+    pytest.param(lambda tmp, run: ["surgery", "--run", str(run),
+                                   "--num-z", "16"],
+                 0, _RUN_FILES + ("report.json",), id="surgery"),
+    pytest.param(lambda tmp, run: ["low-posterior", "--run", str(run),
+                                   "--num-z", "16", "--n", "3"],
+                 0, _RUN_FILES + ("latents.npy", "decoded.npy",
+                                  "low_posterior.csv"), id="low-posterior"),
+    pytest.param(lambda tmp, run: ["diversity", "--run", str(run), "--n", "4"],
+                 0, _RUN_FILES + ("report.json",), id="diversity"),
+    pytest.param(lambda tmp, run: ["synth-gauss", "--mode", "minimize",
+                                   "--k", "5", "--iters", "20",
+                                   "--log-every", "10"],
+                 0, _RUN_FILES + ("trajectory.csv", "report.json"),
+                 id="synth-gauss"),
+    pytest.param(lambda tmp, run: ["dataset", "--mode", "generate", "--kind",
+                                   "rings", "--n", "32"],
+                 0, _RUN_FILES + ("data.npy", "report.json"), id="dataset"),
+    pytest.param(lambda tmp, run: ["surgery", "--run", str(run),
+                                   "--num-z", "0"],
+                 2, ("status.json",), id="failed"),
+]
+
+
+@pytest.mark.parametrize("argv, code, names", _REPLACED)
+def test_rerun_replaces_artifacts_instead_of_writing_through(
+        tiny_run, tmp_path, argv, code, names):
+    # A file hard-linked at an artifact's name shares its inode, so it
+    # keeps its bytes only if the rerun creates a new file there.
+    out, kept = tmp_path / "out", tmp_path / "kept"
+    argv = argv(tmp_path, tiny_run) + ["--out", str(out)]
+    assert cli.main(argv) == code
+    first = _artifacts(out)
+    assert sorted(first) == sorted(names)
+    kept.mkdir()
+    for name in names:
+        (kept / name).write_bytes(b"kept " + name.encode())
+        (out / name).unlink()
+        os.link(kept / name, out / name)
+    assert cli.main(argv) == code
+    assert _artifacts(out) == first
+    for name in names:
+        assert (kept / name).read_bytes() == b"kept " + name.encode(), name
 
 
 def test_module_entry_point(tmp_path):

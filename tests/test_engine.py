@@ -276,6 +276,31 @@ def test_grad_check_sigmoid_chain_depth_four():
     assert grad_check(builder, probes=20, seed=5) <= 1e-6
 
 
+def _masked_sigmoid(x):
+    """The two-branch sigmoid ``engine._sigmoid`` must round like."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_matches_the_masked_branches_bitwise():
+    nan = np.float64("nan")
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+                        36.7, -36.7, 709.0, -709.0, 745.0, -745.0,
+                        1e308, -1e308, np.inf, -np.inf, nan, -nan])
+    rng = RngStream(11)
+    x = np.concatenate([special] + [rng.normal((20000,)) * scale
+                                    for scale in (0.01, 1.0, 30.0, 400.0)])
+    grid = x[:64 * 144].reshape(64, 144)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for got, want in ((engine._sigmoid(x), _masked_sigmoid(x)),
+                          (engine.sigmoid(grid).data, _masked_sigmoid(grid))):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_grad_check_leaky_net_away_from_kinks():
     assert grad_check(_mlp_builder("leaky"), probes=20, seed=9) <= 1e-6
 

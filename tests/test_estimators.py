@@ -97,7 +97,7 @@ def test_marginal_log_q_scalar_and_batch_forms():
 
 
 def test_marginal_log_q_chunking_consistent():
-    # 130 query rows straddle the 64-row chunk boundary twice.
+    # 130 query rows cross several chunk boundaries and end in a partial chunk.
     b, data = _two_point_bundle()
     z = RngStream(1).normal((130, 1))
     batch = marginal_log_q(z, b, data)
