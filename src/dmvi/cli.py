@@ -109,6 +109,11 @@ def main(argv=None) -> int:
     except ValueError as e:          # bad DMVI_SEED
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    if ("run" in _SUBCOMMANDS[cfg.command][1] and cfg.run
+            and os.path.realpath(cfg.out) == os.path.realpath(cfg.run)):
+        # Any file written there, an error status too, would spoil the run.
+        print(f"error: --out {cfg.out!r} is the run directory", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         out = execute(cfg)
     except (ContractError, ShapeError) as e:

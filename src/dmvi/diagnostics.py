@@ -12,6 +12,9 @@ from .estimators import marginal_log_q, _posterior_arrays
 from .models import ModelBundle
 from .rng import RngStream
 
+# A latent unit whose mean KL is below this many nats counts as sparse.
+SPARSE_BELOW = 0.01
+
 
 def low_posterior_samples(bundle: ModelBundle, data: np.ndarray,
                           num_z: int, n: int, rng: RngStream) -> dict:
@@ -32,8 +35,7 @@ def low_posterior_samples(bundle: ModelBundle, data: np.ndarray,
             "log_q": scores[order], "candidate_log_q": scores}
 
 
-def posterior_kl_stats(bundle: ModelBundle, data: np.ndarray,
-                       sparse_below: float = 0.01) -> dict:
+def posterior_kl_stats(bundle: ModelBundle, data: np.ndarray) -> dict:
     """Per-dimension KL profile plus collapse/sparsity summaries.
 
     A unit counts as floored when its median data row has the posterior
@@ -49,7 +51,7 @@ def posterior_kl_stats(bundle: ModelBundle, data: np.ndarray,
     return {
         "per_dim_kl": per_dim,
         "per_example_kl": per.sum(axis=1),
-        "sparsity_fraction": float((per_dim < sparse_below).mean()),
+        "sparsity_fraction": float((per_dim < SPARSE_BELOW).mean()),
         "floor_fraction": float((floored >= 0.5).mean()),
         "max_abs_mean": float(np.abs(mean).max()),
     }
@@ -61,6 +63,8 @@ def posterior_kl_stats(bundle: ModelBundle, data: np.ndarray,
 _SSIM_K1 = 0.01
 _SSIM_K2 = 0.03
 _SSIM_L = 1.0
+SSIM_WINDOW = 7
+SSIM_SIGMA = 1.5
 
 
 def _gaussian_window(size: int, sigma: float) -> np.ndarray:
@@ -82,8 +86,7 @@ def _window_means(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return acc
 
 
-def ssim(a: np.ndarray, b: np.ndarray, window: int = 7,
-         sigma: float = 1.5) -> float:
+def ssim(a: np.ndarray, b: np.ndarray) -> float:
     """Single-scale structural similarity on the valid region, in [-1, 1]."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -91,10 +94,10 @@ def ssim(a: np.ndarray, b: np.ndarray, window: int = 7,
         raise ShapeError(f"image shapes differ: {a.shape} vs {b.shape}")
     if a.ndim != 2:
         raise ShapeError(f"need 2-D images, got shape {a.shape}")
-    if window > min(a.shape):
+    if SSIM_WINDOW > min(a.shape):
         raise ContractError(
-            f"window {window} exceeds image extent {min(a.shape)}")
-    kernel = _gaussian_window(window, sigma)
+            f"window {SSIM_WINDOW} exceeds image extent {min(a.shape)}")
+    kernel = _gaussian_window(SSIM_WINDOW, SSIM_SIGMA)
     mu_a = _window_means(a, kernel)
     mu_b = _window_means(b, kernel)
     var_a = _window_means(a * a, kernel) - mu_a * mu_a
@@ -107,7 +110,7 @@ def ssim(a: np.ndarray, b: np.ndarray, window: int = 7,
     return float((num / den).mean())
 
 
-def diversity(batch: np.ndarray, window: int = 7) -> float:
+def diversity(batch: np.ndarray) -> float:
     """Mean over distinct image pairs of 1 - ssim; 0 means all identical."""
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim == 2:
@@ -122,6 +125,6 @@ def diversity(batch: np.ndarray, window: int = 7) -> float:
     pairs = 0
     for i in range(batch.shape[0]):
         for j in range(i + 1, batch.shape[0]):
-            total += 1.0 - ssim(batch[i], batch[j], window)
+            total += 1.0 - ssim(batch[i], batch[j])
             pairs += 1
     return total / pairs

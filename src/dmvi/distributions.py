@@ -25,14 +25,6 @@ LOGVAR_FLOOR = float(np.log(VAR_FLOOR))
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-def _sum_features(t: Tensor) -> Tensor:
-    """Sum everything except the leading batch axis (if there is one)."""
-    if t.data.ndim <= 1:
-        return engine.tsum(t)
-    flat = engine.reshape(t, (t.data.shape[0], -1))
-    return engine.tsum(flat, axis=1)
-
-
 class DiagGaussian:
     """Gaussian with diagonal covariance, parameterized by log-variance.
 
@@ -57,14 +49,14 @@ def diag_log_prob(q: DiagGaussian, z) -> Tensor:
     z = as_tensor(z)
     diff = z - q.mean
     quad = diff * diff * engine.exp(-q.logvar)
-    return -0.5 * _sum_features(quad + q.logvar + _LOG_2PI)
+    return -0.5 * engine.tsum(quad + q.logvar + _LOG_2PI, axis=-1)
 
 
 def kl_diag_standard(q: DiagGaussian) -> Tensor:
     """KL(q ‖ N(0, I)) per row, closed form."""
     var = engine.exp(q.logvar)
     terms = q.mean * q.mean + var - 1.0 - q.logvar
-    return 0.5 * _sum_features(terms)
+    return 0.5 * engine.tsum(terms, axis=-1)
 
 
 @dataclass
@@ -173,7 +165,7 @@ def bernoulli_log_prob(v: BernoulliVisible, x) -> Tensor:
     Targets in [0,1] are accepted; the cross-entropy extends to them.
     """
     x = as_tensor(x)
-    return _sum_features(x * v.logits - engine.softplus(v.logits))
+    return engine.tsum(x * v.logits - engine.softplus(v.logits), axis=-1)
 
 
 def quantized_log_prob(v: DiagGaussian, x, rng: RngStream) -> Tensor:

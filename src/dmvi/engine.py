@@ -350,21 +350,13 @@ def tsum(x, axis=None, keepdims: bool = False) -> Tensor:
     return _record(out, "sum", (x,), vjp)
 
 
-def tmean(x, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(x) -> Tensor:
+    """Mean over every entry."""
     x = as_tensor(x)
-    out = Tensor(x.data.mean(axis=axis, keepdims=keepdims))
-    if axis is None:
-        count = x.data.size
-    elif isinstance(axis, tuple):
-        count = int(np.prod([x.data.shape[a] for a in axis]))
-    else:
-        count = x.data.shape[axis]
+    out = Tensor(x.data.mean())
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g / count, x.data.shape).copy(),)
-        g2 = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(g2 / count, x.data.shape).copy(),)
+        return (np.broadcast_to(g / x.data.size, x.data.shape).copy(),)
 
     return _record(out, "mean", (x,), vjp)
 

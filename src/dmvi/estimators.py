@@ -11,6 +11,7 @@ terms and serialize to the same JSON record shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -31,6 +32,9 @@ from . import engine
 from .nn import MLP
 from .optim import Adam, minimize
 from .rng import RngStream
+
+if TYPE_CHECKING:
+    from .experiment import ExperimentConfig
 
 # Rows of z scored against the whole dataset at once would need an
 # (num_z, N, d) block; 16-row chunks keep it near 2 MB at N = 1024, d = 16,
@@ -137,18 +141,14 @@ def surgery_decompose(bundle: ModelBundle, data: np.ndarray, num_z: int,
 # Density-ratio classifier.
 
 
-@dataclass
-class RatioConfig:
-    hidden: int = 128
-    layers: int = 3
-    iters: int = 3000
-    lr: float = 1e-3
-    batch: int = 128
-    holdout: float = 0.2
+# The classifier's Adam rate, minibatch per side and held-out share per side.
+RATIO_LR = 1e-3
+RATIO_BATCH = 128
+RATIO_HOLDOUT = 0.2
 
 
 def ratio_kl(samples_q: np.ndarray, samples_p: np.ndarray,
-             cfg: RatioConfig, rng: RngStream) -> EstimateReport:
+             cfg: ExperimentConfig, rng: RngStream) -> EstimateReport:
     """KL via a classifier's odds: mean over held-out q samples of
     log D - log(1-D), labels 1 for q and 0 for p.
 
@@ -163,7 +163,7 @@ def ratio_kl(samples_q: np.ndarray, samples_p: np.ndarray,
     d = samples_q.shape[1]
 
     def split(samples, stream):
-        n_eval = max(1, int(round(cfg.holdout * samples.shape[0])))
+        n_eval = max(1, int(round(RATIO_HOLDOUT * samples.shape[0])))
         if n_eval >= samples.shape[0]:
             raise ContractError(
                 f"ratio estimate has no samples left to train on: "
@@ -174,15 +174,15 @@ def ratio_kl(samples_q: np.ndarray, samples_p: np.ndarray,
     train_q, eval_q = split(samples_q, rng.child("split_q"))
     train_p, eval_p = split(samples_p, rng.child("split_p"))
 
-    dims = (d,) + (cfg.hidden,) * cfg.layers + (1,)
+    dims = (d,) + (cfg.ratio_hidden,) * cfg.ratio_layers + (1,)
     net = MLP(dims, rng.child("net"), activation="leaky", name="ratio")
-    opt = Adam(net.parameters(), cfg.lr)
+    opt = Adam(net.parameters(), RATIO_LR)
     loop = rng.child("loop")
     status = "ok"
     try:
-        for _ in range(cfg.iters):
-            bq = train_q[loop.integers(0, train_q.shape[0], (cfg.batch,))]
-            bp = train_p[loop.integers(0, train_p.shape[0], (cfg.batch,))]
+        for _ in range(cfg.ratio_iters):
+            bq = train_q[loop.integers(0, train_q.shape[0], (RATIO_BATCH,))]
+            bp = train_p[loop.integers(0, train_p.shape[0], (RATIO_BATCH,))]
             with engine.Tape() as tape:
                 pq = engine.sigmoid(net(engine.Tensor(bq)))
                 pp = engine.sigmoid(net(engine.Tensor(bp)))
@@ -325,22 +325,20 @@ class ArGaussModel:
         return -engine.tmean(self._log_lik(z_batch))
 
 
-@dataclass
-class ArConfig:
-    hidden: int = 32
-    iters: int = 2000
-    lr: float = 1e-3
-    batch: int = 128
+# The autoregressive fit's Adam rate and minibatch.
+AR_LR = 1e-3
+AR_BATCH = 128
 
 
-def ar_fit(samples: np.ndarray, cfg: ArConfig, rng: RngStream) -> ArGaussModel:
+def ar_fit(samples: np.ndarray, cfg: ExperimentConfig,
+           rng: RngStream) -> ArGaussModel:
     """Maximum-likelihood training of the autoregressive factorization."""
     x = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-    model = ArGaussModel(x.shape[1], cfg.hidden, rng.child("init"))
-    opt = Adam(model.parameters(), cfg.lr)
+    model = ArGaussModel(x.shape[1], cfg.ar_hidden, rng.child("init"))
+    opt = Adam(model.parameters(), AR_LR)
     loop = rng.child("loop")
-    for step in range(cfg.iters):
-        batch = x[loop.integers(0, x.shape[0], (cfg.batch,))]
+    for step in range(cfg.ar_iters):
+        batch = x[loop.integers(0, x.shape[0], (AR_BATCH,))]
         with engine.Tape() as tape:
             loss = model._nll(batch)
         minimize(tape, loss, opt, what="autoregressive fit loss", step=step)

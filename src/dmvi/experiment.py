@@ -23,7 +23,6 @@ from .checkpoint import (apply_checkpoint, load_checkpoint, new_file,
                          save_checkpoint)
 from .datasets import GENERATORS, array_digest, dataset_generate, load_idx
 from .errors import ContractError, ParseError
-from .estimators import ArConfig, RatioConfig
 from .models import PARTS, TRAINERS, build_bundle
 from .rng import RngStream
 
@@ -74,13 +73,13 @@ class ExperimentConfig:
     num_z: int = _setting("estimate", 1024, positive=True)
     run: str = _setting("estimate", "",
                         help="directory of a finished training run")
-    ratio_iters: int = _setting("estimate", RatioConfig.iters)
-    ratio_hidden: int = _setting("estimate", RatioConfig.hidden, positive=True)
-    ratio_layers: int = _setting("estimate", RatioConfig.layers)
+    ratio_iters: int = _setting("estimate", 3000, positive=True)
+    ratio_hidden: int = _setting("estimate", 128, positive=True)
+    ratio_layers: int = _setting("estimate", 3)
     gmm_k: int = _setting("estimate", 10, positive=True)
-    gmm_iters: int = _setting("estimate", 50)
-    ar_iters: int = _setting("estimate", ArConfig.iters)
-    ar_hidden: int = _setting("estimate", ArConfig.hidden,
+    gmm_iters: int = _setting("estimate", 50, positive=True)
+    ar_iters: int = _setting("estimate", 2000, positive=True)
+    ar_hidden: int = _setting("estimate", 32,
                               help="hidden units per conditional of the "
                                    "autoregressive density", positive=True)
     k: int = _setting("synth", 10, help="latent dimension")
@@ -133,19 +132,15 @@ class ExperimentConfig:
         return hashlib.sha256(self.to_ini().encode()).digest()
 
     def validate(self) -> "ExperimentConfig":
-        """Check the counts and the training choices; every command and
-        every trainer calls this first."""
+        """Check every count and every choice; every command and every
+        trainer calls this first."""
         for f in fields(self):
             value, choices = getattr(self, f.name), f.metadata["choices"]
             if f.metadata["positive"] and value < 1:
                 raise ContractError(f"{f.name} must be positive, got {value}")
-            if f.metadata["section"] == "train" and choices and value not in choices:
+            if choices and value not in choices:
                 raise ContractError(f"unknown {f.name} {value!r}; have {choices}")
         return self
-
-    def ratio_config(self) -> RatioConfig:
-        return RatioConfig(hidden=self.ratio_hidden, layers=self.ratio_layers,
-                           iters=self.ratio_iters)
 
 
 SETTINGS = {f.name: f for f in fields(ExperimentConfig)}
@@ -259,8 +254,6 @@ def load_run(run_dir: str):
 
 def _cmd_train(cfg: ExperimentConfig):
     data = load_data(cfg)
-    if cfg.model not in TRAINERS:
-        raise ContractError(f"unknown model {cfg.model!r}")
     bundle, log = TRAINERS[cfg.model](data, cfg)
     save_checkpoint(os.path.join(cfg.out, "checkpoint.dmvi"),
                     {k: v.data for k, v in bundle.named_parameters().items()},
@@ -285,25 +278,18 @@ def _cmd_estimate(cfg: ExperimentConfig):
     rng = RngStream(cfg.seed).child("estimate")
     if cfg.method == "mc":
         report = est.mc_marginal_kl(bundle, data, cfg.num_z, rng)
-    elif cfg.method == "ratio":
-        codes = est._sample_codes(bundle, data, cfg.num_z, rng.child("codes"))
-        prior = est.StandardPrior(bundle.latent).sample(rng.child("prior"),
-                                                        cfg.num_z)
-        report = est.ratio_kl(codes, prior, cfg.ratio_config(), rng.child("clf"))
-    elif cfg.method == "gmm":
-        codes = est._sample_codes(bundle, data, cfg.num_z, rng.child("codes"))
-        model = est.gmm_fit(codes, cfg.gmm_k, cfg.gmm_iters, rng.child("fit"))
-        report = est.density_model_kl(model, bundle, data, cfg.num_z,
-                                      rng.child("eval"))
-    elif cfg.method == "ar":
-        codes = est._sample_codes(bundle, data, cfg.num_z, rng.child("codes"))
-        model = est.ar_fit(codes, ArConfig(hidden=cfg.ar_hidden,
-                                           iters=cfg.ar_iters),
-                           rng.child("fit"))
-        report = est.density_model_kl(model, bundle, data, cfg.num_z,
-                                      rng.child("eval"))
     else:
-        raise ContractError(f"unknown estimator {cfg.method!r}")
+        codes = est._sample_codes(bundle, data, cfg.num_z, rng.child("codes"))
+        if cfg.method == "ratio":
+            prior = est.StandardPrior(bundle.latent).sample(rng.child("prior"),
+                                                            cfg.num_z)
+            report = est.ratio_kl(codes, prior, cfg, rng.child("clf"))
+        else:
+            model = (est.gmm_fit(codes, cfg.gmm_k, cfg.gmm_iters,
+                                 rng.child("fit")) if cfg.method == "gmm"
+                     else est.ar_fit(codes, cfg, rng.child("fit")))
+            report = est.density_model_kl(model, bundle, data, cfg.num_z,
+                                          rng.child("eval"))
     payload = report.to_json(cfg.config_hash().hex())
     write_json(cfg.out, "report.json", payload)
     rows = []
@@ -361,7 +347,7 @@ def _cmd_synth(cfg: ExperimentConfig):
 
     task = make_task(cfg.k, cfg.seed)
     if cfg.mode == "estimate":
-        result = run_estimation(task, cfg.ratio_config(), cfg.samples,
+        result = run_estimation(task, cfg, cfg.samples,
                                 RngStream(cfg.seed).child("synth_est"))
         write_json(cfg.out, "report.json",
                     {"true_kl": result["true_kl"], "est_kl": result["est_kl"],
@@ -369,25 +355,23 @@ def _cmd_synth(cfg: ExperimentConfig):
         rows = [{"step": 0, "name": "true_kl", "value": result["true_kl"]},
                 {"step": 0, "name": "est_kl", "value": result["est_kl"]}]
         return rows, None
-    if cfg.mode == "minimize":
-        result = run_minimization(task, cfg.synth_iters,
-                                  log_every=cfg.synth_log_every)
-        with new_file(os.path.join(cfg.out, "trajectory.csv")) as f:
-            f.write(trajectory_csv(result["trajectory"]))
-        write_json(cfg.out, "report.json",
-                    {"status": result["status"], "k": cfg.k, "d": task.d,
-                     "initial_kl": result["initial_kl"],
-                     "final_kl": result["final_kl"],
-                     "min_kl": result["min_kl"],
-                     "min_kl_step": result["min_kl_step"]})
-        rows = []
-        for r in result["trajectory"]:
-            rows.append({"step": r["step"], "name": "true_kl",
-                         "value": r["true_kl"]})
-            rows.append({"step": r["step"], "name": "est_kl",
-                         "value": r["est_kl"]})
-        return rows, None
-    raise ContractError(f"unknown synth mode {cfg.mode!r}")
+    result = run_minimization(task, cfg.synth_iters,
+                              log_every=cfg.synth_log_every)
+    with new_file(os.path.join(cfg.out, "trajectory.csv")) as f:
+        f.write(trajectory_csv(result["trajectory"]))
+    write_json(cfg.out, "report.json",
+                {"status": result["status"], "k": cfg.k, "d": task.d,
+                 "initial_kl": result["initial_kl"],
+                 "final_kl": result["final_kl"],
+                 "min_kl": result["min_kl"],
+                 "min_kl_step": result["min_kl_step"]})
+    rows = []
+    for r in result["trajectory"]:
+        rows.append({"step": r["step"], "name": "true_kl",
+                     "value": r["true_kl"]})
+        rows.append({"step": r["step"], "name": "est_kl",
+                     "value": r["est_kl"]})
+    return rows, None
 
 
 def _cmd_dataset(cfg: ExperimentConfig):
@@ -400,25 +384,23 @@ def _cmd_dataset(cfg: ExperimentConfig):
                     {"kind": cfg.dataset, "shape": list(data.shape),
                      "digest": digest})
         return [], {"rows": float(data.shape[0])}
-    if cfg.data_mode == "inspect":
-        if not cfg.data_path:
-            raise ContractError("inspect needs data_path")
-        if cfg.data_path.endswith((".idx", ".gz", "-ubyte")):
-            data = load_idx(cfg.data_path)
-        else:
-            try:
-                data = np.load(cfg.data_path)
-            except (ValueError, EOFError) as e:
-                raise ParseError(f"{cfg.data_path!r} is not a .npy array: {e}") from e
-        if data.size == 0 or data.dtype.kind not in "biuf":
-            raise ParseError(f"{cfg.data_path!r} holds no numeric values: "
-                             f"dtype {data.dtype}, shape {list(data.shape)}")
-        info = {"shape": list(data.shape), "min": float(data.min()),
-                "max": float(data.max()), "digest": array_digest(data)}
-        write_json(cfg.out, "report.json", info)
-        print(json.dumps(info, sort_keys=True))
-        return [], None
-    raise ContractError(f"unknown dataset mode {cfg.data_mode!r}")
+    if not cfg.data_path:
+        raise ContractError("inspect needs data_path")
+    if cfg.data_path.endswith((".idx", ".gz", "-ubyte")):
+        data = load_idx(cfg.data_path)
+    else:
+        try:
+            data = np.load(cfg.data_path)
+        except (ValueError, EOFError) as e:
+            raise ParseError(f"{cfg.data_path!r} is not a .npy array: {e}") from e
+    if data.size == 0 or data.dtype.kind not in "biuf":
+        raise ParseError(f"{cfg.data_path!r} holds no numeric values: "
+                         f"dtype {data.dtype}, shape {list(data.shape)}")
+    info = {"shape": list(data.shape), "min": float(data.min()),
+            "max": float(data.max()), "digest": array_digest(data)}
+    write_json(cfg.out, "report.json", info)
+    print(json.dumps(info, sort_keys=True))
+    return [], None
 
 
 def write_json(out: str, name: str, payload: dict) -> None:

@@ -1,6 +1,6 @@
 """Adam with bias correction, and the one optimisation step every learner takes.
 
-The moment decay rates default to beta1=0.5, beta2=0.9: much shorter moment
+The moment decay rates are beta1=0.5, beta2=0.9: much shorter moment
 memory than the common 0.9/0.999, which keeps adversarial updates from
 coasting on stale directions.
 
@@ -15,6 +15,10 @@ import numpy as np
 from . import engine
 from .errors import NumericsError
 
+BETA1 = 0.5
+BETA2 = 0.9
+EPS = 1e-8
+
 # Past this magnitude g * g, and with it the second moment, overflows.
 _GRAD_BOUND = float(np.sqrt(np.finfo(np.float64).max))
 
@@ -28,13 +32,9 @@ class Adam:
     """Adam over a fixed list of graph parameters; holds its moments and the
     step count ``t``."""
 
-    def __init__(self, params, lr: float, beta1: float = 0.5,
-                 beta2: float = 0.9, eps: float = 1e-8):
+    def __init__(self, params, lr: float):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         # The moments live in one flat buffer each, so a step costs a handful
         # of operations per block of entries rather than per parameter;
         # ``m`` and ``v`` are per-parameter views into them. ``_g`` gathers
@@ -67,8 +67,7 @@ class Adam:
         if not np.abs(g, out=tmp).max(initial=0.0) <= _GRAD_BOUND:
             raise NumericsError(refused)
         self.t += 1
-        beta1, beta2 = self.beta1, self.beta2
-        bias1, bias2 = 1.0 - beta1 ** self.t, 1.0 - beta2 ** self.t
+        bias1, bias2 = 1.0 - BETA1 ** self.t, 1.0 - BETA2 ** self.t
         # Each line rounds as m = beta1 m + (1 - beta1) g,
         # v = beta2 v + (1 - beta2) g g and
         # update = lr m_hat / (sqrt(v_hat) + eps) do, operation by operation;
@@ -76,17 +75,17 @@ class Adam:
         for lo in range(0, g.size, _BLOCK):
             blk = slice(lo, lo + _BLOCK)
             m, v, gb, tb = self._m[blk], self._v[blk], g[blk], tmp[blk]
-            m *= beta1
-            m += np.multiply(gb, 1.0 - beta1, out=tb)
-            v *= beta2
-            np.multiply(gb, 1.0 - beta2, out=tb)
+            m *= BETA1
+            m += np.multiply(gb, 1.0 - BETA1, out=tb)
+            v *= BETA2
+            np.multiply(gb, 1.0 - BETA2, out=tb)
             tb *= gb
             v += tb
             np.divide(m, bias1, out=gb)
             gb *= self.lr
             np.divide(v, bias2, out=tb)
             np.sqrt(tb, out=tb)
-            tb += self.eps
+            tb += EPS
             gb /= tb
         for p, sl in zip(self.params, self._slices):
             p.data -= g[sl].reshape(p.data.shape)

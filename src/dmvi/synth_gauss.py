@@ -10,6 +10,7 @@ the running KL(learner ‖ target) estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -21,7 +22,13 @@ from .nn import MLP
 from .optim import Adam, minimize
 from .rng import RngStream
 
+if TYPE_CHECKING:
+    from .experiment import ExperimentConfig
+
 DIVERGENCE_FACTOR = 10.0
+# The minimization's classifier Adam rate and samples per side per step.
+DISC_LR = 1e-4
+BATCH = 64
 
 
 @dataclass
@@ -66,7 +73,8 @@ def _make_classifier(d: int, rng: RngStream) -> MLP:
     return MLP((d, w, w, w, w, 1), rng, activation="leaky", name="clf")
 
 
-def run_estimation(task: SyntheticTask, cfg, samples: int, rng: RngStream) -> dict:
+def run_estimation(task: SyntheticTask, cfg: ExperimentConfig, samples: int,
+                   rng: RngStream) -> dict:
     """Fixed-distribution setting: closed-form truth vs the ratio estimate."""
     from .estimators import ratio_kl
 
@@ -78,8 +86,7 @@ def run_estimation(task: SyntheticTask, cfg, samples: int, rng: RngStream) -> di
 
 
 def run_minimization(task: SyntheticTask, iters: int,
-                     lr_learner: float = 1e-3, lr_disc: float = 1e-4,
-                     batch: int = 64, log_every: int = 100) -> dict:
+                     lr_learner: float = 1e-3, log_every: int = 100) -> dict:
     """Alternating 1:1 classifier/learner updates on the learner's KL.
 
     Trajectory rows are (step, true_kl, est_kl, status). The run stops
@@ -93,7 +100,7 @@ def run_minimization(task: SyntheticTask, iters: int,
         raise ContractError("iters must be positive")
     root = RngStream(task.seed)
     clf = _make_classifier(task.d, root.child("clf"))
-    opt_c = Adam(clf.parameters(), lr_disc)
+    opt_c = Adam(clf.parameters(), DISC_LR)
     opt_l = Adam([task.learner_W, task.learner_b], lr_learner)
     loop = root.child("minimize")
 
@@ -102,8 +109,8 @@ def run_minimization(task: SyntheticTask, iters: int,
              "status": "ok"}]
     status = "ok"
     for step in range(1, iters + 1):
-        x_p = task.target.sample(loop, batch)
-        z = loop.normal((batch, task.k))
+        x_p = task.target.sample(loop, BATCH)
+        z = loop.normal((BATCH, task.k))
         try:
             x_q = engine.linear(z, task.learner_W, task.learner_b).data
             with engine.Tape() as tape:

@@ -28,7 +28,6 @@ from dmvi.distributions import (
     quantized_log_prob,
 )
 from dmvi.estimators import (
-    RatioConfig,
     StandardPrior,
     _sample_codes,
     marginal_log_q,
@@ -202,7 +201,7 @@ def test_ratio_estimator_sanity(toy_vae):
     root = RngStream(500)
     sq = root.child("q").normal((10000, 4))
     sp = root.child("p").normal((10000, 4))
-    null = ratio_kl(sq, sp, RatioConfig(), root.child("clf"))
+    null = ratio_kl(sq, sp, ExperimentConfig(), root.child("clf"))
     assert null.status == "ok" and abs(null.value) <= 0.05
 
     # q = N(0,1) against p = N(1,1): true KL is exactly 0.5. The band is
@@ -210,7 +209,7 @@ def test_ratio_estimator_sanity(toy_vae):
     root = RngStream(1000)
     sq = root.child("q").normal((10000, 1))
     sp = root.child("p").normal((10000, 1)) + 1.0
-    half = ratio_kl(sq, sp, RatioConfig(), root.child("clf"))
+    half = ratio_kl(sq, sp, ExperimentConfig(), root.child("clf"))
     assert half.status == "ok" and 0.2 <= half.value <= 0.75
 
     # On trained posteriors the classifier route reads lower than the
@@ -229,7 +228,9 @@ def test_ratio_estimator_sanity(toy_vae):
         mc = mc_marginal_kl(bundle, data, 1024, r.child("mc"))
         codes = _sample_codes(bundle, data, 8000, r.child("codes"))
         prior = StandardPrior(bundle.latent).sample(r.child("prior"), 8000)
-        est = ratio_kl(codes, prior, RatioConfig(hidden=128, layers=3, iters=1000),
+        est = ratio_kl(codes, prior,
+                       ExperimentConfig(ratio_hidden=128, ratio_layers=3,
+                                        ratio_iters=1000),
                        r.child("clf"))
         wins += est.value < mc.value
         pairs.append((mc.value, est.value))

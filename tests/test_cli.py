@@ -21,7 +21,7 @@ from dmvi import cli
 from dmvi.checkpoint import load_checkpoint
 from dmvi.datasets import array_digest
 from dmvi.errors import ContractError
-from dmvi.experiment import ExperimentConfig, execute
+from dmvi.experiment import SETTINGS, ExperimentConfig, execute
 
 
 def _read_json(path):
@@ -566,6 +566,12 @@ def _npy(tmp, name, arr):
     return str(path)
 
 
+def _ini(tmp, text):
+    path = tmp / "given.ini"
+    path.write_text(text)
+    return str(path)
+
+
 def _non_utf8_name_run(tmp, run):
     """A copy of ``run`` whose first tensor is renamed to the bytes ff fe,
     under a valid digest."""
@@ -607,6 +613,25 @@ _EXIT_CODES = [
                                    "--log-every", "0"],
                  2, "synth_log_every must be positive", id="synth-log-every-0"),
     pytest.param(lambda tmp, run: ["estimate-kl", "--run", str(run),
+                                   "--method", "ratio", "--ratio-iters", "0"],
+                 2, "ratio_iters must be positive", id="ratio-iters-0"),
+    pytest.param(lambda tmp, run: ["estimate-kl", "--run", str(run),
+                                   "--method", "ar", "--ar-iters", "0"],
+                 2, "ar_iters must be positive", id="ar-iters-0"),
+    pytest.param(lambda tmp, run: ["estimate-kl", "--run", str(run),
+                                   "--method", "gmm", "--gmm-iters", "0"],
+                 2, "gmm_iters must be positive", id="gmm-iters-0"),
+    pytest.param(lambda tmp, run: ["estimate-kl", "--run", str(run),
+                                   "--config", _ini(tmp, "[estimate]\n"
+                                                    "method = median\n")],
+                 2, "unknown method 'median'", id="config-method-median"),
+    pytest.param(lambda tmp, run: ["synth-gauss", "--config",
+                                   _ini(tmp, "[synth]\nmode = fit\n")],
+                 2, "unknown mode 'fit'", id="config-synth-mode-fit"),
+    pytest.param(lambda tmp, run: ["dataset", "--config",
+                                   _ini(tmp, "[data]\ndata_mode = load\n")],
+                 2, "unknown data_mode 'load'", id="config-data-mode-load"),
+    pytest.param(lambda tmp, run: ["estimate-kl", "--run", str(run),
                                    "--method", "ratio", "--num-z", "1"],
                  2, "no samples left to train on", id="ratio-num-z-1"),
     pytest.param(lambda tmp, run: ["synth-gauss", "--mode", "estimate",
@@ -641,6 +666,30 @@ def test_exit_code_table(tiny_run, tmp_path, argv, code, error):
         assert set(status) == {"status", "exit_code", "error"}
         assert status["status"] == "error" and status["exit_code"] == code
         assert error in status["error"]
+
+
+@pytest.mark.parametrize("name", [name for name, f in SETTINGS.items()
+                                  if f.metadata["choices"]])
+def test_validate_rejects_a_value_outside_its_choices(name):
+    cfg = ExperimentConfig(**{name: "no-such-choice"})
+    with pytest.raises(ContractError, match=f"unknown {name} 'no-such-choice'"):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("command", ["estimate-kl", "surgery",
+                                     "low-posterior", "diversity"])
+def test_out_equal_to_run_leaves_the_run_untouched(tiny_run, tmp_path,
+                                                   command):
+    run = tmp_path / "run"
+    shutil.copytree(tiny_run, run)
+    before = {name: hashlib.sha256(data).digest()
+              for name, data in _artifacts(run).items()}
+    for out in (str(run), str(run) + "/."):
+        assert cli.main([command, "--run", str(run), "--out", out]) == 2
+        assert {name: hashlib.sha256(data).digest()
+                for name, data in _artifacts(run).items()} == before
+    assert cli.main(["surgery", "--run", str(run), "--num-z", "16",
+                     "--out", str(tmp_path / "surgery")]) == 0
 
 
 _RUN_FILES = ("config.ini", "metrics.jsonl", "summary.csv", "status.json")

@@ -10,7 +10,7 @@ import pytest
 
 from dmvi import engine, optim
 from dmvi.errors import ContractError, NumericsError, ShapeError
-from dmvi.estimators import ArConfig, RatioConfig, ar_fit, ratio_kl
+from dmvi.estimators import ar_fit, ratio_kl
 from dmvi.experiment import ExperimentConfig
 from dmvi.gradcheck import grad_check
 from dmvi.models import train_aae, train_vae
@@ -92,7 +92,7 @@ def test_every_primitive_matches_central_differences():
             engine.tsum(a, axis=0) * engine.tsum(b, axis=0))
         + engine.tsum(engine.tsum(a, axis=1, keepdims=True) * b),
         "mean": lambda a, b: engine.tmean(a * b) + engine.tsum(
-            engine.tmean(a, axis=1)),
+            engine.tmean(a) * b),
         "l1": lambda a, b: engine.l1_norm(a * b + 0.05),
         "abs": lambda a, b: engine.tsum(engine.absval(a + 0.07)),
         "reshape": lambda a, b: engine.tsum(
@@ -399,7 +399,7 @@ def test_adam_rounds_as_the_per_parameter_formula(monkeypatch, block):
     m = [np.zeros(s) for s in shapes]
     v = [np.zeros(s) for s in shapes]
     opt = Adam(params, lr=0.01)
-    beta1, beta2, eps = opt.beta1, opt.beta2, opt.eps
+    beta1, beta2, eps = optim.BETA1, optim.BETA2, optim.EPS
     for t in range(1, 6):
         grads = [rng.normal(s) * 10.0 ** (t - 3) for s in shapes]
         for p, g in zip(params, grads):
@@ -523,10 +523,10 @@ _LEARNERS = {
     "aae-l1": lambda data: _train_rows(train_aae, data, recon="l1"),
     "ratio": lambda data: ratio_kl(
         _codes(3, 0.5), _codes(4),
-        RatioConfig(hidden=16, layers=2, iters=4, batch=16),
+        ExperimentConfig(ratio_hidden=16, ratio_layers=2, ratio_iters=4),
         RngStream(5)).to_json(),
     "ar": lambda data: ar_fit(
-        _codes(6), ArConfig(hidden=4, iters=4, batch=16),
+        _codes(6), ExperimentConfig(ar_hidden=4, ar_iters=4),
         RngStream(7)).log_prob(_codes(8)).tolist(),
     "minimize": lambda data: run_minimization(make_task(10, 9), 4,
                                               log_every=1)["trajectory"],

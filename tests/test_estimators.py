@@ -14,11 +14,9 @@ from scipy import integrate, stats
 from dmvi.distributions import gauss_logpdf_np
 from dmvi.errors import ContractError
 from dmvi.estimators import (
-    ArConfig,
     ArGaussModel,
     EstimateReport,
     GmmModel,
-    RatioConfig,
     _sample_codes,
     ar_fit,
     avg_posterior_kl,
@@ -218,7 +216,7 @@ def test_ratio_kl_deterministic():
     r = RngStream(10)
     sq = 0.5 + r.normal((600, 2))
     sp = r.normal((600, 2))
-    cfg = RatioConfig(hidden=16, layers=2, iters=50, batch=64)
+    cfg = ExperimentConfig(ratio_hidden=16, ratio_layers=2, ratio_iters=50)
     a = ratio_kl(sq, sp, cfg, RngStream(11))
     c = ratio_kl(sq, sp, cfg, RngStream(11))
     assert a.value == c.value and a.stderr == c.stderr
@@ -228,7 +226,7 @@ def test_ratio_kl_holdout_size():
     r = RngStream(12)
     sq = r.normal((100, 2))
     sp = r.normal((80, 2))
-    cfg = RatioConfig(hidden=8, layers=2, iters=10, batch=16)
+    cfg = ExperimentConfig(ratio_hidden=8, ratio_layers=2, ratio_iters=10)
     rep = ratio_kl(sq, sp, cfg, RngStream(13))
     assert rep.num_z == 20  # 20% of the q side
 
@@ -238,7 +236,7 @@ def test_ratio_kl_invalid_on_nonfinite_inputs():
     sq = r.normal((200, 2))
     sq[:, 0] = np.nan      # every training batch sees it
     sp = r.normal((200, 2))
-    cfg = RatioConfig(hidden=8, layers=2, iters=200, batch=64)
+    cfg = ExperimentConfig(ratio_hidden=8, ratio_layers=2, ratio_iters=200)
     with np.errstate(invalid="ignore"):
         rep = ratio_kl(sq, sp, cfg, RngStream(15))
     assert rep.status == "invalid"
@@ -247,7 +245,7 @@ def test_ratio_kl_invalid_on_nonfinite_inputs():
 
 def test_ratio_kl_rejects_empty_sides():
     with pytest.raises(ContractError):
-        ratio_kl(np.zeros((0, 2)), np.zeros((5, 2)), RatioConfig(),
+        ratio_kl(np.zeros((0, 2)), np.zeros((5, 2)), ExperimentConfig(),
                  RngStream(0))
 
 
@@ -339,7 +337,7 @@ def test_ar_fit_captures_correlation():
     cov = np.array([[1.0, 0.9], [0.9, 1.0]])
     chol = np.linalg.cholesky(cov)
     z = r.normal((4000, 2)) @ chol.T
-    model = ar_fit(z, ArConfig(iters=1500), r.child("ar"))
+    model = ar_fit(z, ExperimentConfig(ar_iters=1500), r.child("ar"))
     held = r.normal((2000, 2)) @ chol.T
     baseline = gauss_logpdf_np(held, z.mean(axis=0), np.log(z.var(axis=0)))
     # An independent-Gaussian fit cannot see the 0.9 correlation; the
@@ -355,7 +353,8 @@ def test_ar_conditionals_see_only_their_prefix(fit_steps):
     r = RngStream(27)
     dim = 4
     model = ar_fit(r.normal((256, dim)) * [1.0, 2.0, 0.5, 1.5],
-                   ArConfig(hidden=8, iters=fit_steps, lr=1e-2), r.child("ar"))
+                   ExperimentConfig(ar_hidden=8, ar_iters=fit_steps),
+                   r.child("ar"))
     z = r.normal((32, dim))
     base = model.conditionals(z)
     for j in range(dim):
@@ -413,7 +412,7 @@ def test_fitted_densities_underestimate_on_trained_model(vae_small):
     g = gmm_fit(codes, 10, 50, est.child("gmm"))
     g_rep = density_model_kl(g, vae_small.bundle, vae_small.data, 1024,
                              est.child("gkl"))
-    a = ar_fit(codes, ArConfig(iters=1000), est.child("ar"))
+    a = ar_fit(codes, ExperimentConfig(ar_iters=1000), est.child("ar"))
     a_rep = density_model_kl(a, vae_small.bundle, vae_small.data, 1024,
                              est.child("akl"))
     gap_gmm = mc.value - g_rep.value

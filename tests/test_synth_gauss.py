@@ -10,7 +10,7 @@ import pytest
 from scipy import stats
 
 from dmvi.errors import ContractError
-from dmvi.estimators import RatioConfig
+from dmvi.experiment import ExperimentConfig
 from dmvi.rng import RngStream
 from dmvi.synth_gauss import (
     make_task,
@@ -136,7 +136,8 @@ def test_trajectory_csv_round_trips():
 
 def test_estimation_tracks_truth_on_small_task():
     t = make_task(10, 0)
-    res = run_estimation(t, RatioConfig(hidden=64, layers=2, iters=400),
+    res = run_estimation(t, ExperimentConfig(ratio_hidden=64, ratio_layers=2,
+                                             ratio_iters=400),
                          2000, RngStream(55))
     assert res["report"].status == "ok"
     assert res["true_kl"] == t.true_kl()
