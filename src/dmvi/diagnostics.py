@@ -74,16 +74,50 @@ def _gaussian_window(size: int, sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
-def _window_means(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Valid-region weighted local means (direct accumulation)."""
+def _window_means(images: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Valid-region weighted local means over the last two axes.
+
+    Direct accumulation: every output pixel is the same 49-term sum, in the
+    same order, whatever the leading (stack) axes are.
+    """
     w = kernel.shape[0]
-    oh = img.shape[0] - w + 1
-    ow = img.shape[1] - w + 1
-    acc = np.zeros((oh, ow))
+    oh = images.shape[-2] - w + 1
+    ow = images.shape[-1] - w + 1
+    acc = np.zeros(images.shape[:-2] + (oh, ow))
     for i in range(w):
         for j in range(w):
-            acc += kernel[i, j] * img[i:i + oh, j:j + ow]
+            acc += kernel[i, j] * images[..., i:i + oh, j:j + ow]
     return acc
+
+
+def _window_stats(images: np.ndarray, kernel: np.ndarray):
+    """Local means and variances of a stack of images."""
+    mu = _window_means(images, kernel)
+    var = _window_means(images * images, kernel) - mu * mu
+    return mu, var
+
+
+def _check_window_fits(shape: tuple) -> None:
+    if SSIM_WINDOW > min(shape):
+        raise ContractError(
+            f"window {SSIM_WINDOW} exceeds image extent {min(shape)}")
+
+
+def _ssim_row(images: np.ndarray, mu: np.ndarray, var: np.ndarray, i: int,
+              kernel: np.ndarray) -> np.ndarray:
+    """Mean SSIM of image i against each later image of the stack.
+
+    ``mu`` and ``var`` are the stack's window statistics; only the cross
+    term is computed here, for all the pairs (i, j > i) in one pass.
+    """
+    mu_a, var_a = mu[i], var[i]
+    mu_b, var_b = mu[i + 1:], var[i + 1:]
+    cov = _window_means(images[i] * images[i + 1:], kernel) - mu_a * mu_b
+    c1 = (_SSIM_K1 * _SSIM_L) ** 2
+    c2 = (_SSIM_K2 * _SSIM_L) ** 2
+    num = (2 * mu_a * mu_b + c1) * (2 * cov + c2)
+    den = (mu_a ** 2 + mu_b ** 2 + c1) * (var_a + var_b + c2)
+    return (num / den).reshape(len(mu_b), -1).mean(axis=1)
 
 
 def ssim(a: np.ndarray, b: np.ndarray) -> float:
@@ -94,24 +128,20 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
         raise ShapeError(f"image shapes differ: {a.shape} vs {b.shape}")
     if a.ndim != 2:
         raise ShapeError(f"need 2-D images, got shape {a.shape}")
-    if SSIM_WINDOW > min(a.shape):
-        raise ContractError(
-            f"window {SSIM_WINDOW} exceeds image extent {min(a.shape)}")
+    _check_window_fits(a.shape)
     kernel = _gaussian_window(SSIM_WINDOW, SSIM_SIGMA)
-    mu_a = _window_means(a, kernel)
-    mu_b = _window_means(b, kernel)
-    var_a = _window_means(a * a, kernel) - mu_a * mu_a
-    var_b = _window_means(b * b, kernel) - mu_b * mu_b
-    cov = _window_means(a * b, kernel) - mu_a * mu_b
-    c1 = (_SSIM_K1 * _SSIM_L) ** 2
-    c2 = (_SSIM_K2 * _SSIM_L) ** 2
-    num = (2 * mu_a * mu_b + c1) * (2 * cov + c2)
-    den = (mu_a ** 2 + mu_b ** 2 + c1) * (var_a + var_b + c2)
-    return float((num / den).mean())
+    pair = np.stack([a, b])
+    mu, var = _window_stats(pair, kernel)
+    return float(_ssim_row(pair, mu, var, 0, kernel)[0])
 
 
 def diversity(batch: np.ndarray) -> float:
-    """Mean over distinct image pairs of 1 - ssim; 0 means all identical."""
+    """Mean over distinct image pairs of 1 - ssim; 0 means all identical.
+
+    Each image's window statistics are computed once; each row of pairs
+    (i, j > i) is scored in one batched pass, so working memory stays
+    O(n * H * W).
+    """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim == 2:
         side = int(round(np.sqrt(batch.shape[1])))
@@ -119,12 +149,17 @@ def diversity(batch: np.ndarray) -> float:
             raise ShapeError(
                 f"rows of length {batch.shape[1]} are not square images")
         batch = batch.reshape(batch.shape[0], side, side)
-    if batch.shape[0] < 2:
+    elif batch.ndim != 3:
+        raise ShapeError("need a stack of 2-D images or of flattened square "
+                         f"rows, got shape {batch.shape}")
+    n = batch.shape[0]
+    if n < 2:
         raise ContractError("diversity needs at least two images")
+    _check_window_fits(batch.shape[1:])
+    kernel = _gaussian_window(SSIM_WINDOW, SSIM_SIGMA)
+    mu, var = _window_stats(batch, kernel)
     total = 0.0
-    pairs = 0
-    for i in range(batch.shape[0]):
-        for j in range(i + 1, batch.shape[0]):
-            total += 1.0 - ssim(batch[i], batch[j])
-            pairs += 1
-    return total / pairs
+    for i in range(n - 1):
+        for s in _ssim_row(batch, mu, var, i, kernel).tolist():
+            total += 1.0 - s
+    return total / (n * (n - 1) // 2)

@@ -634,6 +634,9 @@ _EXIT_CODES = [
     pytest.param(lambda tmp, run: ["estimate-kl", "--run", str(run),
                                    "--method", "ratio", "--num-z", "1"],
                  2, "no samples left to train on", id="ratio-num-z-1"),
+    pytest.param(lambda tmp, run: ["diversity", "--run", str(run),
+                                   "--n", "1"],
+                 2, "diversity needs at least two images", id="diversity-n-1"),
     pytest.param(lambda tmp, run: ["synth-gauss", "--mode", "estimate",
                                    "--samples", "1", "--k", "5"],
                  2, "no samples left to train on", id="synth-samples-1"),

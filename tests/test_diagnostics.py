@@ -1,8 +1,11 @@
 """Forensics utilities: sample pickers, posterior KL tables, similarity scores."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from dmvi import diagnostics
 from dmvi.diagnostics import (
     diversity,
     low_posterior_samples,
@@ -119,6 +122,9 @@ def test_ssim_is_symmetric(sprites256):
     b = sprites256[1].reshape(12, 12)
     assert ssim(a, b) == ssim(b, a)
     assert -1.0 <= ssim(a, b) <= 1.0
+    imgs = RngStream(15).uniform((20, 9, 11))
+    for a, b in zip(imgs[::2], imgs[1::2]):
+        assert ssim(a, b) == ssim(b, a)
 
 
 def test_ssim_penalizes_translation(sprites256):
@@ -127,11 +133,12 @@ def test_ssim_penalizes_translation(sprites256):
 
 
 def test_ssim_input_contracts():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError,
+                       match=r"image shapes differ: \(8, 8\) vs \(8, 9\)"):
         ssim(np.zeros((8, 8)), np.zeros((8, 9)))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match=r"need 2-D images, got shape \(64,\)"):
         ssim(np.zeros(64), np.zeros(64))
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="window 7 exceeds image extent 5"):
         ssim(np.zeros((5, 5)), np.zeros((5, 5)))
 
 
@@ -159,3 +166,99 @@ def test_diversity_input_contracts():
         diversity(np.zeros((3, 10)))       # rows are not square images
     with pytest.raises(ContractError):
         diversity(np.zeros((1, 8, 8)))
+    with pytest.raises(ShapeError, match=r"got shape \(64,\)"):
+        diversity(np.zeros(64))
+    with pytest.raises(ShapeError, match=r"got shape \(2, 3, 8, 8\)"):
+        diversity(np.zeros((2, 3, 8, 8)))
+    with pytest.raises(ContractError, match="window 7 exceeds image extent 5"):
+        diversity(np.zeros((3, 5, 5)))
+    with pytest.raises(ContractError, match="window 7 exceeds image extent 6"):
+        diversity(np.zeros((3, 36)))
+
+
+# The per-pair SSIM and diversity as written before the batched score: five
+# window means per pair, one pair at a time. Kept as the bitwise oracle.
+
+def _oracle_window_means(img, kernel):
+    w = kernel.shape[0]
+    oh = img.shape[0] - w + 1
+    ow = img.shape[1] - w + 1
+    acc = np.zeros((oh, ow))
+    for i in range(w):
+        for j in range(w):
+            acc += kernel[i, j] * img[i:i + oh, j:j + ow]
+    return acc
+
+
+def _oracle_ssim(a, b):
+    kernel = diagnostics._gaussian_window(7, 1.5)
+    mu_a = _oracle_window_means(a, kernel)
+    mu_b = _oracle_window_means(b, kernel)
+    var_a = _oracle_window_means(a * a, kernel) - mu_a * mu_a
+    var_b = _oracle_window_means(b * b, kernel) - mu_b * mu_b
+    cov = _oracle_window_means(a * b, kernel) - mu_a * mu_b
+    c1 = (0.01 * 1.0) ** 2
+    c2 = (0.03 * 1.0) ** 2
+    num = (2 * mu_a * mu_b + c1) * (2 * cov + c2)
+    den = (mu_a ** 2 + mu_b ** 2 + c1) * (var_a + var_b + c2)
+    return float((num / den).mean())
+
+
+def _oracle_diversity(images):
+    total = 0.0
+    pairs = 0
+    for i in range(images.shape[0]):
+        for j in range(i + 1, images.shape[0]):
+            total += 1.0 - _oracle_ssim(images[i], images[j])
+            pairs += 1
+    return total / pairs
+
+
+def _images(values, n, shape, seed):
+    if values == "uniform":
+        return RngStream(seed).uniform((n,) + shape)
+    # Decoder-like outputs: a sigmoid of scaled normals, many near 0 and 1.
+    return 1.0 / (1.0 + np.exp(-3.0 * RngStream(seed).normal((n,) + shape)))
+
+
+@pytest.mark.parametrize("values", ["uniform", "sigmoid"])
+@pytest.mark.parametrize("shape", [(12, 12), (28, 28), (8, 10)],
+                         ids=["12x12", "28x28", "8x10"])
+@pytest.mark.parametrize("n", [2, 3, 10, 24, 64])
+def test_diversity_matches_the_per_pair_oracle_bitwise(n, shape, values):
+    images = _images(values, n, shape, seed=1000 + n)
+    expected = _oracle_diversity(images)
+    assert diversity(images) == expected
+    if shape[0] == shape[1]:
+        assert diversity(images.reshape(n, -1)) == expected
+    for i, j in [(0, 1), (1, 0), (0, n - 1), (n // 2, n - 1)]:
+        assert ssim(images[i], images[j]) == _oracle_ssim(images[i], images[j])
+
+
+def test_diversity_computes_each_images_window_statistics_once(monkeypatch):
+    calls = []
+    original = diagnostics._window_means
+
+    def counting(images, kernel):
+        calls.append(images.shape)
+        return original(images, kernel)
+
+    monkeypatch.setattr(diagnostics, "_window_means", counting)
+    n = 10
+    diversity(RngStream(16).uniform((n, 12, 12)))
+    # Means and E[x^2] of the whole stack, then one cross pass per row.
+    assert len(calls) == 2 + (n - 1)
+    assert calls[:2] == [(n, 12, 12)] * 2
+    assert calls[2:] == [(n - 1 - i, 12, 12) for i in range(n - 1)]
+
+
+def test_diversity_working_memory_is_linear_in_the_batch():
+    images = RngStream(17).uniform((64, 28, 28))
+    tracemalloc.start()
+    try:
+        diversity(images)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # About 4x the batch's own bytes; one (n, n, H, W) array would be 64x.
+    assert peak < 8 * images.nbytes
