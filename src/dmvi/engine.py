@@ -88,17 +88,8 @@ class Tensor:
     def __rmul__(self, other):
         return mul(other, self)
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
     def __neg__(self):
         return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def parameter(data) -> Tensor:
@@ -175,19 +166,6 @@ def mul(a, b) -> Tensor:
         )
 
     return _record(out, "mul", (a, b), vjp)
-
-
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data / b.data)
-
-    def vjp(g):
-        return (
-            _unbroadcast(g / b.data, a.data.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
-        )
-
-    return _record(out, "div", (a, b), vjp)
 
 
 def matmul(a, b) -> Tensor:
@@ -302,10 +280,6 @@ def leaky_relu(x, slope: float = 0.2) -> Tensor:
     return _record(out, "leaky_relu", (x,), vjp)
 
 
-def relu(x) -> Tensor:
-    return leaky_relu(x, 0.0)
-
-
 def absval(x) -> Tensor:
     x = as_tensor(x)
     out = Tensor(np.abs(x.data))
@@ -374,21 +348,6 @@ def reshape(x, shape) -> Tensor:
         return (g.reshape(x.data.shape),)
 
     return _record(out, "reshape", (x,), vjp)
-
-
-def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = tuple(as_tensor(t) for t in tensors)
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def vjp(g):
-        return tuple(
-            np.take(g, range(offsets[i], offsets[i + 1]), axis=axis)
-            for i in range(len(tensors))
-        )
-
-    return _record(out, "concat", tensors, vjp)
 
 
 def narrow(x, axis: int, start: int, length: int) -> Tensor:

@@ -28,12 +28,14 @@ from .rng import RngStream
 
 
 def _setting(section: str, default, choices: tuple | None = None,
-             help: str | None = None, positive: bool = False):
+             help: str | None = None, positive: bool = False,
+             least: int | None = None):
     """A field of ExperimentConfig: its INI section, its allowed values, its
-    flag's help text and whether it is a count that must be at least 1."""
-    return field(default=default, metadata={"section": section,
-                                            "choices": choices, "help": help,
-                                            "positive": positive})
+    flag's help text and the least value it takes (1 for a ``positive``
+    count)."""
+    return field(default=default, metadata={
+        "section": section, "choices": choices, "help": help,
+        "least": 1 if positive else least})
 
 
 @dataclass
@@ -48,7 +50,7 @@ class ExperimentConfig:
     out: str = _setting("run", "run_out", help="output directory")
     seed: int = _setting("run", 0)
     dataset: str = _setting("data", "sprites", (*GENERATORS, "idx"))
-    n: int = _setting("data", 1024, help="dataset size")
+    n: int = _setting("data", 1024, help="dataset size", positive=True)
     idx_path: str = _setting("data", "")
     data_path: str = _setting("data", "", help="file to inspect")
     data_mode: str = _setting("data", "generate", ("generate", "inspect"))
@@ -75,20 +77,21 @@ class ExperimentConfig:
                         help="directory of a finished training run")
     ratio_iters: int = _setting("estimate", 3000, positive=True)
     ratio_hidden: int = _setting("estimate", 128, positive=True)
-    ratio_layers: int = _setting("estimate", 3)
+    ratio_layers: int = _setting("estimate", 3, least=0)
     gmm_k: int = _setting("estimate", 10, positive=True)
     gmm_iters: int = _setting("estimate", 50, positive=True)
     ar_iters: int = _setting("estimate", 2000, positive=True)
     ar_hidden: int = _setting("estimate", 32,
                               help="hidden units per conditional of the "
                                    "autoregressive density", positive=True)
-    k: int = _setting("synth", 10, help="latent dimension")
+    k: int = _setting("synth", 10, help="latent dimension", positive=True)
     mode: str = _setting("synth", "minimize", ("estimate", "minimize"))
-    synth_iters: int = _setting("synth", 20000)
-    samples: int = _setting("synth", 10000)
+    synth_iters: int = _setting("synth", 20000, positive=True)
+    samples: int = _setting("synth", 10000, positive=True)
     synth_log_every: int = _setting("synth", 100, positive=True)
-    low_n: int = _setting("diagnostics", 64, help="samples to keep")
-    div_n: int = _setting("diagnostics", 64)
+    low_n: int = _setting("diagnostics", 64, help="samples to keep",
+                          positive=True)
+    div_n: int = _setting("diagnostics", 64, positive=True)
 
     def to_ini(self) -> str:
         parser = configparser.ConfigParser(interpolation=None)
@@ -136,8 +139,10 @@ class ExperimentConfig:
         trainer calls this first."""
         for f in fields(self):
             value, choices = getattr(self, f.name), f.metadata["choices"]
-            if f.metadata["positive"] and value < 1:
-                raise ContractError(f"{f.name} must be positive, got {value}")
+            least = f.metadata["least"]
+            if least is not None and value < least:
+                bound = "positive" if least == 1 else f"at least {least}"
+                raise ContractError(f"{f.name} must be {bound}, got {value}")
             if choices and value not in choices:
                 raise ContractError(f"unknown {f.name} {value!r}; have {choices}")
         return self
@@ -232,6 +237,9 @@ def load_run(run_dir: str):
                             f"(status.json: {status})")
     with open(cfg_path) as f:
         src = ExperimentConfig.from_ini(f.read())
+    if src.command != "train":
+        raise ContractError(f"run {run_dir!r} was written by "
+                            f"{src.command!r}, not by train")
     tensors, stored_hash = load_checkpoint(os.path.join(run_dir,
                                                         "checkpoint.dmvi"))
     if stored_hash != src.config_hash():
@@ -300,14 +308,20 @@ def _cmd_estimate(cfg: ExperimentConfig):
 
 
 def _cmd_surgery(cfg: ExperimentConfig):
+    from .diagnostics import posterior_kl_stats
     from .estimators import surgery_decompose
 
     bundle, data = _load_posterior_run(cfg)
     rng = RngStream(cfg.seed).child("surgery")
     parts = surgery_decompose(bundle, data, cfg.num_z, rng)
+    stats = posterior_kl_stats(bundle, data)
+    parts.update(per_dim_kl=stats["per_dim_kl"].tolist(),
+                 sparsity_fraction=stats["sparsity_fraction"],
+                 floor_fraction=stats["floor_fraction"])
     write_json(cfg.out, "report.json", parts)
     rows = [{"step": 0, "name": name, "value": parts[name]}
-            for name in ("avg_kl", "marginal_kl", "mutual_info", "floor")]
+            for name in ("avg_kl", "marginal_kl", "mutual_info", "floor",
+                         "sparsity_fraction", "floor_fraction")]
     return rows, None
 
 
@@ -404,10 +418,16 @@ def _cmd_dataset(cfg: ExperimentConfig):
 
 
 def write_json(out: str, name: str, payload: dict) -> None:
-    clean = {k: (None if isinstance(v, float) and not np.isfinite(v) else v)
-             for k, v in payload.items()}
+    """``payload`` as sorted JSON; a non-finite float, at the top level or
+    in a list, is written as null."""
+    def clean(v):
+        if isinstance(v, list):
+            return [clean(x) for x in v]
+        return None if isinstance(v, float) and not np.isfinite(v) else v
+
     with new_file(os.path.join(out, name)) as f:
-        json.dump(clean, f, sort_keys=True, indent=1)
+        json.dump({k: clean(v) for k, v in payload.items()}, f,
+                  sort_keys=True, indent=1)
         f.write("\n")
 
 

