@@ -3,7 +3,11 @@
 Graph-valued operations (Tensor in, Tensor out) carry gradients for
 training. The estimators evaluate densities over large sample blocks where
 graph bookkeeping is dead weight, so the Gaussian log-density and KL also
-exist as plain-array twins; tests pin each pair to each other.
+exist as plain-array twins; tests pin each pair to each other. Two array
+routines score diagonal Gaussians: ``gauss_logpdf_np``, the row-wise twin of
+``diag_log_prob``, and ``gauss_logpdf_pairs``, which scores every row of z
+against every component of a mixture as one table and is what the
+posterior-mixture, prior and GMM densities go through.
 """
 
 from __future__ import annotations
@@ -67,8 +71,10 @@ class StandardPrior:
         return rng.normal((n, self.dim))
 
     def log_prob(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=np.float64)
-        return -0.5 * (z * z + _LOG_2PI).sum(axis=-1)
+        # Scored as a one-component mixture, so a posterior equal to the
+        # prior gives log q(z) - log p(z) of exactly 0.
+        zero = np.zeros((1, self.dim))
+        return gauss_logpdf_pairs(zero, zero)(z)[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +192,33 @@ def gauss_logpdf_np(z: np.ndarray, mean: np.ndarray, logvar: np.ndarray) -> np.n
     z = np.asarray(z, dtype=np.float64)
     diff = z - mean
     return -0.5 * (diff * diff * np.exp(-logvar) + logvar + _LOG_2PI).sum(axis=-1)
+
+
+def gauss_logpdf_pairs(mean: np.ndarray, logvar: np.ndarray):
+    """Scorer for the n diagonal Gaussians N(mean_j, exp(logvar_j)), each
+    (n, d): it maps z of shape (m, d) to the (m, n) table of log densities
+    of every row of z under every component (a 1-D z gives one row, (n,)).
+
+    Σ_d (z−μ)²/σ² expands to (z∘z)·σ⁻²ᵀ − 2 z·(μσ⁻²)ᵀ + Σ_d μ²σ⁻², so a
+    table costs two matmuls; σ⁻², μσ⁻² and the per-component constant are
+    computed once here, not once per block of z. It agrees with
+    ``gauss_logpdf_np`` up to the rounding of that expansion.
+    """
+    mean = np.asarray(mean, dtype=np.float64)
+    logvar = np.asarray(logvar, dtype=np.float64)
+    prec = np.exp(-logvar)
+    half_prec_t = (-0.5 * prec).T
+    lin_t = (mean * prec).T
+    const = -0.5 * (mean * mean * prec + logvar + _LOG_2PI).sum(axis=-1)
+
+    def score(z: np.ndarray) -> np.ndarray:
+        z = np.asarray(z, dtype=np.float64)
+        table = (z * z) @ half_prec_t
+        table += z @ lin_t
+        table += const
+        return table
+
+    return score
 
 
 def kl_standard_np(mean: np.ndarray, logvar: np.ndarray) -> np.ndarray:

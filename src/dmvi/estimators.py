@@ -20,7 +20,8 @@ from .distributions import (
     StandardPrior,
     VAR_FLOOR,
     diag_log_prob,
-    gauss_logpdf_np,
+    gauss_logpdf_np,  # unused here; perfbench/tracer.py patches this name
+    gauss_logpdf_pairs,
     kl_standard_np,
     log_mean_exp,
     mean_stderr,
@@ -36,10 +37,11 @@ from .rng import RngStream
 if TYPE_CHECKING:
     from .experiment import ExperimentConfig
 
-# Rows of z scored against the whole dataset at once would need an
-# (num_z, N, d) block; 16-row chunks keep it near 2 MB at N = 1024, d = 16,
-# small enough not to fragment the heap of a process running many commands.
-_CHUNK = 16
+# Rows of z scored against the whole dataset at once would need several
+# (num_z, N) float64 temporaries; 128-row chunks keep each near 1 MB at
+# N = 1024, small enough not to fragment the heap of a process running many
+# commands.
+_CHUNK = 128
 
 
 @dataclass
@@ -67,19 +69,18 @@ def marginal_log_q(z, bundle: ModelBundle, data: np.ndarray):
     """log (1/N) Σ_n q(z|x_n) at each row of z.
 
     Exact mixture evaluation over the full dataset; scalar out for a
-    single z vector, array out for a batch.
+    single z vector, array out for a batch. The two forms agree to rounding:
+    BLAS may sum a one-row product in another order than a block of rows.
     """
     if data.shape[0] == 0:
         raise ContractError("marginal density needs a non-empty dataset")
     z = np.asarray(z, dtype=np.float64)
     single = z.ndim == 1
     z2 = np.atleast_2d(z)
-    mean, logvar = _posterior_arrays(bundle, data)
+    score = gauss_logpdf_pairs(*_posterior_arrays(bundle, data))
     out = np.empty(z2.shape[0])
     for lo in range(0, z2.shape[0], _CHUNK):
-        block = z2[lo:lo + _CHUNK]                      # (m, d)
-        lp = gauss_logpdf_np(block[:, None, :], mean, logvar)   # (m, N)
-        out[lo:lo + _CHUNK] = log_mean_exp(lp, axis=1)
+        out[lo:lo + _CHUNK] = log_mean_exp(score(z2[lo:lo + _CHUNK]), axis=1)
     return float(out[0]) if single else out
 
 
@@ -208,8 +209,7 @@ def ratio_kl(samples_q: np.ndarray, samples_p: np.ndarray,
 def _gmm_log_joint(x: np.ndarray, weights, means, variances):
     """Per-component log weight + log density, (n, k), and their
     log-sum-exp over components, (n, 1)."""
-    comp = gauss_logpdf_np(x[:, None, :], means, np.log(variances))
-    comp = comp + np.log(weights)
+    comp = gauss_logpdf_pairs(means, np.log(variances))(x) + np.log(weights)
     hi = comp.max(axis=1, keepdims=True)
     return comp, np.log(np.exp(comp - hi).sum(axis=1, keepdims=True)) + hi
 
@@ -243,6 +243,14 @@ def _farthest_point_init(x: np.ndarray, k: int, rng: RngStream) -> np.ndarray:
     return x[chosen].copy()
 
 
+def _gmm_variances(x, resp, means, nk):
+    """Responsibility-weighted variance of x about each component's mean,
+    (k, d), as one weighted sum per component. The E[x²] − μ² form would
+    save the loop but cancels for a tight component near the floor."""
+    return np.stack([resp[:, j] @ (x - means[j]) ** 2 / nk[j]
+                     for j in range(means.shape[0])])
+
+
 def gmm_fit(samples: np.ndarray, k: int, iters: int,
             rng: RngStream) -> GmmModel:
     """Expectation-maximization with a variance floor.
@@ -268,9 +276,7 @@ def gmm_fit(samples: np.ndarray, k: int, iters: int,
         nk = np.maximum(nk, 1e-10)
         weights = nk / nk.sum()
         means = (resp.T @ x) / nk[:, None]
-        diff2 = (x[:, None, :] - means) ** 2
-        variances = np.maximum(
-            (resp[:, :, None] * diff2).sum(axis=0) / nk[:, None], VAR_FLOOR)
+        variances = np.maximum(_gmm_variances(x, resp, means, nk), VAR_FLOOR)
         for j in empty:
             means[j] = x[int(rng.integers(0, n, (1,))[0])]
             variances[j] = np.maximum(x.var(axis=0), VAR_FLOOR)

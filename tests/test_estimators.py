@@ -17,6 +17,8 @@ from dmvi.estimators import (
     ArGaussModel,
     EstimateReport,
     GmmModel,
+    _gmm_log_joint,
+    _gmm_variances,
     _sample_codes,
     ar_fit,
     avg_posterior_kl,
@@ -110,6 +112,22 @@ def test_marginal_log_q_permutation_invariant(vae_small):
     a = marginal_log_q(z, vae_small.bundle, data)
     c = marginal_log_q(z, vae_small.bundle, data[perm])
     assert np.allclose(a, c, rtol=0.0, atol=1e-12)
+
+
+def test_marginal_log_q_single_row_matches_batch_to_rounding(vae_small):
+    # At d >= 4 BLAS may sum a one-row product in another order than a block
+    # of rows, so the forms are equal only to rounding (at d = 1 they are
+    # bit-equal, see above). vae_small has 8 latents; an untrained 16-latent
+    # encoder on the same data covers d = 16.
+    data = vae_small.data
+    wide = build_bundle(ExperimentConfig(latent=16, hidden=64), data.shape[1],
+                        RngStream(6).child("init"))
+    for bundle in (vae_small.bundle, wide):
+        z = RngStream(7).normal((130, bundle.latent))
+        batch = marginal_log_q(z, bundle, data)
+        rows = np.array([marginal_log_q(z[i], bundle, data)
+                         for i in range(130)])
+        assert np.allclose(rows, batch, rtol=1e-12, atol=0.0)
 
 
 def test_marginal_log_q_empty_dataset_rejected():
@@ -306,6 +324,27 @@ def test_gmm_density_integrates_to_one():
     total, err = integrate.quad(
         lambda v: np.exp(m.log_prob(np.array([[v]])))[0], -np.inf, np.inf)
     assert abs(total - 1.0) < max(1e-8, 10 * err)
+
+
+def test_gmm_variances_match_broadcast_formula():
+    # A tight component near the floor sits on a shifted cluster, where the
+    # E[x²] - μ² shortcut would cancel; the per-component sum must not.
+    r = RngStream(24)
+    x = r.normal((1024, 16))
+    x[:100] = 4.0 + 1e-3 * r.normal((100, 16))
+    means = x[r.integers(0, 1024, (10,))]
+    means[0] = 4.0
+    variances = np.ones((10, 16))
+    variances[0] = 1e-6
+    comp, norm = _gmm_log_joint(x, np.full(10, 0.1), means, variances)
+    resp = np.exp(comp - norm)
+    nk = resp.sum(axis=0)
+    means = (resp.T @ x) / nk[:, None]
+    want = ((resp[:, :, None] * (x[:, None, :] - means) ** 2).sum(axis=0)
+            / nk[:, None])
+    assert want.min() < 1e-5
+    assert np.allclose(_gmm_variances(x, resp, means, nk), want,
+                       rtol=1e-12, atol=0.0)
 
 
 def test_gmm_variances_floored():
