@@ -14,8 +14,8 @@ import sys
 
 from .datasets import GENERATORS
 from .errors import ContractError, NumericsError, ParseError, ShapeError
-from .experiment import (SETTINGS, ExperimentConfig, execute, value_type,
-                         write_json)
+from .experiment import (SETTINGS, ExperimentConfig, execute,
+                         remove_artifacts, value_type, write_json)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -86,9 +86,11 @@ def build_config(argv) -> ExperimentConfig:
 
 
 def _fail(out: str, code: int, exc: Exception) -> int:
-    """Report a failed command on stderr and in ``out``/status.json."""
+    """Report a failed command on stderr and in ``out``/status.json, the
+    only artifact it leaves there."""
     print(f"error: {exc}", file=sys.stderr)
     try:
+        remove_artifacts(out)
         write_json(out, "status.json",
                    {"status": "error", "exit_code": code, "error": str(exc)})
     except OSError:

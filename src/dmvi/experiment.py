@@ -224,9 +224,7 @@ def load_run(run_dir: str):
     written under another configuration than the run's config.ini, and data
     whose digest differs from the one the run recorded in summary.csv.
     """
-    cfg_path = os.path.join(run_dir, "config.ini")
-    if not os.path.exists(cfg_path):
-        raise ContractError(f"{run_dir!r} has no config.ini")
+    # The status comes first: a failed command leaves only its status.json.
     try:
         with open(os.path.join(run_dir, "status.json")) as f:
             status = json.load(f)["status"]
@@ -235,6 +233,9 @@ def load_run(run_dir: str):
     if status != "ok":
         raise ContractError(f"run {run_dir!r} did not finish ok "
                             f"(status.json: {status})")
+    cfg_path = os.path.join(run_dir, "config.ini")
+    if not os.path.exists(cfg_path):
+        raise ContractError(f"{run_dir!r} has no config.ini")
     with open(cfg_path) as f:
         src = ExperimentConfig.from_ini(f.read())
     if src.command != "train":
@@ -415,6 +416,23 @@ def _cmd_dataset(cfg: ExperimentConfig):
     write_json(cfg.out, "report.json", info)
     print(json.dumps(info, sort_keys=True))
     return [], None
+
+
+# Every file name a command writes into its output directory, each through
+# checkpoint.new_file.
+ARTIFACTS = ("status.json", "config.ini", "metrics.jsonl", "summary.csv",
+             "checkpoint.dmvi", "report.json", "trajectory.csv", "data.npy",
+             "latents.npy", "decoded.npy", "low_posterior.csv")
+
+
+def remove_artifacts(out: str) -> None:
+    """Unlink every artifact an earlier command left in ``out``, so that a
+    failed command leaves none of them looking valid. Other files stay."""
+    for name in ARTIFACTS:
+        try:
+            os.unlink(os.path.join(out, name))
+        except FileNotFoundError:
+            pass
 
 
 def write_json(out: str, name: str, payload: dict) -> None:

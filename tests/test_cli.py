@@ -528,6 +528,7 @@ def test_failed_retrain_leaves_run_refused(tmp_path):
     assert cli.main(_train_args(run, iters=5)) == 0
     with np.errstate(over="ignore", invalid="ignore"):
         assert cli.main(_train_args(run, iters=5, lr=1e30)) == 3
+    assert sorted(_artifacts(run)) == ["status.json"]
     out = tmp_path / "est"
     assert cli.main(["estimate-kl", "--run", str(run), "--num-z", "16",
                      "--out", str(out)]) == 2
@@ -806,6 +807,23 @@ def test_rerun_replaces_artifacts_instead_of_writing_through(
     assert _artifacts(out) == first
     for name in names:
         assert (kept / name).read_bytes() == b"kept " + name.encode(), name
+
+
+@pytest.mark.parametrize("argv, code, names", _REPLACED)
+def test_failed_rerun_leaves_only_its_error_status(tiny_run, tmp_path, argv,
+                                                   code, names):
+    out, bad = tmp_path / "out", tmp_path / "bad.ini"
+    bad.write_text("[estimate]\nmethod = median\n")
+    argv = argv(tmp_path, tiny_run) + ["--out", str(out)]
+    assert cli.main(argv) == code
+    (out / "notes.txt").write_text("not an artifact")
+    assert cli.main(argv + ["--config", str(bad)]) == 2
+    assert sorted(_artifacts(out)) == ["notes.txt", "status.json"]
+    assert _read_json(out / "status.json")["exit_code"] == 2
+    assert cli.main(["surgery", "--run", str(out), "--num-z", "16",
+                     "--out", str(tmp_path / "next")]) == 2
+    assert "did not finish" in _read_json(tmp_path / "next" / "status.json")[
+        "error"]
 
 
 def test_module_entry_point(tmp_path):

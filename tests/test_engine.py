@@ -301,6 +301,42 @@ def test_sigmoid_matches_the_masked_branches_bitwise():
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def _where_linear(x, W, b, slope, g):
+    """``engine.linear``'s forward value and vjp with its scale chosen by
+    ``np.where``, the branch form the layer must round like."""
+    h = x @ W
+    h += b
+    scale = np.where(h > 0, 1.0, slope)
+    h *= scale
+    g = g * scale
+    return h, (g @ W.T, x.T @ g, g.sum(axis=0))
+
+
+@pytest.mark.parametrize("slope", [0.2, 0.0, 0])
+def test_linear_activation_matches_the_where_form_bitwise(slope):
+    nan = np.float64("nan")
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308,
+                        np.inf, -np.inf, nan, -nan])
+    rng = RngStream(23)
+    # x of ones and a bias of -0.0 make x @ W + b exactly the entries of W,
+    # signed zeros included.
+    cases = [(np.ones((2, 1)), special[None, :], np.full(special.size, -0.0))]
+    for m, n in ((64, 64), (1024, 480)):
+        cases.append((rng.normal((m, 16)), rng.normal((16, n)),
+                      rng.normal((n,))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x, W, b in cases:
+            g = rng.normal((x.shape[0], W.shape[1]))
+            want, want_grads = _where_linear(x, W, b, slope, g)
+            with engine.Tape():
+                out = engine.linear(engine.parameter(x), engine.parameter(W),
+                                    engine.parameter(b), slope)
+                grads = out.vjp(g)
+            for got, ref in zip((out.data,) + grads, (want,) + want_grads):
+                assert got.dtype == ref.dtype == np.float64
+                assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
 def test_grad_check_leaky_net_away_from_kinks():
     assert grad_check(_mlp_builder("leaky"), probes=20, seed=9) <= 1e-6
 
