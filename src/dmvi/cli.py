@@ -85,10 +85,18 @@ def build_config(argv) -> ExperimentConfig:
     return cfg
 
 
-def _fail(out: str, code: int, exc: Exception) -> int:
+def _is_run_dir(out: str, run: str | None) -> bool:
+    return bool(run) and os.path.realpath(out) == os.path.realpath(run)
+
+
+def _fail(out: str, code: int, exc: Exception, run: str = "") -> int:
     """Report a failed command on stderr and in ``out``/status.json, the
-    only artifact it leaves there."""
+    only artifact it leaves there. Nothing is removed or written where
+    ``out`` is the ``run`` directory: any file there, an error status too,
+    would spoil the run."""
     print(f"error: {exc}", file=sys.stderr)
+    if _is_run_dir(out, run):
+        return code
     try:
         remove_artifacts(out)
         write_json(out, "status.json",
@@ -102,20 +110,23 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         cfg = build_config(argv)
-    except OSError as e:             # unreadable config file
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except ContractError as e:       # rejected config file
-        out = _build_parser().parse_args(argv).out or ExperimentConfig.out
-        return _fail(out, EXIT_CONFIG, e)
-    except ValueError as e:          # bad DMVI_SEED
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    if ("run" in _SUBCOMMANDS[cfg.command][1] and cfg.run
-            and os.path.realpath(cfg.out) == os.path.realpath(cfg.run)):
-        # Any file written there, an error status too, would spoil the run.
-        print(f"error: --out {cfg.out!r} is the run directory", file=sys.stderr)
-        return EXIT_CONFIG
+    except (OSError, ValueError) as e:   # unreadable or rejected config
+        # file, or a bad DMVI_SEED: out and run are known from the flags
+        # and the defaults unless a config file could have named them.
+        code = EXIT_IO if isinstance(e, OSError) else EXIT_CONFIG
+        args = _build_parser().parse_args(argv)
+        reads_run = "run" in _SUBCOMMANDS[args.command][1]
+        out, run = args.out, getattr(args, "run", None)
+        if not args.config:
+            out, run = out or ExperimentConfig.out, run or ExperimentConfig.run
+        if out is None or (reads_run and run is None):
+            print(f"error: {e}", file=sys.stderr)
+            return code
+        return _fail(out, code, e, run)
+    if "run" in _SUBCOMMANDS[cfg.command][1] and _is_run_dir(cfg.out, cfg.run):
+        return _fail(cfg.out, EXIT_CONFIG,
+                     ContractError(f"--out {cfg.out!r} is the run directory"),
+                     cfg.run)
     try:
         out = execute(cfg)
     except (ContractError, ShapeError) as e:

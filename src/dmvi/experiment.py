@@ -224,6 +224,8 @@ def load_run(run_dir: str):
     written under another configuration than the run's config.ini, and data
     whose digest differs from the one the run recorded in summary.csv.
     """
+    if not os.path.isdir(run_dir):
+        raise ContractError(f"run directory {run_dir!r} does not exist")
     # The status comes first: a failed command leaves only its status.json.
     try:
         with open(os.path.join(run_dir, "status.json")) as f:

@@ -219,9 +219,11 @@ def test_env_seed_beats_flags(monkeypatch):
     assert cfg.seed == 99
 
 
-def test_bad_env_seed_is_config_error(monkeypatch):
+def test_bad_env_seed_is_config_error(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("DMVI_SEED", "abc")
     assert cli.main(["train"]) == 2
+    assert _read_json(tmp_path / "run_out" / "status.json")["exit_code"] == 2
 
 
 def test_unknown_subcommand_exits_two():
@@ -575,8 +577,11 @@ def test_inspect_of_non_array_file_is_io_error(tmp_path):
     assert _read_json(out / "status.json")["exit_code"] == 4
 
 
-def test_unreadable_config_file_is_io_error(tmp_path):
+def test_unreadable_config_file_is_io_error(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     assert cli.main(["train", "--config", str(tmp_path / "missing.ini")]) == 4
+    # The file could have named the output directory, so none is written.
+    assert sorted(os.listdir(tmp_path)) == []
 
 
 def test_missing_data_file_is_io_error(tmp_path):
@@ -679,6 +684,9 @@ _EXIT_CODES = [
                                    _estimate_run(tmp, run)],
                  2, "was written by 'estimate-kl', not by train",
                  id="run-not-from-train"),
+    pytest.param(lambda tmp, run: ["surgery", "--num-z", "16", "--run",
+                                   str(tmp / "no-such-run")],
+                 2, "does not exist", id="missing-run-directory"),
     pytest.param(lambda tmp, run: ["estimate-kl", "--run", str(run),
                                    "--config", _ini(tmp, "[estimate]\n"
                                                     "method = median\n")],
@@ -740,15 +748,26 @@ def test_validate_rejects_a_value_outside_its_choices(name):
 @pytest.mark.parametrize("command", ["estimate-kl", "surgery",
                                      "low-posterior", "diversity"])
 def test_out_equal_to_run_leaves_the_run_untouched(tiny_run, tmp_path,
-                                                   command):
-    run = tmp_path / "run"
+                                                   monkeypatch, command):
+    # The run sits at the default --out, so a command given no --out, or
+    # one whose config file is rejected, must not touch it either.
+    monkeypatch.chdir(tmp_path)
+    run = tmp_path / ExperimentConfig.out
     shutil.copytree(tiny_run, run)
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[bogus]\n")
     before = {name: hashlib.sha256(data).digest()
               for name, data in _artifacts(run).items()}
-    for out in (str(run), str(run) + "/."):
-        assert cli.main([command, "--run", str(run), "--out", out]) == 2
+    for argv in ([command, "--run", str(run), "--out", str(run)],
+                 [command, "--run", str(run), "--out", str(run) + "/."],
+                 [command, "--run", ExperimentConfig.out],
+                 [command, "--run", str(run), "--out", str(run),
+                  "--config", str(bad)],
+                 [command, "--run", ExperimentConfig.out, "--config", str(bad)],
+                 [command, "--config", str(bad)]):
+        assert cli.main(argv) == 2, argv
         assert {name: hashlib.sha256(data).digest()
-                for name, data in _artifacts(run).items()} == before
+                for name, data in _artifacts(run).items()} == before, argv
     assert cli.main(["surgery", "--run", str(run), "--num-z", "16",
                      "--out", str(tmp_path / "surgery")]) == 0
 
@@ -810,20 +829,29 @@ def test_rerun_replaces_artifacts_instead_of_writing_through(
 
 
 @pytest.mark.parametrize("argv, code, names", _REPLACED)
-def test_failed_rerun_leaves_only_its_error_status(tiny_run, tmp_path, argv,
-                                                   code, names):
+def test_failed_rerun_leaves_only_its_error_status(tiny_run, tmp_path,
+                                                   monkeypatch, argv, code,
+                                                   names):
     out, bad = tmp_path / "out", tmp_path / "bad.ini"
     bad.write_text("[estimate]\nmethod = median\n")
     argv = argv(tmp_path, tiny_run) + ["--out", str(out)]
-    assert cli.main(argv) == code
-    (out / "notes.txt").write_text("not an artifact")
-    assert cli.main(argv + ["--config", str(bad)]) == 2
-    assert sorted(_artifacts(out)) == ["notes.txt", "status.json"]
-    assert _read_json(out / "status.json")["exit_code"] == 2
-    assert cli.main(["surgery", "--run", str(out), "--num-z", "16",
-                     "--out", str(tmp_path / "next")]) == 2
-    assert "did not finish" in _read_json(tmp_path / "next" / "status.json")[
-        "error"]
+    # A rejected or unreadable config file, and a bad DMVI_SEED.
+    for fail, seed, failed_code in (
+            (["--config", str(bad)], None, 2),
+            (["--config", str(tmp_path / "missing.ini")], None, 4),
+            ([], "abc", 2)):
+        assert cli.main(argv) == code
+        (out / "notes.txt").write_text("not an artifact")
+        with monkeypatch.context() as env:
+            if seed is not None:
+                env.setenv("DMVI_SEED", seed)
+            assert cli.main(argv + fail) == failed_code
+        assert sorted(_artifacts(out)) == ["notes.txt", "status.json"]
+        assert _read_json(out / "status.json")["exit_code"] == failed_code
+        assert cli.main(["surgery", "--run", str(out), "--num-z", "16",
+                         "--out", str(tmp_path / "next")]) == 2
+        assert "did not finish" in _read_json(
+            tmp_path / "next" / "status.json")["error"]
 
 
 def test_module_entry_point(tmp_path):
