@@ -6,9 +6,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distributions import LOGVAR_FLOOR, kl_standard_np
+from .distributions import LOGVAR_FLOOR, DiagGaussian, kl_standard_np
 from .errors import ContractError, ShapeError
-from .estimators import marginal_log_q, _posterior_arrays
+from .estimators import marginal_log_q
 from .models import ModelBundle
 from .rng import RngStream
 
@@ -16,27 +16,27 @@ from .rng import RngStream
 SPARSE_BELOW = 0.01
 
 
-def low_posterior_samples(bundle: ModelBundle, data: np.ndarray,
+def low_posterior_samples(bundle: ModelBundle, post: DiagGaussian,
                           num_z: int, n: int, rng: RngStream) -> dict:
     """Decode the n prior draws (out of num_z) where q(z) is smallest.
 
-    Returns latents, decoded point reconstructions, and scores, all sorted
-    ascending by marginal log q. The candidate scores are included so
-    selection can be re-checked externally.
+    ``post`` holds the data's row-wise posteriors that make up q(z); the
+    bundle decodes. Returns latents, decoded point reconstructions, and
+    scores, all sorted ascending by marginal log q.
     """
     if not (1 <= n <= num_z):
         raise ContractError("need 1 <= n <= num_z")
     candidates = rng.normal((num_z, bundle.latent))
-    scores = marginal_log_q(candidates, bundle, data)
+    scores = marginal_log_q(candidates, post)
     order = np.argsort(scores, kind="stable")[:n]
     picked = candidates[order]
     decoded = bundle.decode_mean(picked).data
-    return {"latents": picked, "decoded": decoded,
-            "log_q": scores[order], "candidate_log_q": scores}
+    return {"latents": picked, "decoded": decoded, "log_q": scores[order]}
 
 
-def posterior_kl_stats(bundle: ModelBundle, data: np.ndarray) -> dict:
-    """Per-dimension KL profile plus collapse/sparsity summaries.
+def posterior_kl_stats(post: DiagGaussian) -> dict:
+    """Per-dimension KL profile plus collapse/sparsity summaries of the
+    data's row-wise posteriors ``post``.
 
     A unit counts as floored when its median data row has the posterior
     variance clamped at the floor. Trained encoders never drive every row
@@ -44,16 +44,13 @@ def posterior_kl_stats(bundle: ModelBundle, data: np.ndarray) -> dict:
     updates serving the rest of the batch), so the median is the reading
     that detects a collapsed unit without false negatives.
     """
-    mean, logvar = _posterior_arrays(bundle, data)
-    per = kl_standard_np(mean, logvar)
-    per_dim = per.mean(axis=0)
+    logvar = post.logvar.data
+    per_dim = kl_standard_np(post.mean.data, logvar).mean(axis=0)
     floored = (logvar <= LOGVAR_FLOOR + 1e-12).mean(axis=0)
     return {
         "per_dim_kl": per_dim,
-        "per_example_kl": per.sum(axis=1),
         "sparsity_fraction": float((per_dim < SPARSE_BELOW).mean()),
         "floor_fraction": float((floored >= 0.5).mean()),
-        "max_abs_mean": float(np.abs(mean).max()),
     }
 
 
@@ -97,12 +94,6 @@ def _window_stats(images: np.ndarray, kernel: np.ndarray):
     return mu, var
 
 
-def _check_window_fits(shape: tuple) -> None:
-    if SSIM_WINDOW > min(shape):
-        raise ContractError(
-            f"window {SSIM_WINDOW} exceeds image extent {min(shape)}")
-
-
 def _ssim_row(images: np.ndarray, mu: np.ndarray, var: np.ndarray, i: int,
               kernel: np.ndarray) -> np.ndarray:
     """Mean SSIM of image i against each later image of the stack.
@@ -120,23 +111,8 @@ def _ssim_row(images: np.ndarray, mu: np.ndarray, var: np.ndarray, i: int,
     return (num / den).reshape(len(mu_b), -1).mean(axis=1)
 
 
-def ssim(a: np.ndarray, b: np.ndarray) -> float:
-    """Single-scale structural similarity on the valid region, in [-1, 1]."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError(f"image shapes differ: {a.shape} vs {b.shape}")
-    if a.ndim != 2:
-        raise ShapeError(f"need 2-D images, got shape {a.shape}")
-    _check_window_fits(a.shape)
-    kernel = _gaussian_window(SSIM_WINDOW, SSIM_SIGMA)
-    pair = np.stack([a, b])
-    mu, var = _window_stats(pair, kernel)
-    return float(_ssim_row(pair, mu, var, 0, kernel)[0])
-
-
 def diversity(batch: np.ndarray) -> float:
-    """Mean over distinct image pairs of 1 - ssim; 0 means all identical.
+    """Mean over distinct image pairs of 1 - SSIM; 0 means all identical.
 
     Each image's window statistics are computed once; each row of pairs
     (i, j > i) is scored in one batched pass, so working memory stays
@@ -155,7 +131,9 @@ def diversity(batch: np.ndarray) -> float:
     n = batch.shape[0]
     if n < 2:
         raise ContractError("diversity needs at least two images")
-    _check_window_fits(batch.shape[1:])
+    if SSIM_WINDOW > min(batch.shape[1:]):
+        raise ContractError(f"window {SSIM_WINDOW} exceeds image extent "
+                            f"{min(batch.shape[1:])}")
     kernel = _gaussian_window(SSIM_WINDOW, SSIM_SIGMA)
     mu, var = _window_stats(batch, kernel)
     total = 0.0

@@ -233,14 +233,11 @@ def mean_stderr(terms: np.ndarray):
     return float(terms.mean()), stderr
 
 
-def log_mean_exp(values, axis=None):
-    """log(mean(exp(values))), max-shifted so huge inputs do not overflow."""
+def log_mean_exp(values, axis: int) -> np.ndarray:
+    """log(mean(exp(values))) along ``axis``, max-shifted against overflow."""
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise ContractError("log_mean_exp of an empty collection")
-    if axis is None:
-        hi = float(values.max())
-        return float(np.log(np.mean(np.exp(values - hi))) + hi)
     hi = values.max(axis=axis, keepdims=True)
     out = np.log(np.mean(np.exp(values - hi), axis=axis, keepdims=True)) + hi
     return np.squeeze(out, axis=axis)

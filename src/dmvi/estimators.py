@@ -1,10 +1,11 @@
 """Estimating KL(q(z) ‖ p(z)) three ways, plus the KL decomposition.
 
-q(z) is the dataset-averaged posterior (1/N) Σ_n q(z|x_n). The Monte Carlo
-route evaluates that mixture exactly at sampled codes; the ratio route
-trains a classifier between code samples and prior samples and reads the
-KL off its odds; the density route fits an explicit model to code samples
-and plugs it in. All three report a standard error over their per-sample
+q(z) is the dataset-averaged posterior (1/N) Σ_n q(z|x_n); every function
+here reads it as ``post``, the data's N row-wise posteriors, encoded once
+by the caller. The Monte Carlo route evaluates that mixture exactly at
+sampled codes; the ratio route trains a classifier between code samples
+and prior samples and reads the KL off its odds; the density route fits an
+explicit model to code samples and plugs it in. All three report a standard error over their per-sample
 terms and serialize to the same JSON record shape.
 """
 
@@ -28,7 +29,7 @@ from .distributions import (
     reparam,
 )
 from .errors import ContractError, NumericsError
-from .models import PROB_CLAMP, ModelBundle, bce
+from .models import PROB_CLAMP, bce
 from . import engine
 from .nn import MLP
 from .optim import Adam, minimize
@@ -60,53 +61,42 @@ class EstimateReport:
                 "config_hash": config_hash}
 
 
-def _posterior_arrays(bundle: ModelBundle, data: np.ndarray):
-    q = bundle.posterior(data)
-    return q.mean.data, q.logvar.data
-
-
-def marginal_log_q(z, bundle: ModelBundle, data: np.ndarray):
-    """log (1/N) Σ_n q(z|x_n) at each row of z.
-
-    Exact mixture evaluation over the full dataset; scalar out for a
-    single z vector, array out for a batch. The two forms agree to rounding:
-    BLAS may sum a one-row product in another order than a block of rows.
-    """
-    if data.shape[0] == 0:
+def marginal_log_q(z: np.ndarray, post: DiagGaussian) -> np.ndarray:
+    """log (1/N) Σ_n q(z|x_n) at each row of z, for the N row-wise
+    posteriors q(z|x_n) in ``post``: the exact mixture, scored in blocks."""
+    if post.mean.shape[0] == 0:
         raise ContractError("marginal density needs a non-empty dataset")
     z = np.asarray(z, dtype=np.float64)
-    single = z.ndim == 1
-    z2 = np.atleast_2d(z)
-    score = gauss_logpdf_pairs(*_posterior_arrays(bundle, data))
-    out = np.empty(z2.shape[0])
-    for lo in range(0, z2.shape[0], _CHUNK):
-        out[lo:lo + _CHUNK] = log_mean_exp(score(z2[lo:lo + _CHUNK]), axis=1)
-    return float(out[0]) if single else out
+    score = gauss_logpdf_pairs(post.mean.data, post.logvar.data)
+    out = np.empty(z.shape[0])
+    for lo in range(0, z.shape[0], _CHUNK):
+        out[lo:lo + _CHUNK] = log_mean_exp(score(z[lo:lo + _CHUNK]), axis=1)
+    return out
 
 
-def _sample_codes(bundle: ModelBundle, data: np.ndarray, num_z: int,
+def _sample_codes(post: DiagGaussian, num_z: int,
                   rng: RngStream) -> np.ndarray:
-    """num_z draws z ~ q(z|x) with x resampled from the data each time."""
-    idx = rng.integers(0, data.shape[0], (num_z,))
-    q = bundle.posterior(data[idx])
-    return reparam(q, rng.normal(q.mean.data.shape)).data
+    """num_z draws z ~ q(z), each from the posterior of a row of ``post``
+    picked uniformly at random."""
+    idx = rng.integers(0, post.mean.shape[0], (num_z,))
+    q = DiagGaussian(post.mean.data[idx], post.logvar.data[idx])
+    return reparam(q, rng.normal(q.mean.shape)).data
 
 
-def mc_marginal_kl(bundle: ModelBundle, data: np.ndarray, num_z: int,
+def mc_marginal_kl(post: DiagGaussian, num_z: int,
                    rng: RngStream) -> EstimateReport:
     """Monte Carlo estimate: mean over codes of log q(z) - log p(z)."""
     if num_z < 1:
         raise ContractError("num_z must be positive")
-    z = _sample_codes(bundle, data, num_z, rng)
-    prior = StandardPrior(bundle.latent)
-    value, stderr = mean_stderr(marginal_log_q(z, bundle, data)
-                                - prior.log_prob(z))
-    return EstimateReport("mc", value, stderr, num_z, inner=data.shape[0])
+    z = _sample_codes(post, num_z, rng)
+    prior = StandardPrior(z.shape[1])
+    value, stderr = mean_stderr(marginal_log_q(z, post) - prior.log_prob(z))
+    return EstimateReport("mc", value, stderr, num_z, inner=post.mean.shape[0])
 
 
-def avg_posterior_kl(bundle: ModelBundle, data: np.ndarray) -> float:
+def avg_posterior_kl(post: DiagGaussian) -> float:
     """Closed-form E_data KL(q(z|x) ‖ p(z))."""
-    per_row = kl_standard_np(*_posterior_arrays(bundle, data)).sum(axis=1)
+    per_row = kl_standard_np(post.mean.data, post.logvar.data).sum(axis=1)
     return float(per_row.mean())
 
 
@@ -118,22 +108,21 @@ def marginal_kl_floor(avg_posterior_kl: float, n: int) -> float:
     return avg_posterior_kl - float(np.log(n))
 
 
-def surgery_decompose(bundle: ModelBundle, data: np.ndarray, num_z: int,
-                      rng: RngStream) -> dict:
+def surgery_decompose(post: DiagGaussian, num_z: int, rng: RngStream) -> dict:
     """Split the average posterior KL into marginal KL plus mutual info.
 
     The identity avg = marginal + mi holds by construction here (mi is the
     difference); the informative outputs are the MC marginal value, its
     stderr, and the ln N floor.
     """
-    avg = avg_posterior_kl(bundle, data)
-    report = mc_marginal_kl(bundle, data, num_z, rng)
+    avg = avg_posterior_kl(post)
+    report = mc_marginal_kl(post, num_z, rng)
     return {
         "avg_kl": avg,
         "marginal_kl": report.value,
         "mutual_info": avg - report.value,
         "stderr": report.stderr,
-        "floor": marginal_kl_floor(avg, data.shape[0]),
+        "floor": marginal_kl_floor(avg, post.mean.shape[0]),
         "num_z": num_z,
     }
 
@@ -351,11 +340,11 @@ def ar_fit(samples: np.ndarray, cfg: ExperimentConfig,
     return model
 
 
-def density_model_kl(model, bundle: ModelBundle, data: np.ndarray,
-                     num_z: int, rng: RngStream) -> EstimateReport:
+def density_model_kl(model, post: DiagGaussian, num_z: int,
+                     rng: RngStream) -> EstimateReport:
     """Plug-in estimate with a fitted density t: mean of log t(z) - log p(z)."""
-    z = _sample_codes(bundle, data, num_z, rng)
-    prior = StandardPrior(bundle.latent)
+    z = _sample_codes(post, num_z, rng)
+    prior = StandardPrior(z.shape[1])
     value, stderr = mean_stderr(model.log_prob(z) - prior.log_prob(z))
     method = "gmm" if isinstance(model, GmmModel) else "ar"
     return EstimateReport(method, value, stderr, num_z, inner=1)

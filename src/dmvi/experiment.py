@@ -273,24 +273,25 @@ def _cmd_train(cfg: ExperimentConfig):
 
 
 def _load_posterior_run(cfg: ExperimentConfig):
-    """``load_run`` for the commands that read the encoder's posterior; a
-    run without one (a GAN) is a config error."""
+    """``load_run`` for the commands that read the aggregate posterior q(z):
+    the bundle and the run's data encoded once, its N row-wise posteriors.
+    A run without an encoder (a GAN) is a config error."""
     bundle, data, _src = load_run(cfg.run)
     if bundle.encoder is None:
         raise ContractError(f"run {cfg.run!r} has no encoder; "
                             f"{cfg.command} needs its posterior")
-    return bundle, data
+    return bundle, bundle.posterior(data)
 
 
 def _cmd_estimate(cfg: ExperimentConfig):
     from . import estimators as est
 
-    bundle, data = _load_posterior_run(cfg)
+    bundle, post = _load_posterior_run(cfg)
     rng = RngStream(cfg.seed).child("estimate")
     if cfg.method == "mc":
-        report = est.mc_marginal_kl(bundle, data, cfg.num_z, rng)
+        report = est.mc_marginal_kl(post, cfg.num_z, rng)
     else:
-        codes = est._sample_codes(bundle, data, cfg.num_z, rng.child("codes"))
+        codes = est._sample_codes(post, cfg.num_z, rng.child("codes"))
         if cfg.method == "ratio":
             prior = est.StandardPrior(bundle.latent).sample(rng.child("prior"),
                                                             cfg.num_z)
@@ -299,7 +300,7 @@ def _cmd_estimate(cfg: ExperimentConfig):
             model = (est.gmm_fit(codes, cfg.gmm_k, cfg.gmm_iters,
                                  rng.child("fit")) if cfg.method == "gmm"
                      else est.ar_fit(codes, cfg, rng.child("fit")))
-            report = est.density_model_kl(model, bundle, data, cfg.num_z,
+            report = est.density_model_kl(model, post, cfg.num_z,
                                           rng.child("eval"))
     payload = report.to_json(cfg.config_hash().hex())
     write_json(cfg.out, "report.json", payload)
@@ -314,10 +315,10 @@ def _cmd_surgery(cfg: ExperimentConfig):
     from .diagnostics import posterior_kl_stats
     from .estimators import surgery_decompose
 
-    bundle, data = _load_posterior_run(cfg)
+    _bundle, post = _load_posterior_run(cfg)
     rng = RngStream(cfg.seed).child("surgery")
-    parts = surgery_decompose(bundle, data, cfg.num_z, rng)
-    stats = posterior_kl_stats(bundle, data)
+    parts = surgery_decompose(post, cfg.num_z, rng)
+    stats = posterior_kl_stats(post)
     parts.update(per_dim_kl=stats["per_dim_kl"].tolist(),
                  sparsity_fraction=stats["sparsity_fraction"],
                  floor_fraction=stats["floor_fraction"])
@@ -331,9 +332,9 @@ def _cmd_surgery(cfg: ExperimentConfig):
 def _cmd_low_posterior(cfg: ExperimentConfig):
     from .diagnostics import low_posterior_samples
 
-    bundle, data = _load_posterior_run(cfg)
+    bundle, post = _load_posterior_run(cfg)
     rng = RngStream(cfg.seed).child("low_posterior")
-    result = low_posterior_samples(bundle, data, cfg.num_z, cfg.low_n, rng)
+    result = low_posterior_samples(bundle, post, cfg.num_z, cfg.low_n, rng)
     for name in ("latents", "decoded"):
         with new_file(os.path.join(cfg.out, name + ".npy"), "wb") as f:
             np.save(f, result[name])

@@ -178,7 +178,7 @@ def test_closed_form_kl_matches_monte_carlo():
 
 def test_surgery_identity_and_floor_band(toy_vae):
     t0 = time.perf_counter()
-    rep = surgery_decompose(toy_vae.bundle, toy_vae.data, 1024,
+    rep = surgery_decompose(toy_vae.bundle.posterior(toy_vae.data), 1024,
                             RngStream(3).child("mc"))
     dt = time.perf_counter() - t0
     identity = (rep["avg_kl"] - rep["marginal_kl"]) - rep["mutual_info"]
@@ -224,8 +224,9 @@ def test_ratio_estimator_sanity(toy_vae):
             bundle, _ = train_vae(toy_vae.data, cfg)
             data = toy_vae.data
         r = RngStream(9000 + seed)
-        mc = mc_marginal_kl(bundle, data, 1024, r.child("mc"))
-        codes = _sample_codes(bundle, data, 8000, r.child("codes"))
+        post = bundle.posterior(data)
+        mc = mc_marginal_kl(post, 1024, r.child("mc"))
+        codes = _sample_codes(post, 8000, r.child("codes"))
         prior = StandardPrior(bundle.latent).sample(r.child("prior"), 8000)
         est = ratio_kl(codes, prior,
                        ExperimentConfig(ratio_hidden=128, ratio_layers=3,
@@ -296,7 +297,7 @@ def test_visible_distribution_tradeoff():
             cfg = ExperimentConfig(latent=8, hidden=64, iters=1000, batch=64,
                               seed=seed, visible=visible, log_every=1000)
             bundle, _ = train_vae(data, cfg)
-            pair[visible] = (avg_posterior_kl(bundle, data),
+            pair[visible] = (avg_posterior_kl(bundle.posterior(data)),
                              _recon_nats(bundle, data))
         rows.append(pair)
     dt = time.perf_counter() - t0
@@ -317,14 +318,15 @@ def test_visible_distribution_tradeoff():
 
 def test_lowest_scoring_selection_exact(vae_small):
     t0 = time.perf_counter()
+    post = vae_small.bundle.posterior(vae_small.data)
     for i in range(8):
         r = RngStream(40 + i)
         num_z = int(r.integers(40, 160, (1,))[0])
         n = int(r.integers(1, num_z + 1, (1,))[0])
-        res = low_posterior_samples(vae_small.bundle, vae_small.data,
-                                    num_z, n, r.child("lp"))
+        res = low_posterior_samples(vae_small.bundle, post, num_z, n,
+                                    r.child("lp"))
         cand = r.child("lp").normal((num_z, vae_small.cfg.latent))
-        scores = marginal_log_q(cand, vae_small.bundle, vae_small.data)
+        scores = marginal_log_q(cand, post)
         order = np.argsort(scores, kind="stable")[:n]
         assert np.array_equal(res["latents"], cand[order])
         assert np.array_equal(res["log_q"], np.sort(scores)[:n])
@@ -349,7 +351,7 @@ def test_representation_contrast():
             cfg = ExperimentConfig(latent=16, hidden=64, iters=8000, batch=64,
                               seed=seed, lr=5e-3, log_every=8000)
             bundle, _ = trainer(data, cfg)
-            stats[name] = posterior_kl_stats(bundle, data)
+            stats[name] = posterior_kl_stats(bundle.posterior(data))
         v, a = stats["vae"], stats["aae"]
         wins += v["sparsity_fraction"] > a["sparsity_fraction"]
         floors += a["floor_fraction"] >= 0.5

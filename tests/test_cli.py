@@ -25,6 +25,7 @@ from dmvi.errors import ContractError
 from dmvi.estimators import surgery_decompose
 from dmvi.experiment import (SETTINGS, ExperimentConfig, execute, load_run,
                              write_json)
+from dmvi.models import ModelBundle
 from dmvi.rng import RngStream
 
 
@@ -365,8 +366,9 @@ def test_surgery_reports_the_posterior_kl_table(tiny_run, tmp_path):
                      "--out", str(out), "--seed", "5"]) == 0
     rep = _read_json(out / "report.json")
     bundle, data, src = load_run(str(tiny_run))
-    stats = posterior_kl_stats(bundle, data)
-    parts = surgery_decompose(bundle, data, 64, RngStream(5).child("surgery"))
+    post = bundle.posterior(data)
+    stats = posterior_kl_stats(post)
+    parts = surgery_decompose(post, 64, RngStream(5).child("surgery"))
     assert len(rep["per_dim_kl"]) == src.latent
     assert rep["per_dim_kl"] == stats["per_dim_kl"].tolist()
     for name in ("sparsity_fraction", "floor_fraction"):
@@ -402,6 +404,29 @@ def test_low_posterior_artifacts(tiny_run, tmp_path):
     assert lines[0] == "rank,log_q"
     scores = [float(l.split(",")[1]) for l in lines[1:]]
     assert scores == sorted(scores) and len(scores) == 6
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate-kl", "--method", "mc"],
+    ["estimate-kl", "--method", "ratio", "--ratio-iters", "5"],
+    ["estimate-kl", "--method", "gmm", "--gmm-iters", "2"],
+    ["estimate-kl", "--method", "ar", "--ar-iters", "5"],
+    ["surgery"],
+    ["low-posterior", "--n", "4"],
+], ids=["mc", "ratio", "gmm", "ar", "surgery", "low-posterior"])
+def test_posterior_commands_encode_the_data_once(tiny_run, tmp_path,
+                                                 monkeypatch, argv):
+    rows = []
+    encode = ModelBundle.posterior
+
+    def counting(bundle, x):
+        rows.append(len(x))
+        return encode(bundle, x)
+
+    monkeypatch.setattr(ModelBundle, "posterior", counting)
+    assert cli.main(argv + ["--run", str(tiny_run), "--num-z", "32",
+                            "--out", str(tmp_path / "out")]) == 0
+    assert rows == [64]         # one call, over all of the run's data
 
 
 def test_diversity_report(tiny_run, tmp_path):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dmvi import engine, optim
+from dmvi import diagnostics, engine, estimators, optim
 from dmvi.errors import ContractError, NumericsError, ShapeError
 from dmvi.estimators import ar_fit, ratio_kl
 from dmvi.experiment import ExperimentConfig
@@ -624,14 +624,14 @@ def _engine_references():
     return refs
 
 
-def _traced_engine_ops():
-    """The engine functions named in the tracer's ENGINE_OPS table."""
+def _tracer_table(name: str):
+    """The literal table ``name`` of perfbench/tracer.py, read from its AST."""
     tree = ast.parse((_ROOT / "perfbench" / "tracer.py").read_text())
     for node in tree.body:
         if (isinstance(node, ast.Assign)
-                and getattr(node.targets[0], "id", None) == "ENGINE_OPS"):
-            return set(ast.literal_eval(node.value).values())
-    raise AssertionError("perfbench/tracer.py has no ENGINE_OPS table")
+                and getattr(node.targets[0], "id", None) == name):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"perfbench/tracer.py has no {name} table")
 
 
 def test_every_engine_op_has_a_caller():
@@ -640,5 +640,33 @@ def test_every_engine_op_has_a_caller():
     # read from the source.
     public = {name for name, fn in inspect.getmembers(engine, inspect.isfunction)
               if fn.__module__ == engine.__name__ and not name.startswith("_")}
-    orphans = public - _engine_references() - _traced_engine_ops()
+    traced = set(_tracer_table("ENGINE_OPS").values())
+    orphans = public - _engine_references() - traced
     assert not orphans, f"engine ops no command reaches: {sorted(orphans)}"
+
+
+def _package_references():
+    """Every name the package's modules load, bare, as an attribute or
+    through an import; a ``def`` alone is not a reference."""
+    refs = set()
+    for path in (_ROOT / "src" / "dmvi").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                refs.update(alias.name for alias in node.names)
+    return refs
+
+
+@pytest.mark.parametrize("module", [estimators, diagnostics],
+                         ids=["estimators", "diagnostics"])
+def test_every_analysis_function_has_a_caller(module):
+    short = module.__name__.rsplit(".", 1)[1]
+    public = {name for name, fn in inspect.getmembers(module, inspect.isfunction)
+              if fn.__module__ == module.__name__ and not name.startswith("_")}
+    traced = {attr for _, owner, attr, _ in _tracer_table("FUNCTIONS")
+              if owner == short}
+    orphans = public - _package_references() - traced
+    assert not orphans, f"{short} functions no command reaches: {sorted(orphans)}"

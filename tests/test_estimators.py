@@ -1,17 +1,18 @@
 """Marginal-KL estimators.
 
-The exact cases ride on hand-wired encoders: zeroing an MLP makes it the
-constant function, and a two-unit relu pair (x = relu(x) - relu(-x))
-makes the encoder an exact identity map, giving posteriors with known
-closed forms. Quadrature truths for the two-point mixture were computed
-with scipy.integrate.quad and are asserted both frozen and live.
+Every estimator reads the data's row-wise posteriors, a DiagGaussian
+table. The exact cases fix that table: all rows at the prior, or the
+two-point mixture of a hand-wired encoder whose two-unit relu pair
+(x = relu(x) - relu(-x)) makes it an exact identity map. Quadrature truths
+for the two-point mixture were computed with scipy.integrate.quad and are
+asserted both frozen and live.
 """
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from dmvi.distributions import gauss_logpdf_np
+from dmvi.distributions import DiagGaussian, gauss_logpdf_np, reparam
 from dmvi.errors import ContractError
 from dmvi.estimators import (
     ArGaussModel,
@@ -41,17 +42,18 @@ MIX_AVG_KL = 0.818147180559945   # 0.5 (1 + 0.25 - 1 - ln 0.25), both points
 MIX_MUTUAL_INFO = MIX_AVG_KL - MIX_MARGINAL_KL
 
 
-def _zeroed_encoder_bundle(latent=2, data_dim=4):
-    cfg = ExperimentConfig(latent=latent, hidden=8, visible="real")
-    b = build_bundle(cfg, data_dim, RngStream(0).child("init"))
+def _prior_posterior(n: int, latent: int = 2) -> DiagGaussian:
+    """n rows whose posterior is the prior N(0, I)."""
+    return DiagGaussian(np.zeros((n, latent)), np.zeros((n, latent)))
+
+
+def _two_point_posterior() -> DiagGaussian:
+    """q(z|x) = N(x, 0.25) at x = -1 and x = 1, from a 1-D encoder wired to
+    compute it exactly."""
+    cfg = ExperimentConfig(latent=1, hidden=8, visible="real")
+    b = build_bundle(cfg, 1, RngStream(0).child("init"))
     for p in b.encoder.parameters():
         p.data[...] = 0.0
-    return b
-
-
-def _identity_encoder_bundle(logvar_value: float):
-    """1-D encoder computing q(z|x) = N(x, exp(logvar_value)) exactly."""
-    b = _zeroed_encoder_bundle(latent=1, data_dim=1)
     named = b.encoder.named_parameters()
     named["enc.fc0.W"].data[0, 0] = 1.0
     named["enc.fc0.W"].data[0, 1] = -1.0
@@ -59,12 +61,8 @@ def _identity_encoder_bundle(logvar_value: float):
     named["enc.fc1.W"].data[1, 1] = 1.0
     named["enc.fc2.W"].data[0, 0] = 1.0
     named["enc.fc2.W"].data[1, 0] = -1.0
-    named["enc.fc2.b"].data[1] = logvar_value
-    return b
-
-
-def _two_point_bundle():
-    return _identity_encoder_bundle(np.log(0.25)), np.array([[-1.0], [1.0]])
+    named["enc.fc2.b"].data[1] = np.log(0.25)
+    return b.posterior(np.array([[-1.0], [1.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -72,36 +70,25 @@ def _two_point_bundle():
 
 
 def test_identity_encoder_is_exact():
-    b, data = _two_point_bundle()
-    q = b.posterior(data)
-    assert np.array_equal(q.mean.data, data)
+    q = _two_point_posterior()
+    assert np.array_equal(q.mean.data, [[-1.0], [1.0]])
     assert np.allclose(np.exp(q.logvar.data), 0.25, atol=1e-15)
 
 
 def test_marginal_log_q_two_component_mixture():
-    b, data = _two_point_bundle()
     z = np.linspace(-3.0, 3.0, 41)[:, None]
-    got = marginal_log_q(z, b, data)
+    got = marginal_log_q(z, _two_point_posterior())
     want = np.log(0.5 * stats.norm.pdf(z[:, 0], -1.0, 0.5)
                   + 0.5 * stats.norm.pdf(z[:, 0], 1.0, 0.5))
     assert np.abs(got - want).max() < 1e-10
 
 
-def test_marginal_log_q_scalar_and_batch_forms():
-    b, data = _two_point_bundle()
-    single = marginal_log_q(np.array([0.3]), b, data)
-    assert isinstance(single, float)
-    batch = marginal_log_q(np.array([[0.3], [0.4]]), b, data)
-    assert batch.shape == (2,)
-    assert batch[0] == single
-
-
 def test_marginal_log_q_chunking_consistent():
     # 130 query rows cross several chunk boundaries and end in a partial chunk.
-    b, data = _two_point_bundle()
+    post = _two_point_posterior()
     z = RngStream(1).normal((130, 1))
-    batch = marginal_log_q(z, b, data)
-    rows = np.array([marginal_log_q(z[i], b, data) for i in range(130)])
+    batch = marginal_log_q(z, post)
+    rows = np.array([marginal_log_q(z[i:i + 1], post)[0] for i in range(130)])
     assert np.array_equal(batch, rows)
 
 
@@ -109,8 +96,8 @@ def test_marginal_log_q_permutation_invariant(vae_small):
     data = vae_small.data
     z = RngStream(2).normal((20, vae_small.cfg.latent))
     perm = RngStream(3).permutation(data.shape[0])
-    a = marginal_log_q(z, vae_small.bundle, data)
-    c = marginal_log_q(z, vae_small.bundle, data[perm])
+    a = marginal_log_q(z, vae_small.bundle.posterior(data))
+    c = marginal_log_q(z, vae_small.bundle.posterior(data[perm]))
     assert np.allclose(a, c, rtol=0.0, atol=1e-12)
 
 
@@ -123,17 +110,32 @@ def test_marginal_log_q_single_row_matches_batch_to_rounding(vae_small):
     wide = build_bundle(ExperimentConfig(latent=16, hidden=64), data.shape[1],
                         RngStream(6).child("init"))
     for bundle in (vae_small.bundle, wide):
+        post = bundle.posterior(data)
         z = RngStream(7).normal((130, bundle.latent))
-        batch = marginal_log_q(z, bundle, data)
-        rows = np.array([marginal_log_q(z[i], bundle, data)
+        batch = marginal_log_q(z, post)
+        rows = np.array([marginal_log_q(z[i:i + 1], post)[0]
                          for i in range(130)])
         assert np.allclose(rows, batch, rtol=1e-12, atol=0.0)
 
 
 def test_marginal_log_q_empty_dataset_rejected():
-    b = _zeroed_encoder_bundle()
     with pytest.raises(ContractError):
-        marginal_log_q(np.zeros(2), b, np.zeros((0, 4)))
+        marginal_log_q(np.zeros((1, 2)), _prior_posterior(0))
+
+
+@pytest.mark.parametrize("m", [2, 130])
+def test_codes_from_the_table_match_re_encoded_rows(vae_small, m):
+    # The same two draws, rows then noise, taken by hand: reading the picked
+    # rows from the table equals encoding them again, to rounding. A
+    # one-row encoder pass (m = 1) may take another BLAS kernel and differ
+    # in the last bit.
+    bundle, data = vae_small.bundle, vae_small.data
+    got = _sample_codes(bundle.posterior(data), m, RngStream(10))
+    draws = RngStream(10)
+    idx = draws.integers(0, data.shape[0], (m,))
+    eps = draws.normal((m, bundle.latent))
+    want = reparam(bundle.posterior(data[idx]), eps).data
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -141,17 +143,15 @@ def test_marginal_log_q_empty_dataset_rejected():
 
 
 def test_mc_kl_zero_when_posterior_is_prior():
-    b = _zeroed_encoder_bundle()
-    data = RngStream(4).normal((16, 4))
-    rep = mc_marginal_kl(b, data, 500, RngStream(5).child("mc"))
+    rep = mc_marginal_kl(_prior_posterior(16), 500, RngStream(5).child("mc"))
     assert rep.value == 0.0
     assert rep.stderr == 0.0
     assert rep.method == "mc" and rep.num_z == 500 and rep.inner == 16
 
 
 def test_mc_kl_matches_quadrature_on_two_point_case():
-    b, data = _two_point_bundle()
-    rep = mc_marginal_kl(b, data, 10000, RngStream(42).child("mc"))
+    rep = mc_marginal_kl(_two_point_posterior(), 10000,
+                         RngStream(42).child("mc"))
     assert rep.stderr > 0.0
     assert abs(rep.value - MIX_MARGINAL_KL) <= 3.0 * rep.stderr
     # Same truth, live quadrature route.
@@ -164,14 +164,12 @@ def test_mc_kl_matches_quadrature_on_two_point_case():
 
 
 def test_mc_kl_rejects_zero_draws():
-    b = _zeroed_encoder_bundle()
     with pytest.raises(ContractError):
-        mc_marginal_kl(b, np.zeros((4, 4)), 0, RngStream(0))
+        mc_marginal_kl(_prior_posterior(4), 0, RngStream(0))
 
 
 def test_avg_posterior_kl_closed_form():
-    b, data = _two_point_bundle()
-    got = avg_posterior_kl(b, data)
+    got = avg_posterior_kl(_two_point_posterior())
     assert abs(got - MIX_AVG_KL) < 1e-12
 
 
@@ -184,7 +182,7 @@ def test_marginal_kl_floor_values():
 
 
 def test_surgery_identity_is_exact_by_construction(vae_small):
-    s = surgery_decompose(vae_small.bundle, vae_small.data, 256,
+    s = surgery_decompose(vae_small.bundle.posterior(vae_small.data), 256,
                           RngStream(6).child("mc"))
     assert s["avg_kl"] - s["marginal_kl"] - s["mutual_info"] == 0.0
     assert abs(s["floor"]
@@ -192,8 +190,8 @@ def test_surgery_identity_is_exact_by_construction(vae_small):
 
 
 def test_surgery_two_point_terms_match_quadrature():
-    b, data = _two_point_bundle()
-    s = surgery_decompose(b, data, 10000, RngStream(42).child("mc"))
+    s = surgery_decompose(_two_point_posterior(), 10000,
+                          RngStream(42).child("mc"))
     assert abs(s["avg_kl"] - MIX_AVG_KL) < 1e-12
     assert abs(s["marginal_kl"] - MIX_MARGINAL_KL) <= 3.0 * s["stderr"]
     assert abs(s["mutual_info"] - MIX_MUTUAL_INFO) <= 3.0 * s["stderr"]
@@ -202,16 +200,14 @@ def test_surgery_two_point_terms_match_quadrature():
 
 
 def test_surgery_all_zero_at_prior_posterior():
-    b = _zeroed_encoder_bundle()
-    data = RngStream(7).normal((8, 4))
-    s = surgery_decompose(b, data, 200, RngStream(8).child("mc"))
+    s = surgery_decompose(_prior_posterior(8), 200, RngStream(8).child("mc"))
     assert s["avg_kl"] == 0.0
     assert s["marginal_kl"] == 0.0
     assert s["mutual_info"] == 0.0
 
 
 def test_surgery_sandwich_on_trained_model(vae_small):
-    s = surgery_decompose(vae_small.bundle, vae_small.data, 1024,
+    s = surgery_decompose(vae_small.bundle.posterior(vae_small.data), 1024,
                           RngStream(9).child("mc"))
     assert s["floor"] - 3.0 * s["stderr"] <= s["marginal_kl"]
     assert s["marginal_kl"] <= s["avg_kl"] + 3.0 * s["stderr"]
@@ -412,29 +408,25 @@ def test_ar_conditionals_see_only_their_prefix(fit_steps):
 
 
 def test_density_kl_zero_when_model_is_prior():
-    b = _zeroed_encoder_bundle(latent=1, data_dim=1)
     t = GmmModel(np.array([1.0]), np.array([[0.0]]), np.array([[1.0]]), [], 0)
-    rep = density_model_kl(t, b, np.zeros((10, 1)), 500,
+    rep = density_model_kl(t, _prior_posterior(10, latent=1), 500,
                            RngStream(24).child("est"))
     assert rep.value == 0.0
     assert rep.method == "gmm"
 
 
 def test_density_kl_exact_model_recovers_half_nat():
-    # Posterior fixed at N(1,1) by the encoder bias; t set to the same
-    # density; KL(N(1,1) || N(0,1)) = 0.5.
-    b = _zeroed_encoder_bundle(latent=1, data_dim=1)
-    b.encoder.named_parameters()["enc.fc2.b"].data[0] = 1.0
+    # Posterior fixed at N(1,1) on every row; t set to the same density;
+    # KL(N(1,1) || N(0,1)) = 0.5.
+    post = DiagGaussian(np.ones((50, 1)), np.zeros((50, 1)))
     t = GmmModel(np.array([1.0]), np.array([[1.0]]), np.array([[1.0]]), [], 0)
-    rep = density_model_kl(t, b, np.zeros((50, 1)), 20000,
-                           RngStream(7).child("est"))
+    rep = density_model_kl(t, post, 20000, RngStream(7).child("est"))
     assert abs(rep.value - 0.5) <= 3.0 * rep.stderr
 
 
 def test_density_kl_method_tag_for_ar():
     model = ArGaussModel(2, 4, RngStream(25))
-    b = _zeroed_encoder_bundle(latent=2, data_dim=4)
-    rep = density_model_kl(model, b, np.zeros((8, 4)), 100,
+    rep = density_model_kl(model, _prior_posterior(8), 100,
                            RngStream(26).child("est"))
     assert rep.method == "ar"
     assert np.isfinite(rep.value)
@@ -444,16 +436,13 @@ def test_fitted_densities_underestimate_on_trained_model(vae_small):
     # Both explicit models miss mass structure of the aggregate posterior
     # and land far below the exact-mixture MC value.
     est = RngStream(77)
-    mc = mc_marginal_kl(vae_small.bundle, vae_small.data, 1024,
-                        est.child("mc"))
-    codes = _sample_codes(vae_small.bundle, vae_small.data, 4000,
-                          est.child("codes"))
+    post = vae_small.bundle.posterior(vae_small.data)
+    mc = mc_marginal_kl(post, 1024, est.child("mc"))
+    codes = _sample_codes(post, 4000, est.child("codes"))
     g = gmm_fit(codes, 10, 50, est.child("gmm"))
-    g_rep = density_model_kl(g, vae_small.bundle, vae_small.data, 1024,
-                             est.child("gkl"))
+    g_rep = density_model_kl(g, post, 1024, est.child("gkl"))
     a = ar_fit(codes, ExperimentConfig(ar_iters=1000), est.child("ar"))
-    a_rep = density_model_kl(a, vae_small.bundle, vae_small.data, 1024,
-                             est.child("akl"))
+    a_rep = density_model_kl(a, post, 1024, est.child("akl"))
     gap_gmm = mc.value - g_rep.value
     gap_ar = mc.value - a_rep.value
     print(f"underestimation gaps: gmm {gap_gmm:.3f} nats, ar {gap_ar:.3f} nats")
