@@ -5,9 +5,11 @@ the active tape in creation order, so parents always precede children and the
 backward sweep is a single reverse pass over the list. With no tape active,
 the same operations run as plain value computations and record nothing.
 
-Every dense layer of the package is one ``linear`` node: affine map and
-activation fused, rounding as the separate ops would and sitting where the
-last of them would sit, so gradients still accumulate in the same order.
+Every dense network of the package is one ``linear`` node, and every
+classifier-loss term one ``sigmoid_xent`` or ``neg_log_odds_mean`` node that
+reads the logit. A fused node rounds as the separate ops would and sits
+where the last of them would sit, so gradients still accumulate in the same
+order.
 """
 
 from __future__ import annotations
@@ -182,45 +184,75 @@ def matmul(a, b) -> Tensor:
     return _record(out, "matmul", (a, b), vjp)
 
 
-def linear(x, W, b, slope: float | None = None) -> Tensor:
-    """Dense layer ``x @ W + b``, followed by a leaky relu of ``slope``
-    (0.0 for relu) unless ``slope`` is None, recorded as one node. A slope
-    must lie in [0, 1).
+def linear(x, layers, slope: float | None = None) -> Tensor:
+    """A dense network as one node: ``h @ W + b`` for each ``(W, b)`` of
+    ``layers`` in turn, starting from ``h = x``, with a leaky relu of
+    ``slope`` (0.0 for relu) between layers and none after the last, or no
+    activation at all when ``slope`` is None. A slope must lie in [0, 1).
 
-    Each step rounds as the separate matmul, add and leaky_relu ops do, and
+    Each layer rounds as the separate matmul, add and leaky_relu ops do, and
     the node takes the place on the tape the last of them would have taken.
-    Those three ops are always created back to back, so the backward sweep
-    reaches them back to back too: every gradient that ``x``, ``W`` and
-    ``b`` receive from this layer arrives at the same point relative to
-    their other contributions, and each sum accumulates in the same order.
+    Those ops are always created back to back, and every hidden activation
+    has one consumer, the next layer, so the backward sweep reaches them
+    back to back too: every gradient that ``x`` and each ``W`` and ``b``
+    receive from this network arrives at the same point relative to their
+    other contributions, and each sum accumulates in the same order.
+
+    The vjp computes only what a parent that requires a gradient needs: it
+    skips the weight product and bias sum of a frozen layer (see
+    ``backward``'s ``params``), and stops below the lowest layer that needs
+    anything when ``x`` needs nothing.
     """
-    x, W, b = as_tensor(x), as_tensor(W), as_tensor(b)
-    if x.data.ndim != 2 or W.data.ndim != 2 or x.data.shape[1] != W.data.shape[0]:
-        raise ShapeError(
-            f"linear needs (m,k) @ (k,n); got {x.data.shape} @ {W.data.shape}"
-        )
-    h = x.data @ W.data
-    h += b.data
-    scale = None
-    if slope is not None:
-        # x * 1.0 and x * slope round exactly as x and slope * x do. The
-        # scale comes without a branch: on fresh activations the signs are
-        # random, and np.where's per-entry branch costs about 5x this
-        # arithmetic. For a slope in [0, 1), max(1, slope) is exactly 1 and
-        # max(0, slope) exactly slope; a NaN entry gets slope, as with where.
-        # The maximum runs in place, so the layer holds no extra temporary.
-        scale = (h > 0).astype(np.float64)
-        np.maximum(scale, slope, out=scale)
-        h *= scale
+    x = as_tensor(x)
+    layers = [(as_tensor(W), as_tensor(b)) for W, b in layers]
+    last = len(layers) - 1
+    h = x.data
+    inputs, scales = [], []
+    for i, (W, b) in enumerate(layers):
+        if h.ndim != 2 or W.data.ndim != 2 or h.shape[1] != W.data.shape[0]:
+            raise ShapeError(
+                f"linear needs (m,k) @ (k,n); got {h.shape} @ {W.data.shape}"
+            )
+        inputs.append(h)
+        h = h @ W.data
+        h += b.data
+        if slope is not None and i < last:
+            # x * 1.0 and x * slope round exactly as x and slope * x do. The
+            # scale comes without a branch: on fresh activations the signs
+            # are random, and np.where's per-entry branch costs about 5x this
+            # arithmetic. For a slope in [0, 1), max(1, slope) is exactly 1
+            # and max(0, slope) exactly slope; a NaN entry gets slope, as
+            # with where. The maximum runs in place, so the layer holds no
+            # extra temporary.
+            scale = (h > 0).astype(np.float64)
+            np.maximum(scale, slope, out=scale)
+            h *= scale
+            scales.append(scale)
     out = Tensor(h)
+    parents = (x,) + tuple(t for pair in layers for t in pair)
 
     def vjp(g):
-        if scale is not None:
-            g = g * scale
-        gx = g @ W.data.T if x.requires_grad else None
-        return gx, x.data.T @ g, g.sum(axis=0)
+        grads = [None] * len(parents)
+        lowest = 0
+        if not x.requires_grad:
+            while lowest <= last and not (layers[lowest][0].requires_grad
+                                          or layers[lowest][1].requires_grad):
+                lowest += 1
+        for i in range(last, lowest - 1, -1):
+            W, b = layers[i]
+            if i < len(scales):
+                g = g * scales[i]
+            if W.requires_grad:
+                grads[2 * i + 1] = inputs[i].T @ g
+            if b.requires_grad:
+                grads[2 * i + 2] = g.sum(axis=0)
+            if i > lowest or x.requires_grad:
+                g = g @ W.data.T
+        if x.requires_grad:
+            grads[0] = g
+        return grads
 
-    return _record(out, "linear", (x, W, b), vjp)
+    return _record(out, "linear", parents, vjp)
 
 
 def exp(x) -> Tensor:
@@ -265,6 +297,58 @@ def sigmoid(x) -> Tensor:
         return (g * y * (1.0 - y),)
 
     return _record(out, "sigmoid", (x,), vjp)
+
+
+def sigmoid_xent(x, label: int, clamp: float) -> Tensor:
+    """Mean cross-entropy of p = sigmoid(x) against one label for every
+    entry: the mean of -log p for label 1, or of -log(1 - p) for label 0,
+    with p (or 1 - p) clipped to [clamp, 1 - clamp] before the log.
+
+    One node in place of the sigmoid, 1 - p, clip, log, mean and negation
+    ops, each rounding as that op does. Every intermediate has one
+    consumer, so the gradient that reaches ``x`` is the one those ops
+    compute; where the clip clamped, it is exactly zero.
+    """
+    x = as_tensor(x)
+    y = _sigmoid(x.data)
+    not_y = 1.0 - y
+    q = y if label == 1 else not_y
+    hi = 1.0 - clamp
+    c = np.clip(q, clamp, hi)
+    out = Tensor(-np.log(c).mean())
+
+    def vjp(g):
+        g = -g / c.size / c * ((q >= clamp) & (q <= hi))
+        if label != 1:
+            g = -g
+        return (g * y * not_y,)
+
+    return _record(out, "sigmoid_xent", (x,), vjp)
+
+
+def neg_log_odds_mean(x, clamp: float) -> Tensor:
+    """Mean over every entry of log(1 - p) - log p, p = sigmoid(x), with
+    1 - p and p each clipped to [clamp, 1 - clamp] before its log.
+
+    One node in place of the sigmoid, 1 - p, clip, log, sub and mean ops,
+    each rounding as that op does; p's two gradients add in the order the
+    backward sweep would add them.
+    """
+    x = as_tensor(x)
+    y = _sigmoid(x.data)
+    not_y = 1.0 - y
+    hi = 1.0 - clamp
+    c_not, c_y = np.clip(not_y, clamp, hi), np.clip(y, clamp, hi)
+    d = np.log(c_not) - np.log(c_y)
+    out = Tensor(d.mean())
+
+    def vjp(g):
+        g = g / d.size
+        g_y = -g / c_y * ((y >= clamp) & (y <= hi))
+        g_y = g_y + -(g / c_not * ((not_y >= clamp) & (not_y <= hi)))
+        return (g_y * y * not_y,)
+
+    return _record(out, "neg_log_odds_mean", (x,), vjp)
 
 
 def softplus(x) -> Tensor:
@@ -381,8 +465,13 @@ def narrow(x, axis: int, start: int, length: int) -> Tensor:
 # Backward pass.
 
 
-def backward(tape: Tape, loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into ``.grad`` of every reachable leaf.
+def backward(tape: Tape, loss: Tensor, params=None) -> None:
+    """Accumulate d(loss)/d(leaf) into ``.grad`` of every reachable leaf,
+    or, given ``params``, of those leaves only.
+
+    Every other leaf on the tape counts as a constant for the sweep: it
+    gets no ``.grad``, and ``linear`` skips its weight products and bias
+    sums. Gradients still flow through such a network to what feeds it.
 
     Intermediate gradients are rebuilt from scratch on every call; leaf
     gradients accumulate, so callers zero their parameters between steps.
@@ -391,20 +480,32 @@ def backward(tape: Tape, loss: Tensor) -> None:
         raise ContractError(
             f"backward needs a scalar loss; got shape {loss.data.shape}"
         )
-    for node in tape.nodes:
-        node.grad = None
-    loss.grad = np.ones(())
-    for node in reversed(tape.nodes):
-        if node.grad is None or node.vjp is None:
-            continue
-        parent_grads = node.vjp(node.grad)
-        for p, pg in zip(node.parents, parent_grads):
-            if not p.requires_grad:
+    frozen = []
+    if params is not None:
+        keep = {id(p) for p in params}
+        for node in tape.nodes:
+            for p in node.parents:
+                if p.requires_grad and p.vjp is None and id(p) not in keep:
+                    p.requires_grad = False
+                    frozen.append(p)
+    try:
+        for node in tape.nodes:
+            node.grad = None
+        loss.grad = np.ones(())
+        for node in reversed(tape.nodes):
+            if node.grad is None or node.vjp is None:
                 continue
-            if p.grad is None:
-                p.grad = np.array(pg, dtype=np.float64)
-            else:
-                p.grad = p.grad + pg
+            parent_grads = node.vjp(node.grad)
+            for p, pg in zip(node.parents, parent_grads):
+                if not p.requires_grad:
+                    continue
+                if p.grad is None:
+                    p.grad = np.array(pg, dtype=np.float64)
+                else:
+                    p.grad = p.grad + pg
+    finally:
+        for p in frozen:
+            p.requires_grad = True
 
 
 def zero_grads(params) -> None:

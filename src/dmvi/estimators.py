@@ -174,9 +174,7 @@ def ratio_kl(samples_q: np.ndarray, samples_p: np.ndarray,
             bq = train_q[loop.integers(0, train_q.shape[0], (RATIO_BATCH,))]
             bp = train_p[loop.integers(0, train_p.shape[0], (RATIO_BATCH,))]
             with engine.Tape() as tape:
-                pq = engine.sigmoid(net(engine.Tensor(bq)))
-                pp = engine.sigmoid(net(engine.Tensor(bp)))
-                loss = bce(pq, pp)
+                loss = bce(net(engine.Tensor(bq)), net(engine.Tensor(bp)))
             minimize(tape, loss, opt, what="classifier loss")
     except NumericsError:
         status = "invalid"
@@ -304,8 +302,8 @@ class ArGaussModel:
 
     def conditionals(self, z) -> DiagGaussian:
         """Every coordinate's Gaussian given its prefix, rows of z batched."""
-        h = engine.linear(z, self.W1 * self.mask_in, self.b1, 0.0)
-        out = engine.linear(h, self.W2 * self.mask_out, self.b2)
+        out = engine.linear(z, [(self.W1 * self.mask_in, self.b1),
+                                (self.W2 * self.mask_out, self.b2)], 0.0)
         return DiagGaussian(engine.narrow(out, 1, 0, self.dim),
                             engine.narrow(out, 1, self.dim, self.dim))
 

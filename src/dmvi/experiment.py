@@ -253,8 +253,8 @@ def load_run(run_dir: str):
     if recorded != array_digest(data):
         raise ContractError(f"data of run {run_dir!r} is not the data it was "
                             f"trained on (recorded digest: {recorded})")
-    bundle = build_bundle(src, data.shape[1], RngStream(src.seed).child("init"),
-                          PARTS[src.model])
+    # The checkpoint supplies every parameter, so none is drawn first.
+    bundle = build_bundle(src, data.shape[1], None, PARTS[src.model])
     apply_checkpoint(bundle, tensors)
     return bundle, data, src
 

@@ -109,11 +109,17 @@ class ModelBundle:
             return quantized_log_prob(vis, x, rng)
         raise ContractError("real-visible models have no likelihood; use l1")
 
+    def data_logit(self, x) -> Tensor:
+        return self.data_disc(engine.as_tensor(x))
+
+    def code_logit(self, z) -> Tensor:
+        return self.code_disc(engine.as_tensor(z))
+
     def data_prob(self, x) -> Tensor:
-        return engine.sigmoid(self.data_disc(engine.as_tensor(x)))
+        return engine.sigmoid(self.data_logit(x))
 
     def code_prob(self, z) -> Tensor:
-        return engine.sigmoid(self.code_disc(engine.as_tensor(z)))
+        return engine.sigmoid(self.code_logit(z))
 
     def component_params(self) -> dict:
         out = {}
@@ -132,19 +138,22 @@ class ModelBundle:
         return out
 
 
-def build_bundle(cfg: ExperimentConfig, data_dim: int, rng: RngStream,
+def build_bundle(cfg: ExperimentConfig, data_dim: int, rng: RngStream | None,
                  parts=PARTS["vae"]) -> ModelBundle:
+    """The networks of ``parts``, He-initialised from ``rng``; with no
+    ``rng``, every parameter starts at zero for a checkpoint to fill."""
     dec_out = 2 * data_dim if cfg.visible == "quantized" else data_dim
     h = cfg.hidden
+    child = (lambda label: None) if rng is None else rng.child
     enc = dec = ddisc = cdisc = None
     if "enc" in parts:
-        enc = MLP((data_dim, h, h, 2 * cfg.latent), rng.child("enc"), "relu", "enc")
+        enc = MLP((data_dim, h, h, 2 * cfg.latent), child("enc"), "relu", "enc")
     if "gen" in parts:
-        dec = MLP((cfg.latent, h, h, dec_out), rng.child("gen"), "relu", "gen")
+        dec = MLP((cfg.latent, h, h, dec_out), child("gen"), "relu", "gen")
     if "data_disc" in parts:
-        ddisc = MLP((data_dim, h, h, h, 1), rng.child("ddisc"), "leaky", "ddisc")
+        ddisc = MLP((data_dim, h, h, h, 1), child("ddisc"), "leaky", "ddisc")
     if "code_disc" in parts:
-        cdisc = MLP((cfg.latent, h, h, h, 1), rng.child("cdisc"), "leaky", "cdisc")
+        cdisc = MLP((cfg.latent, h, h, h, 1), child("cdisc"), "leaky", "cdisc")
     return ModelBundle(enc, dec, ddisc, cdisc, cfg.latent, data_dim, cfg.visible)
 
 
@@ -160,15 +169,29 @@ def _log_not(p: Tensor) -> Tensor:
     return engine.log(engine.clip(1.0 - p, PROB_CLAMP, 1.0 - PROB_CLAMP))
 
 
-def bce(p_one: Tensor, p_zero: Tensor) -> Tensor:
-    """Classifier cross-entropy: batch means of -log p on rows labelled 1
-    and of -log(1-p) on rows labelled 0."""
-    return -engine.tmean(_safe_log(p_one)) - engine.tmean(_log_not(p_zero))
-
-
 def ratio_penalty(p: Tensor) -> Tensor:
     """-log p + log(1-p): pushes the classifier toward calling p 'real'."""
     return _log_not(p) - _safe_log(p)
+
+
+# The training losses read the classifier's logit l, p = sigmoid(l), each
+# term one engine node that rounds as the ops on p above do.
+
+
+def xent(logit: Tensor, label: int) -> Tensor:
+    """Batch mean of -log p (label 1) or -log(1-p) (label 0)."""
+    return engine.sigmoid_xent(logit, label, PROB_CLAMP)
+
+
+def bce(l_one: Tensor, l_zero: Tensor) -> Tensor:
+    """Classifier cross-entropy from logits: batch means of -log p on rows
+    labelled 1 and of -log(1-p) on rows labelled 0."""
+    return xent(l_one, 1) + xent(l_zero, 0)
+
+
+def penalty_mean(logit: Tensor) -> Tensor:
+    """Batch mean of ``ratio_penalty`` at p = sigmoid(logit)."""
+    return engine.neg_log_odds_mean(logit, PROB_CLAMP)
 
 
 def elbo_parts(x, bundle: ModelBundle, rng: RngStream, mc_samples: int = 1):
@@ -194,20 +217,20 @@ def l1_reconstruction(x, x_hat) -> Tensor:
 # The VGH component losses (the code discriminator's is ``bce``). ``recon``
 # is the l1 reconstruction of x from the reparameterised posterior code
 # z_hat = mean + std * eps; c_* are code-discriminator and
-# d_* data-discriminator probabilities on prior codes (c_prior), posterior
+# d_* data-discriminator logits on prior codes (c_prior), posterior
 # codes (c_hat), data (d_real), reconstructions (d_hat) and prior samples
 # (d_gen, vghpp only: None for vgh).
 
 
 def _vgh_enc_loss(recon: Tensor, c_hat: Tensor, lam: float) -> Tensor:
-    return lam * recon + engine.tmean(ratio_penalty(c_hat))
+    return lam * recon + penalty_mean(c_hat)
 
 
 def _vgh_gen_loss(recon: Tensor, d_hat: Tensor, d_gen: Tensor | None,
                   lam: float) -> Tensor:
-    loss = lam * recon + engine.tmean(ratio_penalty(d_hat))
+    loss = lam * recon + penalty_mean(d_hat)
     if d_gen is not None:
-        loss = loss + engine.tmean(ratio_penalty(d_gen))
+        loss = loss + penalty_mean(d_gen)
     return loss
 
 
@@ -215,9 +238,7 @@ def _vgh_disc_loss(d_real: Tensor, d_hat: Tensor,
                    d_gen: Tensor | None) -> Tensor:
     if d_gen is None:
         return bce(d_real, d_hat)
-    return (-2.0 * engine.tmean(_safe_log(d_real))
-            - engine.tmean(_log_not(d_hat))
-            - engine.tmean(_log_not(d_gen)))
+    return 2.0 * xent(d_real, 1) + xent(d_hat, 0) + xent(d_gen, 0)
 
 
 def vgh_losses(x, bundle: ModelBundle, variant: str, lam: float,
@@ -242,11 +263,11 @@ def vgh_losses(x, bundle: ModelBundle, variant: str, lam: float,
     x_gen = bundle.decode_mean(z_prior) if variant == "vghpp" else None
 
     recon = l1_reconstruction(x, x_hat)
-    c_hat = bundle.code_prob(z_hat)
-    c_prior = bundle.code_prob(z_prior)
-    d_real = bundle.data_prob(x)
-    d_hat = bundle.data_prob(x_hat)
-    d_gen = None if x_gen is None else bundle.data_prob(x_gen)
+    c_hat = bundle.code_logit(z_hat)
+    c_prior = bundle.code_logit(z_prior)
+    d_real = bundle.data_logit(x)
+    d_hat = bundle.data_logit(x_hat)
+    d_gen = None if x_gen is None else bundle.data_logit(x_gen)
     return {"enc": _vgh_enc_loss(recon, c_hat, lam),
             "gen": _vgh_gen_loss(recon, d_hat, d_gen, lam),
             "data_disc": _vgh_disc_loss(d_real, d_hat, d_gen),
@@ -305,15 +326,15 @@ def train_gan(data: np.ndarray, cfg: ExperimentConfig):
 
         fake = bundle.decode_mean(Tensor(z)).data
         with engine.Tape() as tape:
-            d_loss = bce(bundle.data_prob(x), bundle.data_prob(fake))
+            d_loss = bce(bundle.data_logit(x), bundle.data_logit(fake))
         minimize(tape, d_loss, opt_d, what="discriminator loss", step=step)
 
         with engine.Tape() as tape:
-            p_fake = bundle.data_prob(bundle.decode_mean(Tensor(z)))
+            l_fake = bundle.data_logit(bundle.decode_mean(Tensor(z)))
             if cfg.generator_loss == "nonsat":
-                g_loss = -engine.tmean(_safe_log(p_fake))
+                g_loss = xent(l_fake, 1)
             else:
-                g_loss = engine.tmean(ratio_penalty(p_fake))
+                g_loss = penalty_mean(l_fake)
         minimize(tape, g_loss, opt_g, what="generator loss", step=step)
 
         if step % cfg.log_every == 0 or step == cfg.iters - 1:
@@ -339,12 +360,13 @@ def train_aae(data: np.ndarray, cfg: ExperimentConfig):
                 recon = -engine.tmean(bundle.recon_log_prob(x, z_hat, loop))
             else:
                 recon = l1_reconstruction(x, bundle.decode_mean(z_hat))
-            ae_loss = recon + engine.tmean(ratio_penalty(bundle.code_prob(z_hat)))
+            ae_loss = recon + penalty_mean(bundle.code_logit(z_hat))
         minimize(tape, ae_loss, opt_e, opt_g, what="autoencoder loss", step=step)
 
         z_hat_const = z_hat.data
         with engine.Tape() as tape:
-            c_loss = bce(bundle.code_prob(z_prior), bundle.code_prob(z_hat_const))
+            c_loss = bce(bundle.code_logit(z_prior),
+                         bundle.code_logit(z_hat_const))
         minimize(tape, c_loss, opt_c, what="code discriminator loss", step=step)
 
         if step % cfg.log_every == 0 or step == cfg.iters - 1:
@@ -393,7 +415,7 @@ def train_vgh(data: np.ndarray, cfg: ExperimentConfig, variant: str = "vghpp"):
         with engine.Tape() as tape:
             z_hat = reparam(bundle.posterior(x), eps)
             recon = l1_reconstruction(x, bundle.decode_mean(z_hat))
-            loss = _vgh_enc_loss(recon, bundle.code_prob(z_hat), cfg.lam)
+            loss = _vgh_enc_loss(recon, bundle.code_logit(z_hat), cfg.lam)
         update("enc", tape, loss, step)
 
         z_hat = reparam(bundle.posterior(x), eps).data
@@ -401,23 +423,23 @@ def train_vgh(data: np.ndarray, cfg: ExperimentConfig, variant: str = "vghpp"):
             x_hat = bundle.decode_mean(z_hat)
             x_gen = bundle.decode_mean(z_prior) if pp else None
             recon = l1_reconstruction(x, x_hat)
-            d_hat = bundle.data_prob(x_hat)
-            d_gen = bundle.data_prob(x_gen) if pp else None
+            d_hat = bundle.data_logit(x_hat)
+            d_gen = bundle.data_logit(x_gen) if pp else None
             loss = _vgh_gen_loss(recon, d_hat, d_gen, cfg.lam)
         update("gen", tape, loss, step)
 
         x_hat = bundle.decode_mean(z_hat).data
         x_gen = bundle.decode_mean(z_prior).data if pp else None
         with engine.Tape() as tape:
-            d_real = bundle.data_prob(x)
-            d_hat = bundle.data_prob(x_hat)
-            d_gen = bundle.data_prob(x_gen) if pp else None
+            d_real = bundle.data_logit(x)
+            d_hat = bundle.data_logit(x_hat)
+            d_gen = bundle.data_logit(x_gen) if pp else None
             loss = _vgh_disc_loss(d_real, d_hat, d_gen)
         update("data_disc", tape, loss, step)
 
         with engine.Tape() as tape:
-            c_hat = bundle.code_prob(z_hat)
-            loss = bce(bundle.code_prob(z_prior), c_hat)
+            c_hat = bundle.code_logit(z_hat)
+            loss = bce(bundle.code_logit(z_prior), c_hat)
         update("code_disc", tape, loss, step)
 
         if step % cfg.log_every == 0 or step == cfg.iters - 1:

@@ -8,70 +8,58 @@ from . import engine
 from .errors import ContractError
 from .rng import RngStream
 
-# Activations fused into the dense layer, as the leaky-relu slope
-# ``engine.linear`` takes (None: no activation).
+# Activations fused into the network's one ``engine.linear`` node, as the
+# leaky-relu slope it applies between layers (None: no activation).
 _SLOPES = {"relu": 0.0, "leaky": 0.2, "linear": None}
 
-# Activations applied as their own node after the layer.
+# Activations applied as their own node after each hidden layer.
 _ACTIVATIONS = {
     "sigmoid": engine.sigmoid,
     "softplus": engine.softplus,
 }
 
 
-class Linear:
-    """Affine map. Weights start at N(0, 2/fan_in), biases at zero."""
-
-    def __init__(self, in_dim: int, out_dim: int, rng: RngStream, name: str):
-        scale = np.sqrt(2.0 / in_dim)
-        self.W = engine.parameter(rng.normal((in_dim, out_dim)) * scale)
-        self.b = engine.parameter(np.zeros(out_dim))
-        self.name = name
-
-    def __call__(self, x, slope: float | None = None):
-        """The affine map, then a leaky relu of ``slope`` unless None."""
-        return engine.linear(x, self.W, self.b, slope)
-
-    def named_parameters(self):
-        return {f"{self.name}.W": self.W, f"{self.name}.b": self.b}
-
-
 class MLP:
-    """Stack of Linear layers with one activation between them.
+    """Stack of dense layers with one activation between them.
 
     ``dims`` lists layer widths input-first, e.g. (144, 256, 256, 32).
-    The final layer has no activation; callers put heads on top.
+    The final layer has no activation; callers put heads on top. Weights
+    start at N(0, 2/fan_in), biases at zero; with no ``rng`` the weights
+    start at zero too, for a checkpoint to fill.
     """
 
-    def __init__(self, dims, rng: RngStream, activation: str = "relu",
+    def __init__(self, dims, rng: RngStream | None, activation: str = "relu",
                  name: str = "mlp"):
         if len(dims) < 2:
             raise ContractError("an MLP needs at least input and output dims")
         if activation not in _SLOPES and activation not in _ACTIVATIONS:
             raise ContractError(f"unknown activation {activation!r}")
-        self.layers = [
-            Linear(dims[i], dims[i + 1], rng.child(f"{name}.fc{i}"),
-                   f"{name}.fc{i}")
-            for i in range(len(dims) - 1)
-        ]
+        self.names = [f"{name}.fc{i}" for i in range(len(dims) - 1)]
+        self.stack = []
+        for label, m, n in zip(self.names, dims[:-1], dims[1:]):
+            if rng is None:
+                W = np.zeros((m, n))
+            else:
+                W = rng.child(label).normal((m, n)) * np.sqrt(2.0 / m)
+            self.stack.append((engine.parameter(W),
+                               engine.parameter(np.zeros(n))))
         self.slope = _SLOPES.get(activation)
         self.act = _ACTIVATIONS.get(activation)
 
     def __call__(self, x):
-        for layer in self.layers[:-1]:
-            x = layer(x, self.slope)
-            if self.act is not None:
-                x = self.act(x)
-        return self.layers[-1](x)
+        """The whole network as one ``engine.linear`` node, or one node per
+        layer and activation for an activation ``linear`` cannot fuse."""
+        if self.act is None:
+            return engine.linear(x, self.stack, self.slope)
+        for pair in self.stack[:-1]:
+            x = self.act(engine.linear(x, [pair]))
+        return engine.linear(x, self.stack[-1:])
 
     def parameters(self):
-        out = []
-        for layer in self.layers:
-            out.extend([layer.W, layer.b])
-        return out
+        return [t for pair in self.stack for t in pair]
 
     def named_parameters(self):
         out = {}
-        for layer in self.layers:
-            out.update(layer.named_parameters())
+        for label, (W, b) in zip(self.names, self.stack):
+            out[f"{label}.W"], out[f"{label}.b"] = W, b
         return out

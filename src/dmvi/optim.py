@@ -95,6 +95,11 @@ def minimize(tape: engine.Tape, loss: engine.Tensor, *opts: Adam, what: str,
              step: int | None = None) -> None:
     """Step ``opts``, in order, down the gradient of ``loss`` on ``tape``.
 
+    Only the stepped parameters get a gradient: a network on the tape that
+    no optimizer in ``opts`` holds passes gradients through to its inputs,
+    but its own weights and biases get none, and their ``.grad`` stays as
+    it was.
+
     A non-finite loss raises ``NumericsError`` naming ``what`` (and
     ``step``) before any gradient or parameter is touched.
     """
@@ -103,6 +108,6 @@ def minimize(tape: engine.Tape, loss: engine.Tensor, *opts: Adam, what: str,
         raise NumericsError(f"non-finite {what}{at}")
     for opt in opts:
         engine.zero_grads(opt.params)
-    engine.backward(tape, loss)
+    engine.backward(tape, loss, [p for opt in opts for p in opt.params])
     for opt in opts:
         opt.step()

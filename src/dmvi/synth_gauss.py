@@ -17,7 +17,7 @@ import numpy as np
 from . import engine
 from .distributions import AffineGaussian, affine_to_moments, kl_full_gauss
 from .errors import ContractError, NumericsError
-from .models import bce, ratio_penalty
+from .models import bce, penalty_mean
 from .nn import MLP
 from .optim import Adam, minimize
 from .rng import RngStream
@@ -102,6 +102,7 @@ def run_minimization(task: SyntheticTask, iters: int,
     clf = _make_classifier(task.d, root.child("clf"))
     opt_c = Adam(clf.parameters(), DISC_LR)
     opt_l = Adam([task.learner_W, task.learner_b], lr_learner)
+    learner = [(task.learner_W, task.learner_b)]
     loop = root.child("minimize")
 
     initial = task.true_kl()
@@ -112,16 +113,13 @@ def run_minimization(task: SyntheticTask, iters: int,
         x_p = task.target.sample(loop, BATCH)
         z = loop.normal((BATCH, task.k))
         try:
-            x_q = engine.linear(z, task.learner_W, task.learner_b).data
+            x_q = engine.linear(z, learner).data
             with engine.Tape() as tape:
-                c_loss = bce(engine.sigmoid(clf(engine.Tensor(x_p))),
-                             engine.sigmoid(clf(engine.Tensor(x_q))))
+                c_loss = bce(clf(engine.Tensor(x_p)), clf(engine.Tensor(x_q)))
             minimize(tape, c_loss, opt_c, what="classifier loss", step=step)
 
             with engine.Tape() as tape:
-                x_gen = engine.linear(z, task.learner_W, task.learner_b)
-                probs = engine.sigmoid(clf(x_gen))
-                l_loss = engine.tmean(ratio_penalty(probs))
+                l_loss = penalty_mean(clf(engine.linear(z, learner)))
             minimize(tape, l_loss, opt_l, what="learner loss", step=step)
         except NumericsError:
             status = "diverged"

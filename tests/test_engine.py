@@ -1,6 +1,7 @@
 """Tape engine: every primitive against central differences, backward
-semantics, the Adam update algebra, the fused dense layer against the
-separate ops it replaces, and a caller for every public op."""
+semantics, the Adam update algebra, the fused network and classifier-loss
+nodes against the separate ops they replace, the gradients a step leaves on
+networks it does not update, and a caller for every public op."""
 
 import ast
 import gc
@@ -11,16 +12,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dmvi import diagnostics, engine, estimators, optim
+from dmvi import diagnostics, engine, estimators, models, optim, synth_gauss
 from dmvi.errors import ContractError, NumericsError, ShapeError
 from dmvi.estimators import ar_fit, ratio_kl
 from dmvi.experiment import ExperimentConfig
 from dmvi.gradcheck import grad_check
-from dmvi.models import train_aae, train_vae
+from dmvi.models import PROB_CLAMP, train_aae, train_gan, train_vae, train_vgh
 from dmvi.nn import MLP
 from dmvi.optim import Adam, minimize
 from dmvi.rng import RngStream
-from dmvi.synth_gauss import make_task, run_minimization
+from dmvi.synth_gauss import make_task, run_estimation, run_minimization
 
 
 def _finite_diff(loss_fn, params, eps=1e-5):
@@ -111,21 +112,133 @@ def test_every_primitive_matches_central_differences():
             if name == "matmul":
                 b = engine.parameter(r.normal((4, 2)))
             _assert_matches_fd(lambda: fn(a, b), [a, b])
-    # The fused dense layer, on an input that needs its gradient and on a
-    # constant one, whose gradient the vjp skips.
-    for slope in (None, 0.0, 0.2):
-        for trial in range(20):
-            r = rng.child(f"linear{slope}-{trial}")
-            x = engine.parameter(r.normal((3, 4)))
-            w = engine.parameter(r.normal((4, 2)))
-            bias = engine.parameter(r.normal((2,)))
-            y = r.normal((3, 2))
-            for inp, params in ((x, [x, w, bias]),
-                                (engine.Tensor(x.data), [w, bias])):
-                def loss_fn():
-                    return engine.tsum(engine.linear(inp, w, bias, slope) * y)
 
-                _assert_matches_fd(loss_fn, params)
+
+def _stack(r, dims):
+    return [(engine.parameter(r.normal((m, n))), engine.parameter(r.normal((n,))))
+            for m, n in zip(dims[:-1], dims[1:])]
+
+
+@pytest.mark.parametrize("depth", [1, 2, 4])
+@pytest.mark.parametrize("slope", [None, 0.0, 0.2])
+def test_stacked_linear_matches_central_differences(depth, slope):
+    # On an input that needs its gradient and on a constant one, below which
+    # the vjp stops.
+    rng = RngStream(43)
+    dims = (4,) + (3,) * (depth - 1) + (2,)
+    for trial in range(10):
+        r = rng.child(f"{depth}-{slope}-{trial}")
+        layers = _stack(r, dims)
+        x = engine.parameter(r.normal((5, dims[0])))
+        y = r.normal((5, dims[-1]))
+        weights = [t for pair in layers for t in pair]
+        for inp, params in ((x, [x] + weights),
+                            (engine.Tensor(x.data), weights)):
+            def loss_fn():
+                return engine.tsum(engine.linear(inp, layers, slope) * y)
+
+            _assert_matches_fd(loss_fn, params)
+
+
+def test_stacked_linear_with_masked_weights_matches_central_differences():
+    # Weights that are themselves graph nodes, as the autoregressive
+    # density's masked layers are.
+    rng = RngStream(44)
+    for trial in range(10):
+        r = rng.child(str(trial))
+        (w1, b1), (w2, b2) = _stack(r, (4, 6, 3))
+        m1 = (r.uniform((4, 6)) < 0.6).astype(np.float64)
+        m2 = (r.uniform((6, 3)) < 0.6).astype(np.float64)
+        x = r.normal((5, 4))
+        y = r.normal((5, 3))
+
+        def loss_fn():
+            out = engine.linear(x, [(w1 * m1, b1), (w2 * m2, b2)], 0.0)
+            return engine.tsum(out * y)
+
+        _assert_matches_fd(loss_fn, [w1, b1, w2, b2])
+        # Every masked entry gets exactly zero.
+        grads = _ad_grads(loss_fn, [w1, w2])
+        assert not grads[0][m1 == 0].any() and not grads[1][m2 == 0].any()
+
+
+def test_backward_fills_only_the_given_params():
+    # The frozen layers' weights get no gradient, the rest get what a full
+    # sweep gives them, bit for bit, and every leaf requires its gradient
+    # again afterwards.
+    r = RngStream(45)
+    low, high = _stack(r, (4, 5, 5)), _stack(r, (5, 3, 1))
+    x = engine.parameter(r.normal((6, 4)))
+    frozen = [t for pair in low for t in pair]
+    for stepped in ([x], [t for pair in high for t in pair], high[1][:1]):
+        every = [x] + frozen + [t for pair in high for t in pair]
+        with engine.Tape() as tape:
+            h = engine.linear(x, low, 0.2)
+            loss = engine.tmean(engine.linear(h, high, 0.0))
+        engine.zero_grads(every)
+        engine.backward(tape, loss)
+        full = {id(p): p.grad for p in every}
+        assert all(g is not None for g in full.values())
+        engine.zero_grads(every)
+        engine.backward(tape, loss, stepped)
+        for p in every:
+            if any(p is q for q in stepped):
+                assert p.grad.tobytes() == full[id(p)].tobytes()
+            else:
+                assert p.grad is None
+            assert p.requires_grad
+
+
+def _composed_xent(x, label, clamp):
+    """engine.sigmoid_xent as the sigmoid, 1 - p, clip, log, mean and
+    negation nodes it replaces."""
+    p = engine.sigmoid(x)
+    if label != 1:
+        p = 1.0 - p
+    return -engine.tmean(engine.log(engine.clip(p, clamp, 1.0 - clamp)))
+
+
+def _composed_neg_log_odds_mean(x, clamp):
+    """engine.neg_log_odds_mean as the nodes of models.ratio_penalty."""
+    p = engine.sigmoid(x)
+    log_not = engine.log(engine.clip(1.0 - p, clamp, 1.0 - clamp))
+    return engine.tmean(log_not - engine.log(engine.clip(p, clamp, 1.0 - clamp)))
+
+
+_LOSS_NODES = {
+    "label1": (lambda x: engine.sigmoid_xent(x, 1, PROB_CLAMP),
+               lambda x: _composed_xent(x, 1, PROB_CLAMP)),
+    "label0": (lambda x: engine.sigmoid_xent(x, 0, PROB_CLAMP),
+               lambda x: _composed_xent(x, 0, PROB_CLAMP)),
+    "penalty": (lambda x: engine.neg_log_odds_mean(x, PROB_CLAMP),
+                lambda x: _composed_neg_log_odds_mean(x, PROB_CLAMP)),
+}
+
+
+@pytest.mark.parametrize("form", sorted(_LOSS_NODES))
+def test_classifier_loss_node_rounds_as_the_composed_ops(form):
+    fused, composed = _LOSS_NODES[form]
+    rng = RngStream(46)
+    # Saturated logits (|x| > 17) sit where the clip clamps, in either
+    # direction, beside ordinary ones.
+    saturated = np.array([17.5, -17.5, 30.0, -30.0, 800.0, -800.0])
+    for trial in range(10):
+        r = rng.child(str(trial))
+        x = engine.parameter(np.concatenate(
+            [r.normal((40,)) * 4.0, saturated]).reshape(-1, 1))
+        got, want = [], []
+        for node, out in ((fused, got), (composed, want)):
+            with engine.Tape() as tape:
+                # A scaled loss, so the node's upstream gradient is not 1.
+                loss = node(x) * -0.7
+            x.grad = None
+            engine.backward(tape, loss)
+            out.extend([loss.data.tobytes(), x.grad.tobytes()])
+        assert got == want
+        assert not x.grad[-saturated.size:].any()
+        # Central differences resolve the gradient at moderate logits.
+        x.data = r.normal((12, 1)) * 2.0
+        _assert_matches_fd(lambda: fused(x), [x])
 
 
 def test_broadcast_gradients_match_fd():
@@ -180,8 +293,13 @@ def test_linear_shape_error_names_both_shapes():
     x = engine.Tensor(np.zeros((2, 3)))
     w = engine.parameter(np.zeros((4, 5)))
     with pytest.raises(ShapeError) as exc:
-        engine.linear(x, w, engine.parameter(np.zeros(5)))
+        engine.linear(x, [(w, engine.parameter(np.zeros(5)))])
     assert "(2, 3)" in str(exc.value) and "(4, 5)" in str(exc.value)
+    # A mismatch inside the stack names that layer's input.
+    first = (engine.parameter(np.zeros((3, 6))), engine.parameter(np.zeros(6)))
+    with pytest.raises(ShapeError) as exc:
+        engine.linear(x, [first, (w, engine.parameter(np.zeros(5)))], 0.2)
+    assert "(2, 6)" in str(exc.value) and "(4, 5)" in str(exc.value)
 
 
 def test_nested_tapes_rejected():
@@ -205,22 +323,26 @@ def test_taped_graph_is_freed_without_the_cycle_collector():
     b = engine.parameter(rng.normal((4, 2)))
     c = engine.parameter(rng.normal((2, 4)))
     bias = engine.parameter(rng.normal((4,)))
+    d = engine.parameter(rng.normal((4, 4)))
     gc.collect()
     gc.disable()
     try:
         with engine.Tape() as tape:
             h = engine.matmul(engine.leaky_relu(a, 0.2), b) + 1.0
-            h = engine.linear(h, c, bias, 0.2)
+            h = engine.linear(h, [(c, bias), (d, bias)], 0.2)
             h = engine.sigmoid(h) + engine.exp(h * 0.1)
             pos = engine.clamp_min(engine.clip(engine.absval(h), 0.1, 2.0), 0.2)
             h = engine.narrow(engine.softplus(h), 1, 1, 2) - engine.log(
                 engine.narrow(pos, 1, 0, 2))
             loss = (engine.tmean(engine.reshape(h, (-1,)))
-                    + engine.l1_norm(h))
+                    + engine.l1_norm(h) + engine.sigmoid_xent(h, 1, 1e-7)
+                    + engine.sigmoid_xent(h, 0, 1e-7)
+                    + engine.neg_log_odds_mean(h, 1e-7))
         assert {n.op for n in tape.nodes} >= {
             "matmul", "linear", "add", "sub", "mul", "exp", "log",
             "sigmoid", "softplus", "leaky_relu", "abs", "clip", "clamp_min",
-            "sum", "mean", "reshape", "narrow"}
+            "sum", "mean", "reshape", "narrow", "sigmoid_xent",
+            "neg_log_odds_mean"}
         engine.backward(tape, loss)
         del tape, h, pos, loss
         assert gc.collect() == 0
@@ -301,15 +423,18 @@ def test_sigmoid_matches_the_masked_branches_bitwise():
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def _where_linear(x, W, b, slope, g):
-    """``engine.linear``'s forward value and vjp with its scale chosen by
-    ``np.where``, the branch form the layer must round like."""
+def _where_linear(x, W, b, slope, W2, b2, g):
+    """A two-layer ``engine.linear``'s forward value and vjp with the hidden
+    layer's scale chosen by ``np.where``, the branch form the layer must
+    round like."""
     h = x @ W
     h += b
     scale = np.where(h > 0, 1.0, slope)
     h *= scale
-    g = g * scale
-    return h, (g @ W.T, x.T @ g, g.sum(axis=0))
+    out = h @ W2
+    out += b2
+    g1 = (g @ W2.T) * scale
+    return out, (g1 @ W.T, x.T @ g1, g1.sum(axis=0), h.T @ g, g.sum(axis=0))
 
 
 @pytest.mark.parametrize("slope", [0.2, 0.0, 0])
@@ -326,13 +451,18 @@ def test_linear_activation_matches_the_where_form_bitwise(slope):
                       rng.normal((n,))))
     with np.errstate(over="ignore", invalid="ignore"):
         for x, W, b in cases:
-            g = rng.normal((x.shape[0], W.shape[1]))
-            want, want_grads = _where_linear(x, W, b, slope, g)
+            # The vjp's bias and weight gradients of the hidden layer carry
+            # its scale entry by entry.
+            W2, b2 = rng.normal((W.shape[1], 3)), rng.normal((3,))
+            g = rng.normal((x.shape[0], 3))
+            want, want_grads = _where_linear(x, W, b, slope, W2, b2, g)
             with engine.Tape():
-                out = engine.linear(engine.parameter(x), engine.parameter(W),
-                                    engine.parameter(b), slope)
+                out = engine.linear(engine.parameter(x),
+                                    [(engine.parameter(W), engine.parameter(b)),
+                                     (engine.parameter(W2), engine.parameter(b2))],
+                                    slope)
                 grads = out.vjp(g)
-            for got, ref in zip((out.data,) + grads, (want,) + want_grads):
+            for got, ref in zip((out.data, *grads), (want, *want_grads)):
                 assert got.dtype == ref.dtype == np.float64
                 assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
@@ -533,14 +663,17 @@ def test_minimize_steps_two_optimizers_like_the_hand_sequence():
 
 
 # ---------------------------------------------------------------------------
-# The fused dense layer against the three ops it replaces, through every
-# learner that trains dense layers.
+# The fused network and loss nodes against the ops they replace, through
+# every learner that trains dense networks.
 
 
-def _unfused_linear(x, W, b, slope=None):
+def _unfused_linear(x, layers, slope=None):
     """engine.linear as separate matmul, add and leaky_relu nodes."""
-    h = engine.matmul(x, W) + b
-    return h if slope is None else engine.leaky_relu(h, slope)
+    for i, (W, b) in enumerate(layers):
+        if i and slope is not None:
+            x = engine.leaky_relu(x, slope)
+        x = engine.matmul(x, W) + b
+    return x
 
 
 def _train_rows(trainer, data, **over):
@@ -566,6 +699,15 @@ _LEARNERS = {
         RngStream(7)).log_prob(_codes(8)).tolist(),
     "minimize": lambda data: run_minimization(make_task(10, 9), 4,
                                               log_every=1)["trajectory"],
+    "gan-nonsat": lambda data: _train_rows(train_gan, data),
+    "gan-reverse_kl": lambda data: _train_rows(train_gan, data,
+                                               generator_loss="reverse_kl"),
+    "vghpp": lambda data: _train_rows(
+        lambda d, cfg: train_vgh(d, cfg, "vghpp"), data),
+    "synth-estimate": lambda data: run_estimation(
+        make_task(10, 10), ExperimentConfig(ratio_hidden=16, ratio_layers=2,
+                                            ratio_iters=4),
+        64, RngStream(11))["report"].to_json(),
 }
 
 
@@ -589,19 +731,86 @@ def _run_learner(monkeypatch, name, data):
 def test_fused_layers_train_exactly_as_separate_ops(sprites256, monkeypatch,
                                                     name):
     got_log, got = _run_learner(monkeypatch, name, sprites256)
-    layers = []
+    calls = set()
 
-    def reference(*args):
-        layers.append(1)
-        return _unfused_linear(*args)
+    def counted(op, fn):
+        def run(*args):
+            calls.add(op)
+            return fn(*args)
+        return run
 
-    monkeypatch.setattr(engine, "linear", reference)
+    monkeypatch.setattr(engine, "linear", counted("linear", _unfused_linear))
+    monkeypatch.setattr(engine, "sigmoid_xent",
+                        counted("loss", _composed_xent))
+    monkeypatch.setattr(engine, "neg_log_odds_mean",
+                        counted("loss", _composed_neg_log_odds_mean))
     want_log, want = _run_learner(monkeypatch, name, sprites256)
-    assert layers and got
+    assert "linear" in calls and got
+    # Every learner but the density fits trains a classifier.
+    assert ("loss" in calls) == (name not in ("vae", "ar"))
     assert got_log == want_log
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+# Per learner: its networks in the order it builds their optimizers, and
+# per step (by the ``what`` it gives ``minimize``) the networks on that
+# step's tape that the step does not update.
+_FROZEN = {
+    "aae": (("enc", "gen", "code_disc"), {"autoencoder loss": {"code_disc"}}),
+    "gan": (("gen", "data_disc"), {"generator loss": {"data_disc"}}),
+    "vghpp": (("enc", "gen", "data_disc", "code_disc"),
+              {"enc loss": {"gen", "code_disc"}, "gen loss": {"data_disc"}}),
+    "synth": (("clf", "learner"), {"learner loss": {"clf"}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FROZEN))
+def test_steps_leave_no_gradient_on_networks_they_do_not_update(
+        sprites256, monkeypatch, name):
+    networks, expected = _FROZEN[name]
+    built, seen = [], set()
+    init, real = Adam.__init__, optim.minimize
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    def checked(tape, loss, *opts, what, step=None):
+        nets = {net: opt.params for net, opt in zip(networks, built)}
+        every = [p for ps in nets.values() for p in ps]
+        leaves = {id(p) for node in tape.nodes for p in node.parents}
+        on_tape = {net for net, ps in nets.items()
+                   if any(id(p) in leaves for p in ps)}
+        stepped = {net for net, ps in nets.items()
+                   if any(ps is opt.params for opt in opts)}
+        assert on_tape - stepped == expected.get(what, set())
+        # A full sweep still fills every parameter on the tape.
+        engine.zero_grads(every)
+        engine.backward(tape, loss)
+        full = {id(p): p.grad for net in on_tape for p in nets[net]}
+        assert all(g is not None for g in full.values())
+        engine.zero_grads(every)
+        real(tape, loss, *opts, what=what, step=step)
+        for net in on_tape - stepped:
+            assert all(p.grad is None for p in nets[net]), (what, net)
+        for net in stepped:
+            for p in nets[net]:
+                assert p.grad.tobytes() == full[id(p)].tobytes(), (what, net)
+        seen.add(what)
+
+    monkeypatch.setattr(Adam, "__init__", recording)
+    monkeypatch.setattr(models, "minimize", checked)
+    monkeypatch.setattr(synth_gauss, "minimize", checked)
+    if name == "synth":
+        run_minimization(make_task(10, 9), 2)
+    else:
+        _train_rows({"aae": train_aae, "gan": train_gan,
+                     "vghpp": lambda d, cfg: train_vgh(d, cfg, "vghpp")}[name],
+                    sprites256)
+    assert len(built) == len(networks)
+    assert set(expected) <= seen
 
 
 _ROOT = Path(__file__).resolve().parents[1]

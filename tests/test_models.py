@@ -21,7 +21,9 @@ from dmvi.models import (
     bce,
     build_bundle,
     elbo_parts,
+    xent,
     l1_reconstruction,
+    penalty_mean,
     ratio_penalty,
     train_aae,
     train_gan,
@@ -259,21 +261,28 @@ def test_gan_loss_values_at_blind_discriminator():
     nonsat = (-engine.tmean(_safe_log(p))).item()
     assert abs(nonsat - np.log(2.0)) < 1e-12
     assert ratio_penalty(p).data.max() == 0.0  # reverse-KL loss vanishes
+    # The training losses, read from the logit, agree.
+    logit = b.data_logit(x)
+    assert abs(bce(logit, logit).item() - 2.0 * np.log(2.0)) < 1e-12
+    assert abs(xent(logit, 1).item() - np.log(2.0)) < 1e-12
+    assert penalty_mean(logit).item() == 0.0
 
 
 def test_bce_matches_hand_formula_and_saturates():
-    p_one = np.array([[0.9], [0.3], [1.0], [0.0]])
-    p_zero = np.array([[0.2], [1.0], [0.0]])
+    # bce reads logits; 40 and -40 saturate the sigmoid past the clamp.
+    l_one = np.array([[2.2], [-0.85], [40.0], [-40.0]])
+    l_zero = np.array([[-1.4], [40.0], [-40.0]])
+    p_one, p_zero = 1.0 / (1.0 + np.exp(-l_one)), 1.0 / (1.0 + np.exp(-l_zero))
     lo, hi = PROB_CLAMP, 1.0 - PROB_CLAMP
     want = (-np.log(np.clip(p_one, lo, hi)).mean()
             - np.log(np.clip(1.0 - p_zero, lo, hi)).mean())
-    got = bce(engine.Tensor(p_one), engine.Tensor(p_zero)).item()
+    got = bce(engine.Tensor(l_one), engine.Tensor(l_zero)).item()
     assert abs(got - want) < 1e-12
     # Certain and wrong costs -log PROB_CLAMP per side, not infinity;
     # certain and right costs -log(1 - PROB_CLAMP) per side, not zero.
-    worst = bce(engine.Tensor([[0.0]]), engine.Tensor([[1.0]])).item()
+    worst = bce(engine.Tensor([[-np.inf]]), engine.Tensor([[np.inf]])).item()
     assert abs(worst + 2.0 * np.log(PROB_CLAMP)) < 1e-12
-    best = bce(engine.Tensor([[1.0]]), engine.Tensor([[0.0]])).item()
+    best = bce(engine.Tensor([[np.inf]]), engine.Tensor([[-np.inf]])).item()
     assert abs(best + 2.0 * np.log1p(-PROB_CLAMP)) < 1e-12
 
 
@@ -478,21 +487,43 @@ def test_train_vgh_matches_full_graph_updates_exactly(sprites256, variant):
     assert [r for r in log.rows if not r["name"].startswith("updates_")] == rows
 
 
+# Network applications in one VGH iteration, per network, (taped, untaped):
+# each step tapes only the networks between its component and its loss,
+# and recomputes the encoder's and decoder's outputs untaped for the steps
+# after theirs.
+_VGH_APPLICATIONS = {
+    "vgh": {"enc": (1, 1), "gen": (2, 1), "data_disc": (3, 0),
+            "code_disc": (3, 0)},
+    "vghpp": {"enc": (1, 1), "gen": (3, 2), "data_disc": (5, 0),
+              "code_disc": (3, 0)},
+}
+
+
 @pytest.mark.parametrize("variant,layers", [("vgh", 39), ("vghpp", 53)])
 def test_train_vgh_iteration_builds_only_needed_graphs(sprites256, monkeypatch,
                                                        variant, layers):
-    # Dense-layer applications, taped or not, in one iteration.
     calls = []
     linear = engine.linear
 
-    def counting(*args):
-        calls.append(1)
-        return linear(*args)
+    def counting(x, stack, *args):
+        calls.append((stack[0][0].shape[0], stack[-1][0].shape[1], len(stack),
+                      engine._ACTIVE_TAPE is not None))
+        return linear(x, stack, *args)
 
     monkeypatch.setattr(engine, "linear", counting)
     cfg = ExperimentConfig(latent=4, hidden=16, iters=1, batch=8, seed=1)
     train_vgh(sprites256, cfg, variant)
-    assert len(calls) == layers
+    # Each network by its (input, output) widths: the data is 144 wide, the
+    # code 4 and the encoder's output 8.
+    names = {(144, 8): "enc", (4, 144): "gen", (144, 1): "data_disc",
+             (4, 1): "code_disc"}
+    got = {}
+    for fan_in, fan_out, _, taped in calls:
+        counts = got.setdefault(names[fan_in, fan_out], [0, 0])
+        counts[not taped] += 1
+    assert {k: tuple(v) for k, v in got.items()} == _VGH_APPLICATIONS[variant]
+    # Every application is the whole network, one node: 39 and 53 layers.
+    assert sum(depth for _, _, depth, _ in calls) == layers
 
 
 def test_l1_reconstruction_value():
