@@ -36,10 +36,9 @@ class DiagGaussian:
     applied at construction.
     """
 
-    def __init__(self, mean, logvar, floor: bool = True):
+    def __init__(self, mean, logvar):
         self.mean = as_tensor(mean)
-        logvar = as_tensor(logvar)
-        self.logvar = engine.clamp_min(logvar, LOGVAR_FLOOR) if floor else logvar
+        self.logvar = engine.clamp_min(as_tensor(logvar), LOGVAR_FLOOR)
 
 
 def reparam(q: DiagGaussian, eps: np.ndarray) -> Tensor:
@@ -118,39 +117,6 @@ def kl_full_gauss(p0, p1) -> float:
     if sign0 <= 0:
         raise NumericsError("first covariance is not positive definite")
     return 0.5 * (np.trace(s1_inv_s0) + maha - d + logdet1 - logdet0)
-
-
-def sample_full_gauss(mean: np.ndarray, cov: np.ndarray, n: int,
-                      rng: RngStream) -> np.ndarray:
-    chol = np.linalg.cholesky(np.asarray(cov, dtype=np.float64))
-    eps = rng.normal((n, len(mean)))
-    return np.asarray(mean) + eps @ chol.T
-
-
-def mc_kl_full_gauss(p0, p1, n: int, rng: RngStream):
-    """Monte Carlo KL(N(p0) ‖ N(p1)) with its standard error.
-
-    Independent route to the closed form: draws from p0, averages the
-    log-density difference.
-    """
-    m0, s0 = p0
-    x = sample_full_gauss(m0, s0, n, rng)
-    return mean_stderr(full_gauss_logpdf(x, m0, s0) - full_gauss_logpdf(x, *p1))
-
-
-def full_gauss_logpdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Row-wise log density of N(mean, cov); cov must be positive definite."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    d = x.shape[1]
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise NumericsError("covariance is not positive definite")
-    diff = x - mean
-    y = np.linalg.solve(chol, diff.T)
-    maha = (y * y).sum(axis=0)
-    logdet = 2.0 * np.log(np.diag(chol)).sum()
-    return -0.5 * (d * _LOG_2PI + logdet + maha)
 
 
 # ---------------------------------------------------------------------------

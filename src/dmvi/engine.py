@@ -184,11 +184,11 @@ def matmul(a, b) -> Tensor:
     return _record(out, "matmul", (a, b), vjp)
 
 
-def linear(x, layers, slope: float | None = None) -> Tensor:
+def linear(x, layers, slope: float = 0.0) -> Tensor:
     """A dense network as one node: ``h @ W + b`` for each ``(W, b)`` of
     ``layers`` in turn, starting from ``h = x``, with a leaky relu of
-    ``slope`` (0.0 for relu) between layers and none after the last, or no
-    activation at all when ``slope`` is None. A slope must lie in [0, 1).
+    ``slope`` (0.0, the default, for relu) between layers and none after
+    the last. A slope must lie in [0, 1).
 
     Each layer rounds as the separate matmul, add and leaky_relu ops do, and
     the node takes the place on the tape the last of them would have taken.
@@ -216,7 +216,7 @@ def linear(x, layers, slope: float | None = None) -> Tensor:
         inputs.append(h)
         h = h @ W.data
         h += b.data
-        if slope is not None and i < last:
+        if i < last:
             # x * 1.0 and x * slope round exactly as x and slope * x do. The
             # scale comes without a branch: on fresh activations the signs
             # are random, and np.where's per-entry branch costs about 5x this
@@ -240,7 +240,7 @@ def linear(x, layers, slope: float | None = None) -> Tensor:
                 lowest += 1
         for i in range(last, lowest - 1, -1):
             W, b = layers[i]
-            if i < len(scales):
+            if i < last:
                 g = g * scales[i]
             if W.requires_grad:
                 grads[2 * i + 1] = inputs[i].T @ g
@@ -406,15 +406,14 @@ def clamp_min(x, lo: float) -> Tensor:
     return _record(out, "clamp_min", (x,), vjp)
 
 
-def tsum(x, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(x, axis=None) -> Tensor:
     x = as_tensor(x)
-    out = Tensor(x.data.sum(axis=axis, keepdims=keepdims))
+    out = Tensor(x.data.sum(axis=axis))
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, x.data.shape).copy(),)
-        g2 = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(g2, x.data.shape).copy(),)
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, x.data.shape).copy(),)
 
     return _record(out, "sum", (x,), vjp)
 

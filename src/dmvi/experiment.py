@@ -10,6 +10,7 @@ report.json, trajectory.csv, arrays).
 from __future__ import annotations
 
 import configparser
+import contextlib
 import hashlib
 import io
 import json
@@ -373,8 +374,7 @@ def _cmd_synth(cfg: ExperimentConfig):
         rows = [{"step": 0, "name": "true_kl", "value": result["true_kl"]},
                 {"step": 0, "name": "est_kl", "value": result["est_kl"]}]
         return rows, None
-    result = run_minimization(task, cfg.synth_iters,
-                              log_every=cfg.synth_log_every)
+    result = run_minimization(task, cfg.synth_iters, cfg.synth_log_every)
     with new_file(os.path.join(cfg.out, "trajectory.csv")) as f:
         f.write(trajectory_csv(result["trajectory"]))
     write_json(cfg.out, "report.json",
@@ -409,6 +409,9 @@ def _cmd_dataset(cfg: ExperimentConfig):
     else:
         try:
             data = np.load(cfg.data_path)
+            if not isinstance(data, np.ndarray):
+                data.close()
+                raise ValueError("it is an .npz archive")
         except (ValueError, EOFError) as e:
             raise ParseError(f"{cfg.data_path!r} is not a .npy array: {e}") from e
     if data.size == 0 or data.dtype.kind not in "biuf":
@@ -432,10 +435,8 @@ def remove_artifacts(out: str) -> None:
     """Unlink every artifact an earlier command left in ``out``, so that a
     failed command leaves none of them looking valid. Other files stay."""
     for name in ARTIFACTS:
-        try:
+        with contextlib.suppress(FileNotFoundError):
             os.unlink(os.path.join(out, name))
-        except FileNotFoundError:
-            pass
 
 
 def write_json(out: str, name: str, payload: dict) -> None:
@@ -468,6 +469,10 @@ def execute(cfg: ExperimentConfig) -> str:
     if cfg.command not in _COMMANDS:
         raise ContractError(f"unknown command {cfg.command!r}")
     cfg.validate()
+    # No status.json until this command finishes ok: a run it interrupts is
+    # refused, not read as the old one. ``main`` refused ``out`` == ``run``.
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(os.path.join(cfg.out, "status.json"))
     rows, extra = _COMMANDS[cfg.command](cfg)
     _finish(cfg, rows, extra)
     write_json(cfg.out, "status.json", {"status": "ok", "exit_code": 0})

@@ -115,9 +115,6 @@ class ModelBundle:
     def code_logit(self, z) -> Tensor:
         return self.code_disc(engine.as_tensor(z))
 
-    def data_prob(self, x) -> Tensor:
-        return engine.sigmoid(self.data_logit(x))
-
     def code_prob(self, z) -> Tensor:
         return engine.sigmoid(self.code_logit(z))
 
@@ -242,22 +239,17 @@ def _vgh_disc_loss(d_real: Tensor, d_hat: Tensor,
 
 
 def vgh_losses(x, bundle: ModelBundle, variant: str, lam: float,
-               rng: RngStream | None = None, noise=None) -> dict:
+               noise) -> dict:
     """The four component losses on one batch, as one graph.
 
-    ``noise`` is (eps, z_prior); when absent both are drawn from ``rng``
-    in that order. The returned dict also carries the l1 reconstruction
-    under "recon" for logging.
+    ``noise`` is (eps, z_prior), the posterior noise and the prior codes.
+    The returned dict also carries the l1 reconstruction under "recon" for
+    logging.
     """
     if variant not in ("vgh", "vghpp"):
         raise ContractError(f"unknown variant {variant!r}")
     x = engine.as_tensor(x)
-    n = x.data.shape[0]
-    if noise is None:
-        eps = rng.normal((n, bundle.latent))
-        z_prior = rng.normal((n, bundle.latent))
-    else:
-        eps, z_prior = noise
+    eps, z_prior = noise
     z_hat = reparam(bundle.posterior(x), eps)
     x_hat = bundle.decode_mean(z_hat)
     x_gen = bundle.decode_mean(z_prior) if variant == "vghpp" else None

@@ -9,8 +9,8 @@ from .errors import ContractError
 from .rng import RngStream
 
 # Activations fused into the network's one ``engine.linear`` node, as the
-# leaky-relu slope it applies between layers (None: no activation).
-_SLOPES = {"relu": 0.0, "leaky": 0.2, "linear": None}
+# leaky-relu slope it applies between layers.
+_SLOPES = {"relu": 0.0, "leaky": 0.2}
 
 # Activations applied as their own node after each hidden layer.
 _ACTIVATIONS = {

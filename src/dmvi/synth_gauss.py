@@ -26,8 +26,10 @@ if TYPE_CHECKING:
     from .experiment import ExperimentConfig
 
 DIVERGENCE_FACTOR = 10.0
-# The minimization's classifier Adam rate and samples per side per step.
+# The minimization's classifier and learner Adam rates, and samples per
+# side per step.
 DISC_LR = 1e-4
+LEARNER_LR = 1e-3
 BATCH = 64
 
 
@@ -85,8 +87,7 @@ def run_estimation(task: SyntheticTask, cfg: ExperimentConfig, samples: int,
             "report": report}
 
 
-def run_minimization(task: SyntheticTask, iters: int,
-                     lr_learner: float = 1e-3, log_every: int = 100) -> dict:
+def run_minimization(task: SyntheticTask, iters: int, log_every: int) -> dict:
     """Alternating 1:1 classifier/learner updates on the learner's KL.
 
     Trajectory rows are (step, true_kl, est_kl, status). The run stops
@@ -101,7 +102,7 @@ def run_minimization(task: SyntheticTask, iters: int,
     root = RngStream(task.seed)
     clf = _make_classifier(task.d, root.child("clf"))
     opt_c = Adam(clf.parameters(), DISC_LR)
-    opt_l = Adam([task.learner_W, task.learner_b], lr_learner)
+    opt_l = Adam([task.learner_W, task.learner_b], LEARNER_LR)
     learner = [(task.learner_W, task.learner_b)]
     loop = root.child("minimize")
 

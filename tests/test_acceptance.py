@@ -24,7 +24,6 @@ from dmvi.distributions import (
     gauss_logpdf_np,
     kl_diag_standard,
     kl_full_gauss,
-    mc_kl_full_gauss,
     quantized_log_prob,
 )
 from dmvi.estimators import (
@@ -35,7 +34,6 @@ from dmvi.estimators import (
     ratio_kl,
     surgery_decompose,
 )
-from dmvi.gradcheck import grad_check
 from dmvi.experiment import ExperimentConfig
 from dmvi.models import (
     build_bundle,
@@ -47,6 +45,8 @@ from dmvi.models import (
 from dmvi.nn import MLP
 from dmvi.rng import RngStream
 from dmvi.synth_gauss import make_task, run_minimization
+
+from references import grad_check, mc_kl_full_gauss
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 import pytest
 
-from dmvi import cli
+from dmvi import cli, experiment
 from dmvi.checkpoint import load_checkpoint
 from dmvi.datasets import array_digest
 from dmvi.diagnostics import posterior_kl_stats
@@ -594,12 +594,17 @@ def test_run_without_status_is_refused(tiny_run, tmp_path):
 
 
 def test_inspect_of_non_array_file_is_io_error(tmp_path):
-    bad = tmp_path / "notes.txt"
-    bad.write_text("not an array\n")
-    out = tmp_path / "ins"
-    assert cli.main(["dataset", "--mode", "inspect", "--data", str(bad),
-                     "--out", str(out)]) == 4
-    assert _read_json(out / "status.json")["exit_code"] == 4
+    notes = tmp_path / "notes.txt"
+    notes.write_text("not an array\n")
+    archive = tmp_path / "arrays.npz"
+    np.savez(archive, x=np.ones((4, 2)))
+    for bad in (notes, archive):
+        out = tmp_path / "ins"
+        assert cli.main(["dataset", "--mode", "inspect", "--data", str(bad),
+                         "--out", str(out)]) == 4
+        status = _read_json(out / "status.json")
+        assert status["exit_code"] == 4
+        assert "is not a .npy array" in status["error"]
 
 
 def test_unreadable_config_file_is_io_error(tmp_path, monkeypatch):
@@ -658,6 +663,31 @@ def _estimate_run(tmp, run):
     assert cli.main(["estimate-kl", "--run", str(run), "--num-z", "16",
                      "--out", str(out)]) == 0
     return str(out)
+
+
+def _interrupted_rerun(tmp):
+    """A finished run, rerun into the same directory with more iterations
+    and interrupted while writing metrics.jsonl: the new checkpoint and
+    config.ini are in place beside the old run's other artifacts."""
+    run = tmp / "interrupted"
+    assert cli.main(_train_args(run, iters=20)) == 0
+
+    def interrupt(path, rows):
+        raise KeyboardInterrupt
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(experiment, "_write_metrics", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(_train_args(run, iters=40))
+    return str(run)
+
+
+def _on_interrupted_rerun(command, *flags):
+    """The row of ``command`` reading an interrupted rerun: refused."""
+    return pytest.param(
+        lambda tmp, run: [command, "--run", _interrupted_rerun(tmp), *flags],
+        2, "did not finish ok (status.json: missing)",
+        id=f"interrupted-rerun-{command}")
 
 
 # (argv from tmp_path and a finished run, exit code, text of the error)
@@ -745,6 +775,10 @@ _EXIT_CODES = [
     pytest.param(lambda tmp, run: ["surgery", "--num-z", "16", "--run",
                                    _non_utf8_name_run(tmp, run)],
                  4, "not UTF-8", id="non-utf8-tensor-name"),
+    _on_interrupted_rerun("estimate-kl", "--num-z", "16"),
+    _on_interrupted_rerun("surgery", "--num-z", "16"),
+    _on_interrupted_rerun("low-posterior", "--num-z", "16", "--n", "3"),
+    _on_interrupted_rerun("diversity", "--n", "4"),
 ]
 
 

@@ -16,21 +16,20 @@ from dmvi.distributions import (
     affine_to_moments,
     bernoulli_log_prob,
     diag_log_prob,
-    full_gauss_logpdf,
     gauss_logpdf_np,
     gauss_logpdf_pairs,
     kl_diag_standard,
     kl_full_gauss,
     kl_standard_np,
     log_mean_exp,
-    mc_kl_full_gauss,
     mean_stderr,
     quantized_log_prob,
     reparam,
-    sample_full_gauss,
 )
 from dmvi.errors import ContractError, NumericsError
 from dmvi.rng import RngStream
+
+from references import full_gauss_logpdf, mc_kl_full_gauss, sample_full_gauss
 
 
 def _scalar(t):
@@ -48,7 +47,7 @@ def test_diag_log_prob_matches_scipy():
         mean = rng.normal((d,))
         logvar = rng.normal((d,)) * 0.5
         z = rng.normal((d,)) * 2.0
-        q = DiagGaussian(mean, logvar, floor=False)
+        q = DiagGaussian(mean, logvar)
         got = _scalar(diag_log_prob(q, z))
         want = stats.norm.logpdf(z, mean, np.exp(0.5 * logvar)).sum()
         assert abs(got - want) < 1e-10
@@ -59,7 +58,7 @@ def test_diag_log_prob_batched_rows():
     mean = rng.normal((7, 3))
     logvar = rng.normal((7, 3)) * 0.3
     z = rng.normal((7, 3))
-    q = DiagGaussian(mean, logvar, floor=False)
+    q = DiagGaussian(mean, logvar)
     got = diag_log_prob(q, z).data
     assert got.shape == (7,)
     for i in range(7):
@@ -82,7 +81,7 @@ def test_numpy_twin_matches_graph_density():
         mean = rng.normal((4,))
         logvar = rng.normal((4,))
         z = rng.normal((6, 4))
-        q = DiagGaussian(mean, logvar, floor=False)
+        q = DiagGaussian(mean, logvar)
         got = diag_log_prob(q, z).data
         want = gauss_logpdf_np(z, mean, logvar)
         assert np.allclose(got, want, rtol=0.0, atol=1e-12)
@@ -120,8 +119,6 @@ def test_pairwise_scorer_matches_row_wise_broadcast(d, seed):
 def test_variance_floor_applied_at_construction():
     q = DiagGaussian(np.zeros(3), np.full(3, -50.0))
     assert np.allclose(q.logvar.data, LOGVAR_FLOOR)
-    raw = DiagGaussian(np.zeros(3), np.full(3, -50.0), floor=False)
-    assert np.allclose(raw.logvar.data, -50.0)
 
 
 def test_diag_log_prob_gradient_is_scaled_residual():
@@ -132,7 +129,7 @@ def test_diag_log_prob_gradient_is_scaled_residual():
         mean = engine.parameter(rng.normal((5,)))
         logvar = rng.normal((5,))
         x = rng.normal((5,))
-        q = DiagGaussian(mean, logvar, floor=False)
+        q = DiagGaussian(mean, logvar)
         with engine.Tape() as tape:
             lp = diag_log_prob(q, x)
         engine.backward(tape, lp)
@@ -145,13 +142,13 @@ def test_diag_log_prob_gradient_is_scaled_residual():
 
 
 def test_kl_standard_zero_at_prior():
-    q = DiagGaussian(np.zeros(4), np.zeros(4), floor=False)
+    q = DiagGaussian(np.zeros(4), np.zeros(4))
     assert _scalar(kl_diag_standard(q)) == 0.0
 
 
 def test_kl_standard_unit_mean_shift():
     # KL(N(1,1) || N(0,1)) = 1/2.
-    q = DiagGaussian(np.array([1.0]), np.array([0.0]), floor=False)
+    q = DiagGaussian(np.array([1.0]), np.array([0.0]))
     assert abs(_scalar(kl_diag_standard(q)) - 0.5) < 1e-12
 
 
@@ -160,7 +157,7 @@ def test_kl_standard_closed_form_random():
     for _ in range(200):
         mean = rng.normal((3,))
         logvar = rng.normal((3,))
-        q = DiagGaussian(mean, logvar, floor=False)
+        q = DiagGaussian(mean, logvar)
         var = np.exp(logvar)
         want = 0.5 * (mean ** 2 + var - 1.0 - logvar).sum()
         assert abs(_scalar(kl_diag_standard(q)) - want) < 1e-10
@@ -170,7 +167,7 @@ def test_kl_standard_nonnegative():
     rng = RngStream(5)
     mean = rng.normal((1000, 4)) * 3.0
     logvar = rng.normal((1000, 4)) * 2.0
-    q = DiagGaussian(mean, logvar, floor=False)
+    q = DiagGaussian(mean, logvar)
     assert kl_diag_standard(q).data.min() >= 0.0
 
 
@@ -178,7 +175,7 @@ def test_kl_per_dim_sums_to_total():
     rng = RngStream(6)
     mean = rng.normal((16, 5))
     logvar = rng.normal((16, 5))
-    q = DiagGaussian(mean, logvar, floor=False)
+    q = DiagGaussian(mean, logvar)
     per = kl_standard_np(q.mean.data, q.logvar.data).mean(axis=0)
     total = float(kl_diag_standard(q).data.mean())
     assert per.shape == (5,)
@@ -198,7 +195,7 @@ def test_kl_full_matches_diag_on_diagonal_moments():
     for _ in range(100):
         mean = rng.normal((4,))
         logvar = rng.normal((4,))
-        q = DiagGaussian(mean, logvar, floor=False)
+        q = DiagGaussian(mean, logvar)
         full = kl_full_gauss((mean, np.diag(np.exp(logvar))),
                              (np.zeros(4), np.eye(4)))
         assert abs(full - _scalar(kl_diag_standard(q))) < 1e-10
@@ -297,7 +294,7 @@ def test_reparam_draw_is_mean_plus_scaled_noise():
     rng = RngStream(13)
     mean = rng.normal((5, 2))
     logvar = rng.normal((5, 2))
-    q = DiagGaussian(mean, logvar, floor=False)
+    q = DiagGaussian(mean, logvar)
     z = reparam(q, RngStream(99).normal((5, 2))).data
     eps = RngStream(99).normal((5, 2))
     assert np.allclose(z, mean + np.exp(0.5 * logvar) * eps, atol=1e-12)
@@ -306,8 +303,9 @@ def test_reparam_draw_is_mean_plus_scaled_noise():
 def test_reparam_gradients_flow_to_both_parameters():
     mean = engine.parameter(np.zeros(3))
     logvar = engine.parameter(np.zeros(3))
-    q = DiagGaussian(mean, logvar, floor=False)
     with engine.Tape() as tape:
+        # The variance floor is a node on the tape between logvar and q.
+        q = DiagGaussian(mean, logvar)
         z = reparam(q, RngStream(1).normal((3,)))
         loss = engine.tsum(z * z)
     engine.backward(tape, loss)
@@ -373,7 +371,7 @@ def test_quantized_gradient_is_scaled_residual_with_replayed_noise():
     x = np.floor(rng.uniform((5, 3)) * 4.0)
     mean = engine.parameter(rng.normal((5, 3)))
     logvar = rng.normal((5, 3)) * 0.2
-    v = DiagGaussian(mean, logvar, floor=False)
+    v = DiagGaussian(mean, logvar)
     noise_stream = RngStream(77)
     with engine.Tape() as tape:
         lp = quantized_log_prob(v, x, noise_stream)
@@ -397,7 +395,7 @@ def test_quantized_density_value_matches_normal_at_noised_point():
     x = np.array([[2.0, 3.0]])
     mean = np.array([[2.5, 2.5]])
     logvar = np.log(np.array([[0.25, 1.0]]))
-    v = DiagGaussian(mean, logvar, floor=False)
+    v = DiagGaussian(mean, logvar)
     got = float(quantized_log_prob(v, x, RngStream(5)).data[0])
     u = RngStream(5).uniform((1, 2))
     want = stats.norm.logpdf(x + u, mean, np.exp(0.5 * logvar)).sum()

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from dmvi import synth_gauss
 from dmvi.errors import ContractError
 from dmvi.experiment import ExperimentConfig
 from dmvi.rng import RngStream
@@ -95,11 +96,12 @@ def test_trajectory_row_contract():
 
 def test_minimization_rejects_nonpositive_iters():
     with pytest.raises(ContractError):
-        run_minimization(make_task(5, 0), 0)
+        run_minimization(make_task(5, 0), 0, 100)
 
 
-def test_runaway_learner_marks_run_diverged():
-    out = run_minimization(make_task(10, 0), 50, lr_learner=1e6, log_every=1)
+def test_runaway_learner_marks_run_diverged(monkeypatch):
+    monkeypatch.setattr(synth_gauss, "LEARNER_LR", 1e6)
+    out = run_minimization(make_task(10, 0), 50, log_every=1)
     assert out["status"] == "diverged"
     rows = out["trajectory"]
     assert rows[-1]["status"] == "diverged"
