@@ -16,7 +16,7 @@ import io
 import json
 import os
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -30,13 +30,13 @@ from .rng import RngStream
 
 def _setting(section: str, default, choices: tuple | None = None,
              help: str | None = None, positive: bool = False,
-             least: int | None = None):
+             least: float | None = None):
     """A field of ExperimentConfig: its INI section, its allowed values, its
-    flag's help text and the least value it takes (1 for a ``positive``
-    count)."""
+    flag's help text, whether it must be above 0 and the least value it
+    takes. A float setting must also be finite."""
     return field(default=default, metadata={
         "section": section, "choices": choices, "help": help,
-        "least": 1 if positive else least})
+        "positive": positive, "least": least})
 
 
 @dataclass
@@ -58,12 +58,12 @@ class ExperimentConfig:
     model: str = _setting("train", "vae", tuple(TRAINERS))
     latent: int = _setting("train", 16, positive=True)
     hidden: int = _setting("train", 256, positive=True)
-    lam: float = _setting("train", 10.0)
-    lr: float = _setting("train", 1e-3)
-    lr_enc: float | None = _setting("train", None)
-    lr_gen: float | None = _setting("train", None)
-    lr_disc: float | None = _setting("train", None)
-    lr_code: float | None = _setting("train", None)
+    lam: float = _setting("train", 10.0, least=0.0)
+    lr: float = _setting("train", 1e-3, positive=True)
+    lr_enc: float | None = _setting("train", None, positive=True)
+    lr_gen: float | None = _setting("train", None, positive=True)
+    lr_disc: float | None = _setting("train", None, positive=True)
+    lr_code: float | None = _setting("train", None, positive=True)
     iters: int = _setting("train", 2000, positive=True)
     batch: int = _setting("train", 64, positive=True)
     visible: str = _setting("train", "bernoulli",
@@ -133,17 +133,25 @@ class ExperimentConfig:
         return cfg
 
     def config_hash(self) -> bytes:
-        return hashlib.sha256(self.to_ini().encode()).digest()
+        """SHA-256 of every setting but where a run is written or read."""
+        return hashlib.sha256(replace(self, out="", run="").to_ini()
+                              .encode()).digest()
 
     def validate(self) -> "ExperimentConfig":
-        """Check every count and every choice; every command and every
-        trainer calls this first."""
+        """Check every bound and every choice; every command and every
+        trainer calls this first. An unset optional rate is not checked."""
         for f in fields(self):
             value, choices = getattr(self, f.name), f.metadata["choices"]
+            if value is None:
+                continue
             least = f.metadata["least"]
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ContractError(f"{f.name} must be finite, got {value}")
+            if f.metadata["positive"] and not value > 0:
+                raise ContractError(f"{f.name} must be positive, got {value}")
             if least is not None and value < least:
-                bound = "positive" if least == 1 else f"at least {least}"
-                raise ContractError(f"{f.name} must be {bound}, got {value}")
+                raise ContractError(f"{f.name} must be at least {least}, "
+                                    f"got {value}")
             if choices and value not in choices:
                 raise ContractError(f"unknown {f.name} {value!r}; have {choices}")
         return self

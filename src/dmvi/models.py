@@ -2,10 +2,9 @@
 
 All models share the same small fully connected parts: an encoder emitting
 (mean, logvar) of a diagonal Gaussian posterior, a decoder/generator, and
-up to two discriminators (one on data, one on codes). Training is plain
-alternating Adam through ``optim.minimize``; every iteration performs one
-step per component, encoder first, then generator, then data discriminator,
-then code discriminator.
+up to two discriminators (one on data, one on codes). Every model trains in
+one loop, ``_train``, with one Adam per part stepped through
+``optim.minimize``; each model's step function states its update order.
 """
 
 from __future__ import annotations
@@ -37,8 +36,7 @@ if TYPE_CHECKING:
 # classifier gets.
 PROB_CLAMP = 1e-7
 
-# The networks each model kind trains, in update order; its checkpoint holds
-# exactly these.
+# The networks each model kind trains; its checkpoint holds exactly these.
 PARTS = {
     "vae": ("enc", "gen"),
     "aae": ("enc", "gen", "code_disc"),
@@ -269,107 +267,94 @@ def vgh_losses(x, bundle: ModelBundle, variant: str, lam: float,
 # ---------------------------------------------------------------------------
 # Trainers.
 
-
-def _lr(cfg: ExperimentConfig, override) -> float:
-    return cfg.lr if override is None else override
+# The setting holding each part's Adam rate; ``lr`` stands in while it is None.
+_RATES = {"enc": "lr_enc", "gen": "lr_gen", "data_disc": "lr_disc",
+          "code_disc": "lr_code"}
 
 
 def _minibatch(data: np.ndarray, rng: RngStream, batch: int) -> np.ndarray:
-    idx = rng.integers(0, data.shape[0], (batch,))
-    return data[idx]
+    return data[rng.integers(0, data.shape[0], (batch,))]
 
 
-def _start(data: np.ndarray, cfg: ExperimentConfig, model: str):
-    """Check ``cfg``; return the model's freshly initialised parts, the
-    training loop's stream and an empty log."""
+def _train(data: np.ndarray, cfg: ExperimentConfig, model: str, step):
+    """Train the parts of ``model``, each with its own Adam; return the
+    bundle, the log and the optimizers by part. Iteration ``i`` calls
+    ``step(bundle, opts, cfg, x, loop, i)`` on a minibatch ``x``. It returns
+    a function making the rows logged every ``log_every`` iterations and at
+    the last; it reads floats and arrays only, so no graph outlives its step."""
     cfg.validate()
     root = RngStream(cfg.seed)
     bundle = build_bundle(cfg, data.shape[1], root.child("init"), PARTS[model])
-    return bundle, root.child("loop"), MetricLog()
+    rates = {name: getattr(cfg, setting) for name, setting in _RATES.items()}
+    opts = {name: Adam(params, cfg.lr if rates[name] is None else rates[name])
+            for name, params in bundle.component_params().items()}
+    loop, log = root.child("loop"), MetricLog()
+    for i in range(cfg.iters):
+        rows = step(bundle, opts, cfg, _minibatch(data, loop, cfg.batch), loop, i)
+        if i % cfg.log_every == 0 or i == cfg.iters - 1:
+            for name, value in rows():
+                log.add(i, name, value)
+    return bundle, log, opts
 
 
-def train_vae(data: np.ndarray, cfg: ExperimentConfig):
-    """Adam ascent on the batch-mean ELBO."""
-    bundle, loop, log = _start(data, cfg, "vae")
-    params = bundle.encoder.parameters() + bundle.decoder.parameters()
-    opt = Adam(params, _lr(cfg, cfg.lr_enc))
-    for step in range(cfg.iters):
-        x = _minibatch(data, loop, cfg.batch)
-        with engine.Tape() as tape:
-            recon, kl = elbo_parts(x, bundle, loop, cfg.mc_samples)
-            bound = engine.tmean(recon - kl)
-            loss = -bound
-        minimize(tape, loss, opt, what="vae loss", step=step)
-        if step % cfg.log_every == 0 or step == cfg.iters - 1:
-            log.add(step, "elbo", bound.item())
-            log.add(step, "kl_avg", engine.tmean(kl).item())
-            log.add(step, "recon", engine.tmean(recon).item())
-    return bundle, log
+def _vae_step(bundle, opts, cfg, x, loop, i):
+    """Encoder and decoder in one step up the batch-mean ELBO."""
+    with engine.Tape() as tape:
+        recon, kl = elbo_parts(x, bundle, loop, cfg.mc_samples)
+        bound = engine.tmean(recon - kl)
+        loss = -bound
+    minimize(tape, loss, opts["enc"], opts["gen"], what="vae loss", step=i)
+    bound, recon, kl = bound.item(), recon.data, kl.data
+    return lambda: (("elbo", bound), ("kl_avg", kl.mean()),
+                    ("recon", recon.mean()))
 
 
-def train_gan(data: np.ndarray, cfg: ExperimentConfig):
-    """Alternating cross-entropy discriminator and chosen generator loss."""
-    bundle, loop, log = _start(data, cfg, "gan")
-    opt_g = Adam(bundle.decoder.parameters(), _lr(cfg, cfg.lr_gen))
-    opt_d = Adam(bundle.data_disc.parameters(), _lr(cfg, cfg.lr_disc))
-    for step in range(cfg.iters):
-        x = _minibatch(data, loop, cfg.batch)
-        z = loop.normal((cfg.batch, cfg.latent))
-
-        fake = bundle.decode_mean(Tensor(z)).data
-        with engine.Tape() as tape:
-            d_loss = bce(bundle.data_logit(x), bundle.data_logit(fake))
-        minimize(tape, d_loss, opt_d, what="discriminator loss", step=step)
-
-        with engine.Tape() as tape:
-            l_fake = bundle.data_logit(bundle.decode_mean(Tensor(z)))
-            if cfg.generator_loss == "nonsat":
-                g_loss = xent(l_fake, 1)
-            else:
-                g_loss = penalty_mean(l_fake)
-        minimize(tape, g_loss, opt_g, what="generator loss", step=step)
-
-        if step % cfg.log_every == 0 or step == cfg.iters - 1:
-            log.add(step, "loss_disc", d_loss.item())
-            log.add(step, "loss_gen", g_loss.item())
-    return bundle, log
+def _gan_step(bundle, opts, cfg, x, loop, i):
+    """The data discriminator first, on generated points as constants; then
+    the generator, against the just-stepped discriminator."""
+    z = loop.normal((cfg.batch, cfg.latent))
+    fake = bundle.decode_mean(Tensor(z)).data
+    with engine.Tape() as tape:
+        d_loss = bce(bundle.data_logit(x), bundle.data_logit(fake))
+    minimize(tape, d_loss, opts["data_disc"], what="discriminator loss", step=i)
+    with engine.Tape() as tape:
+        l_fake = bundle.data_logit(bundle.decode_mean(Tensor(z)))
+        if cfg.generator_loss == "nonsat":
+            g_loss = xent(l_fake, 1)
+        else:
+            g_loss = penalty_mean(l_fake)
+    minimize(tape, g_loss, opts["gen"], what="generator loss", step=i)
+    d_loss, g_loss = d_loss.item(), g_loss.item()
+    return lambda: (("loss_disc", d_loss), ("loss_gen", g_loss))
 
 
-def train_aae(data: np.ndarray, cfg: ExperimentConfig):
-    """Reconstruction plus code-adversarial latent matching."""
-    bundle, loop, log = _start(data, cfg, "aae")
-    opt_e = Adam(bundle.encoder.parameters(), _lr(cfg, cfg.lr_enc))
-    opt_g = Adam(bundle.decoder.parameters(), _lr(cfg, cfg.lr_gen))
-    opt_c = Adam(bundle.code_disc.parameters(), _lr(cfg, cfg.lr_code))
-    for step in range(cfg.iters):
-        x = _minibatch(data, loop, cfg.batch)
-        eps = loop.normal((cfg.batch, cfg.latent))
-        z_prior = loop.normal((cfg.batch, cfg.latent))
-
-        with engine.Tape() as tape:
-            z_hat = reparam(bundle.posterior(x), eps)
-            if cfg.recon == "loglik":
-                recon = -engine.tmean(bundle.recon_log_prob(x, z_hat, loop))
-            else:
-                recon = l1_reconstruction(x, bundle.decode_mean(z_hat))
-            ae_loss = recon + penalty_mean(bundle.code_logit(z_hat))
-        minimize(tape, ae_loss, opt_e, opt_g, what="autoencoder loss", step=step)
-
-        z_hat_const = z_hat.data
-        with engine.Tape() as tape:
-            c_loss = bce(bundle.code_logit(z_prior),
-                         bundle.code_logit(z_hat_const))
-        minimize(tape, c_loss, opt_c, what="code discriminator loss", step=step)
-
-        if step % cfg.log_every == 0 or step == cfg.iters - 1:
-            log.add(step, "recon", recon.item())
-            log.add(step, "loss_enc", ae_loss.item())
-            log.add(step, "loss_code_disc", c_loss.item())
-    return bundle, log
+def _aae_step(bundle, opts, cfg, x, loop, i):
+    """Encoder and decoder in one joint step on reconstruction plus the code
+    penalty; then the code discriminator, on the posterior codes of that
+    step as constants."""
+    eps = loop.normal((cfg.batch, cfg.latent))
+    z_prior = loop.normal((cfg.batch, cfg.latent))
+    with engine.Tape() as tape:
+        z_hat = reparam(bundle.posterior(x), eps)
+        if cfg.recon == "loglik":
+            recon = -engine.tmean(bundle.recon_log_prob(x, z_hat, loop))
+        else:
+            recon = l1_reconstruction(x, bundle.decode_mean(z_hat))
+        ae_loss = recon + penalty_mean(bundle.code_logit(z_hat))
+    minimize(tape, ae_loss, opts["enc"], opts["gen"], what="autoencoder loss",
+             step=i)
+    with engine.Tape() as tape:
+        c_loss = bce(bundle.code_logit(z_prior), bundle.code_logit(z_hat.data))
+    minimize(tape, c_loss, opts["code_disc"], what="code discriminator loss",
+             step=i)
+    recon, ae_loss, c_loss = recon.item(), ae_loss.item(), c_loss.item()
+    return lambda: (("recon", recon), ("loss_enc", ae_loss),
+                    ("loss_code_disc", c_loss))
 
 
-def train_vgh(data: np.ndarray, cfg: ExperimentConfig, variant: str = "vghpp"):
-    """One Adam step per component per iteration, encoder first.
+def _vgh_step(bundle, opts, cfg, x, loop, i, pp: bool):
+    """One Adam step per component, encoder, generator, data discriminator,
+    then code discriminator (``pp``: the vghpp variant).
 
     Component updates within an iteration share the same minibatch and
     noise draws; each update recomputes its loss from current parameters.
@@ -387,61 +372,68 @@ def train_vgh(data: np.ndarray, cfg: ExperimentConfig, variant: str = "vghpp"):
     ``vgh_losses`` graph, so the backward sweep sums each gradient in the
     same order and the updates match it bit for bit.
     """
-    bundle, loop, log = _start(data, cfg, variant)
-    groups = bundle.component_params()
-    lrs = {"enc": _lr(cfg, cfg.lr_enc), "gen": _lr(cfg, cfg.lr_gen),
-           "data_disc": _lr(cfg, cfg.lr_disc), "code_disc": _lr(cfg, cfg.lr_code)}
-    opts = {name: Adam(ps, lrs[name]) for name, ps in groups.items()}
-    pp = variant == "vghpp"
-    seen = {}
+    eps = loop.normal((cfg.batch, cfg.latent))
+    z_prior = loop.normal((cfg.batch, cfg.latent))
 
-    def update(name, tape, loss, step):
-        minimize(tape, loss, opts[name], what=f"{name} loss", step=step)
-        seen[name] = loss.item()
+    with engine.Tape() as tape:
+        z_hat = reparam(bundle.posterior(x), eps)
+        recon = l1_reconstruction(x, bundle.decode_mean(z_hat))
+        loss = _vgh_enc_loss(recon, bundle.code_logit(z_hat), cfg.lam)
+    minimize(tape, loss, opts["enc"], what="enc loss", step=i)
+    enc = loss.item()
 
-    for step in range(cfg.iters):
-        x = Tensor(_minibatch(data, loop, cfg.batch))
-        eps = loop.normal((cfg.batch, cfg.latent))
-        z_prior = loop.normal((cfg.batch, cfg.latent))
+    z_hat = reparam(bundle.posterior(x), eps).data
+    with engine.Tape() as tape:
+        x_hat = bundle.decode_mean(z_hat)
+        x_gen = bundle.decode_mean(z_prior) if pp else None
+        recon = l1_reconstruction(x, x_hat)
+        d_hat = bundle.data_logit(x_hat)
+        d_gen = bundle.data_logit(x_gen) if pp else None
+        loss = _vgh_gen_loss(recon, d_hat, d_gen, cfg.lam)
+    minimize(tape, loss, opts["gen"], what="gen loss", step=i)
+    gen = loss.item()
 
-        with engine.Tape() as tape:
-            z_hat = reparam(bundle.posterior(x), eps)
-            recon = l1_reconstruction(x, bundle.decode_mean(z_hat))
-            loss = _vgh_enc_loss(recon, bundle.code_logit(z_hat), cfg.lam)
-        update("enc", tape, loss, step)
+    x_hat = bundle.decode_mean(z_hat).data
+    x_gen = bundle.decode_mean(z_prior).data if pp else None
+    with engine.Tape() as tape:
+        d_real = bundle.data_logit(x)
+        d_hat = bundle.data_logit(x_hat)
+        d_gen = bundle.data_logit(x_gen) if pp else None
+        loss = _vgh_disc_loss(d_real, d_hat, d_gen)
+    minimize(tape, loss, opts["data_disc"], what="data_disc loss", step=i)
+    disc = loss.item()
 
-        z_hat = reparam(bundle.posterior(x), eps).data
-        with engine.Tape() as tape:
-            x_hat = bundle.decode_mean(z_hat)
-            x_gen = bundle.decode_mean(z_prior) if pp else None
-            recon = l1_reconstruction(x, x_hat)
-            d_hat = bundle.data_logit(x_hat)
-            d_gen = bundle.data_logit(x_gen) if pp else None
-            loss = _vgh_gen_loss(recon, d_hat, d_gen, cfg.lam)
-        update("gen", tape, loss, step)
+    with engine.Tape() as tape:
+        c_hat = bundle.code_logit(z_hat)
+        loss = bce(bundle.code_logit(z_prior), c_hat)
+    minimize(tape, loss, opts["code_disc"], what="code_disc loss", step=i)
+    code = loss.item()
+    return lambda: (("loss_enc", enc), ("loss_gen", gen), ("loss_disc", disc),
+                    ("loss_code_disc", code),
+                    ("recon", l1_reconstruction(x, x_hat).item()))
 
-        x_hat = bundle.decode_mean(z_hat).data
-        x_gen = bundle.decode_mean(z_prior).data if pp else None
-        with engine.Tape() as tape:
-            d_real = bundle.data_logit(x)
-            d_hat = bundle.data_logit(x_hat)
-            d_gen = bundle.data_logit(x_gen) if pp else None
-            loss = _vgh_disc_loss(d_real, d_hat, d_gen)
-        update("data_disc", tape, loss, step)
 
-        with engine.Tape() as tape:
-            c_hat = bundle.code_logit(z_hat)
-            loss = bce(bundle.code_logit(z_prior), c_hat)
-        update("code_disc", tape, loss, step)
+def train_vae(data: np.ndarray, cfg: ExperimentConfig):
+    """Adam ascent on the batch-mean ELBO."""
+    return _train(data, cfg, "vae", _vae_step)[:2]
 
-        if step % cfg.log_every == 0 or step == cfg.iters - 1:
-            log.add(step, "loss_enc", seen["enc"])
-            log.add(step, "loss_gen", seen["gen"])
-            log.add(step, "loss_disc", seen["data_disc"])
-            log.add(step, "loss_code_disc", seen["code_disc"])
-            log.add(step, "recon", l1_reconstruction(x, x_hat).item())
-    for name in groups:
-        log.add(cfg.iters - 1, f"updates_{name}", float(opts[name].t))
+
+def train_gan(data: np.ndarray, cfg: ExperimentConfig):
+    """Alternating cross-entropy discriminator and chosen generator loss."""
+    return _train(data, cfg, "gan", _gan_step)[:2]
+
+
+def train_aae(data: np.ndarray, cfg: ExperimentConfig):
+    """Reconstruction plus code-adversarial latent matching."""
+    return _train(data, cfg, "aae", _aae_step)[:2]
+
+
+def train_vgh(data: np.ndarray, cfg: ExperimentConfig, variant: str = "vghpp"):
+    """The VGH hybrid ``variant``, logging each part's Adam step count."""
+    bundle, log, opts = _train(data, cfg, variant, lambda *args: _vgh_step(
+        *args, pp=variant == "vghpp"))
+    for name, opt in opts.items():
+        log.add(cfg.iters - 1, f"updates_{name}", float(opt.t))
     return bundle, log
 
 

@@ -77,6 +77,9 @@ def test_config_hash_tracks_content():
     assert a.config_hash() == b.config_hash()
     b.latent = 17
     assert a.config_hash() != b.config_hash()
+    # Where a run is written or read is not part of what it is.
+    moved = ExperimentConfig(out="elsewhere", run="some/run")
+    assert moved.config_hash() == a.config_hash()
 
 
 # Pins section order, key order and float repr, and with them the config
@@ -287,17 +290,17 @@ def test_rerun_is_bitwise_identical(tmp_path):
 
 
 def test_out_dir_does_not_affect_training(tmp_path):
-    # The checkpoint header hashes the resolved config, which includes the
-    # output path; the learned tensors themselves must not.
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert cli.main(_train_args(a)) == 0
-    assert cli.main(_train_args(b)) == 0
-    ta, _ = load_checkpoint(str(a / "checkpoint.dmvi"))
-    tb, _ = load_checkpoint(str(b / "checkpoint.dmvi"))
-    assert set(ta) == set(tb)
-    for name in ta:
-        assert np.array_equal(ta[name], tb[name]), name
-    assert (a / "metrics.jsonl").read_text() == (b / "metrics.jsonl").read_text()
+    # The config hash in the checkpoint header and in every report leaves
+    # out the directories, so runs in two roots are the same bytes.
+    a, b = tmp_path / "one" / "run", tmp_path / "two" / "run"
+    for root in (a, b):
+        assert cli.main(_train_args(root)) == 0
+        assert cli.main(["estimate-kl", "--run", str(root), "--num-z", "16",
+                         "--out", str(root.parent / "est")]) == 0
+    for name in ("checkpoint.dmvi", "metrics.jsonl", "summary.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    assert ((a.parent / "est" / "report.json").read_bytes()
+            == (b.parent / "est" / "report.json").read_bytes())
 
 
 def test_resolved_config_reproduces_run(tiny_run, tmp_path):
@@ -540,14 +543,17 @@ def test_rejected_config_file_is_config_error(tmp_path, text):
 
 
 def test_edited_run_config_is_refused(tiny_run, tmp_path):
-    run = tmp_path / "edited"
-    shutil.copytree(tiny_run, run)
-    ini = run / "config.ini"
-    ini.write_text(ini.read_text().replace("\nn = 64\n", "\nn = 80\n"))
-    out = tmp_path / "est"
-    assert cli.main(["estimate-kl", "--run", str(run), "--num-z", "16",
-                     "--out", str(out)]) == 2
-    assert "config.ini" in _read_json(out / "status.json")["error"]
+    for edit in (("\nn = 64\n", "\nn = 80\n"),
+                 ("\nlatent = 4\n", "\nlatent = 5\n")):
+        run = tmp_path / edit[1].split()[0]
+        shutil.copytree(tiny_run, run)
+        ini = run / "config.ini"
+        assert edit[0] in ini.read_text()
+        ini.write_text(ini.read_text().replace(*edit))
+        out = tmp_path / "est"
+        assert cli.main(["estimate-kl", "--run", str(run), "--num-z", "16",
+                         "--out", str(out)]) == 2
+        assert "config.ini" in _read_json(out / "status.json")["error"]
 
 
 def test_failed_retrain_leaves_run_refused(tmp_path):
@@ -713,6 +719,24 @@ _EXIT_CODES = [
     pytest.param(lambda tmp, run: ["train", "--log-every", "0", "--n", "64",
                                    "--iters", "2"],
                  2, "log_every must be positive", id="log-every-0"),
+    pytest.param(lambda tmp, run: ["train", "--lr", "nan", "--n", "64",
+                                   "--iters", "2"],
+                 2, "lr must be finite, got nan", id="lr-nan"),
+    pytest.param(lambda tmp, run: ["train", "--lr", "-1", "--n", "64",
+                                   "--iters", "2"],
+                 2, "lr must be positive, got -1.0", id="lr-negative"),
+    pytest.param(lambda tmp, run: ["train", "--lr-enc", "inf", "--n", "64",
+                                   "--iters", "2"],
+                 2, "lr_enc must be finite, got inf", id="lr-enc-inf"),
+    pytest.param(lambda tmp, run: ["train", "--lr-gen", "0", "--n", "64",
+                                   "--iters", "2"],
+                 2, "lr_gen must be positive, got 0.0", id="lr-gen-0"),
+    pytest.param(lambda tmp, run: ["train", "--lam", "-1", "--n", "64",
+                                   "--iters", "2"],
+                 2, "lam must be at least 0.0, got -1.0", id="lam-negative"),
+    pytest.param(lambda tmp, run: ["train", "--lam", "nan", "--n", "64",
+                                   "--iters", "2"],
+                 2, "lam must be finite, got nan", id="lam-nan"),
     pytest.param(lambda tmp, run: ["synth-gauss", "--iters", "5",
                                    "--log-every", "0"],
                  2, "synth_log_every must be positive", id="synth-log-every-0"),
@@ -914,11 +938,17 @@ def test_failed_rerun_leaves_only_its_error_status(tiny_run, tmp_path,
 
 
 def test_module_entry_point(tmp_path):
+    # pytest's ``pythonpath`` reaches only its own process: the child finds
+    # this checkout's package through PYTHONPATH, installed or not.
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     out = tmp_path / "sub"
     proc = subprocess.run(
         [sys.executable, "-m", "dmvi.cli", "dataset", "--mode", "generate",
          "--kind", "grid2d", "--n", "32", "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert str(out) in proc.stdout
     assert (out / "data.npy").exists()

@@ -16,6 +16,7 @@ from dmvi.experiment import ExperimentConfig
 from dmvi.models import (
     PARTS,
     PROB_CLAMP,
+    TRAINERS,
     ModelBundle,
     bce,
     build_bundle,
@@ -54,13 +55,19 @@ def _bundle(latent=4, hidden=16, data_dim=10, visible="bernoulli",
 def test_config_rejects_bad_values():
     for bad in (dict(latent=0), dict(batch=0), dict(iters=0),
                 dict(visible="poisson"), dict(recon="l2"),
-                dict(generator_loss="wasserstein"), dict(mc_samples=0)):
+                dict(generator_loss="wasserstein"), dict(mc_samples=0),
+                dict(lr=float("nan")), dict(lr=-1.0), dict(lr=0.0),
+                dict(lr_enc=float("inf")), dict(lr_gen=0.0),
+                dict(lr_disc=float("nan")), dict(lr_code=-1e-3),
+                dict(lam=-1.0), dict(lam=float("inf")),
+                dict(lam=float("nan"))):
         with pytest.raises(ContractError):
             ExperimentConfig(**bad).validate()
 
 
 def test_config_defaults_valid():
     ExperimentConfig().validate()
+    ExperimentConfig(lam=0.0, lr=1e-12, lr_code=1e-12).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +226,25 @@ def test_vae_training_is_deterministic(sprites256):
     for k, v in b1.named_parameters().items():
         assert np.array_equal(v.data, b2.named_parameters()[k].data)
     assert log1.rows == log2.rows
+
+
+def _param_bytes(bundle):
+    return {k: v.data.tobytes() for k, v in bundle.named_parameters().items()}
+
+
+def test_vae_steps_each_part_at_its_own_rate(sprites256):
+    base = dict(latent=4, hidden=16, iters=5, batch=16, seed=2)
+    default, _ = train_vae(sprites256, ExperimentConfig(**base))
+    faster, _ = train_vae(sprites256, ExperimentConfig(lr_gen=1e-2, **base))
+    for want, got in zip(default.decoder.parameters(),
+                         faster.decoder.parameters()):
+        assert not np.array_equal(want.data, got.data)
+    # One Adam per part steps as one joint Adam at the same rate does.
+    split, split_log = train_vae(sprites256, ExperimentConfig(
+        lr_enc=2e-3, lr_gen=2e-3, **base))
+    joint, joint_log = train_vae(sprites256, ExperimentConfig(lr=2e-3, **base))
+    assert _param_bytes(split) == _param_bytes(joint)
+    assert split_log.rows == joint_log.rows
 
 
 def test_vae_aborts_on_divergence(sprites256):
@@ -436,6 +462,27 @@ def test_train_vgh_logs_all_losses_finite(sprites256):
         assert {"loss_enc", "loss_gen", "loss_disc", "loss_code_disc",
                 "recon"} <= names
         assert all(np.isfinite(r["value"]) for r in log.rows)
+
+
+# Each model's log rows, in the order it logs them at one iteration.
+_ROWS = {
+    "vae": ("elbo", "kl_avg", "recon"),
+    "aae": ("recon", "loss_enc", "loss_code_disc"),
+    "gan": ("loss_disc", "loss_gen"),
+    "vgh": ("loss_enc", "loss_gen", "loss_disc", "loss_code_disc", "recon"),
+    "vghpp": ("loss_enc", "loss_gen", "loss_disc", "loss_code_disc", "recon"),
+}
+
+
+@pytest.mark.parametrize("model", sorted(TRAINERS))
+def test_every_trainer_logs_at_the_shared_cadence(sprites256, model):
+    cfg = ExperimentConfig(model=model, latent=4, hidden=16, iters=7,
+                           batch=16, seed=4, log_every=3)
+    _, log = TRAINERS[model](sprites256, cfg)
+    want = [(step, name) for step in (0, 3, 6) for name in _ROWS[model]]
+    if model in ("vgh", "vghpp"):
+        want += [(6, f"updates_{part}") for part in PARTS[model]]
+    assert [(r["step"], r["name"]) for r in log.rows] == want
 
 
 def _reference_train_vgh(data, cfg, variant):
