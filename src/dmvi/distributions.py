@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .engine import Tensor, as_tensor
+from .engine import LOG_2PI, Tensor, as_tensor
 from .errors import ContractError, NumericsError
 from .rng import RngStream
 
@@ -25,8 +25,6 @@ from .rng import RngStream
 # floor being hit; it just cannot take the loss to -inf any more.
 VAR_FLOOR = 1e-6
 LOGVAR_FLOOR = float(np.log(VAR_FLOOR))
-
-_LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 class DiagGaussian:
@@ -44,22 +42,17 @@ class DiagGaussian:
 def reparam(q: DiagGaussian, eps: np.ndarray) -> Tensor:
     """The draw mean + std * eps per row of ``q``, for standard normal noise
     ``eps`` of its shape; gradients flow to μ, logσ²."""
-    return q.mean + engine.exp(0.5 * q.logvar) * Tensor(eps)
+    return engine.reparam(q.mean, q.logvar, eps)
 
 
 def diag_log_prob(q: DiagGaussian, z) -> Tensor:
     """Log density per row."""
-    z = as_tensor(z)
-    diff = z - q.mean
-    quad = diff * diff * engine.exp(-q.logvar)
-    return -0.5 * engine.tsum(quad + q.logvar + _LOG_2PI, axis=-1)
+    return engine.diag_log_prob(q.mean, q.logvar, z)
 
 
 def kl_diag_standard(q: DiagGaussian) -> Tensor:
     """KL(q ‖ N(0, I)) per row, closed form."""
-    var = engine.exp(q.logvar)
-    terms = q.mean * q.mean + var - 1.0 - q.logvar
-    return 0.5 * engine.tsum(terms, axis=-1)
+    return engine.kl_diag_standard(q.mean, q.logvar)
 
 
 @dataclass
@@ -134,10 +127,12 @@ class BernoulliVisible:
 def bernoulli_log_prob(v: BernoulliVisible, x) -> Tensor:
     """Σ x·log σ(l) + (1−x)·log(1−σ(l)) per row, via x·l − softplus(l).
 
-    Targets in [0,1] are accepted; the cross-entropy extends to them.
+    For x in {0, 1} this is the Bernoulli log-likelihood, and for x in
+    [0, 1] the negated cross-entropy, never above 0. Outside [0, 1] it is
+    no likelihood: x·l − softplus(l) grows without bound in l, so the
+    trainers refuse such data for this visible.
     """
-    x = as_tensor(x)
-    return engine.tsum(x * v.logits - engine.softplus(v.logits), axis=-1)
+    return engine.bernoulli_log_prob(v.logits, x)
 
 
 def quantized_log_prob(v: DiagGaussian, x, rng: RngStream) -> Tensor:
@@ -157,7 +152,7 @@ def gauss_logpdf_np(z: np.ndarray, mean: np.ndarray, logvar: np.ndarray) -> np.n
     """Diagonal-Gaussian log density; broadcasts, sums the last axis."""
     z = np.asarray(z, dtype=np.float64)
     diff = z - mean
-    return -0.5 * (diff * diff * np.exp(-logvar) + logvar + _LOG_2PI).sum(axis=-1)
+    return -0.5 * (diff * diff * np.exp(-logvar) + logvar + LOG_2PI).sum(axis=-1)
 
 
 def gauss_logpdf_pairs(mean: np.ndarray, logvar: np.ndarray):
@@ -175,7 +170,7 @@ def gauss_logpdf_pairs(mean: np.ndarray, logvar: np.ndarray):
     prec = np.exp(-logvar)
     half_prec_t = (-0.5 * prec).T
     lin_t = (mean * prec).T
-    const = -0.5 * (mean * mean * prec + logvar + _LOG_2PI).sum(axis=-1)
+    const = -0.5 * (mean * mean * prec + logvar + LOG_2PI).sum(axis=-1)
 
     def score(z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=np.float64)

@@ -7,9 +7,12 @@ the same operations run as plain value computations and record nothing.
 
 Every dense network of the package is one ``linear`` node, and every
 classifier-loss term one ``sigmoid_xent`` or ``neg_log_odds_mean`` node that
-reads the logit. A fused node rounds as the separate ops would and sits
-where the last of them would sit, so gradients still accumulate in the same
-order.
+reads the logit. Each ELBO term is one node too: the reparameterised draw
+``reparam``, the closed-form ``kl_diag_standard``, the likelihoods
+``bernoulli_log_prob`` and ``diag_log_prob``, ``l1_reconstruction``, and
+``neg_mean``, a loss's negated batch mean. A fused node rounds as the
+separate ops would and sits where the last of them would sit, so gradients
+still accumulate in the same order.
 """
 
 from __future__ import annotations
@@ -406,6 +409,151 @@ def clamp_min(x, lo: float) -> Tensor:
     return _record(out, "clamp_min", (x,), vjp)
 
 
+# ---------------------------------------------------------------------------
+# Fused ELBO terms. Each is one node in place of the separate ops its
+# docstring names: it computes every value with the same numpy operations in
+# the same order, and sits on the tape where the last of those ops sat. A
+# parent that got several gradient contributions from those ops is listed
+# once per contribution, in the order the backward sweep over the separate
+# ops added them, so every sum keeps its order. Targets and noise are
+# constants.
+
+
+def _same_shape(op: str, a: np.ndarray, b: np.ndarray) -> None:
+    if a.shape != b.shape:
+        raise ShapeError(
+            f"{op} needs equal shapes; got {a.shape} and {b.shape}")
+
+
+def _spread(g: np.ndarray, shape) -> np.ndarray:
+    """``g`` repeated along a new last axis up to ``shape``: the array that
+    a last-axis sum's vjp makes, without ``np.broadcast_to``'s Python-level
+    cost. Where only elementwise products read it, ``g[..., None]`` serves
+    as well and rounds the same."""
+    out = np.empty(shape)
+    out[...] = g[..., None]
+    return out
+
+
+def reparam(mean, logvar, eps) -> Tensor:
+    """The draw mean + exp(0.5 * logvar) * eps: one node in place of the
+    mul, exp, mul and add ops. Parents (mean, logvar)."""
+    mean, logvar = as_tensor(mean), as_tensor(logvar)
+    eps = np.asarray(eps, dtype=np.float64)
+    _same_shape("reparam", mean.data, logvar.data)
+    _same_shape("reparam", mean.data, eps)
+    std = np.exp(0.5 * logvar.data)
+    out = Tensor(mean.data + std * eps)
+
+    def vjp(g):
+        return g, g * eps * std * 0.5
+
+    return _record(out, "reparam", (mean, logvar), vjp)
+
+
+def kl_diag_standard(mean, logvar) -> Tensor:
+    """KL(N(mean, exp(logvar)) ‖ N(0, I)) per row, 0.5 Σ (mean² +
+    exp(logvar) − 1 − logvar) over the last axis: one node in place of the
+    exp, mul, add, sub, sub, sum and mul ops. Parents (logvar, mean, mean,
+    logvar)."""
+    mean, logvar = as_tensor(mean), as_tensor(logvar)
+    _same_shape("kl_diag_standard", mean.data, logvar.data)
+    var = np.exp(logvar.data)
+    terms = mean.data * mean.data + var - 1.0 - logvar.data
+    out = Tensor(0.5 * terms.sum(axis=-1))
+
+    def vjp(g):
+        g = _spread(g * 0.5, terms.shape)
+        g_mean = g * mean.data
+        return -g, g_mean, g_mean, g * var
+
+    return _record(out, "kl_diag_standard", (logvar, mean, mean, logvar), vjp)
+
+
+def bernoulli_log_prob(logits, x) -> Tensor:
+    """Σ x·l − softplus(l) per row over the last axis, for logits l and
+    targets x of one shape: one node in place of the mul, softplus, sub and
+    sum ops. Parents (logits, logits)."""
+    logits = as_tensor(logits)
+    x = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
+    _same_shape("bernoulli_log_prob", logits.data, x)
+    terms = x * logits.data - np.logaddexp(0.0, logits.data)
+    out = Tensor(terms.sum(axis=-1))
+
+    def vjp(g):
+        g = g[..., None]
+        return -g * _sigmoid(logits.data), g * x
+
+    return _record(out, "bernoulli_log_prob", (logits, logits), vjp)
+
+
+LOG_2PI = float(np.log(2.0 * np.pi))
+
+
+def diag_log_prob(mean, logvar, z) -> Tensor:
+    """Log density of z under N(mean, exp(logvar)), summed over the last
+    axis; the three broadcast. One node in place of the sub, mul, negation,
+    exp, mul, add, add, sum and mul ops. Parents (logvar, logvar, z, mean);
+    z gets a gradient only if it requires one."""
+    mean, logvar, z = as_tensor(mean), as_tensor(logvar), as_tensor(z)
+    diff = z.data - mean.data
+    sq = diff * diff
+    prec = np.exp(logvar.data * -1.0)
+    quad = sq * prec
+    terms = quad + logvar.data + LOG_2PI
+    out = Tensor(-0.5 * terms.sum(axis=-1))
+
+    def vjp(g):
+        g = _spread(g * -0.5, terms.shape)
+        g_diff = _unbroadcast(g * prec, diff.shape) * diff
+        g_diff = g_diff + g_diff
+        g_prec = _unbroadcast(g * sq, prec.shape) * prec
+        g_z = _unbroadcast(g_diff, z.data.shape) if z.requires_grad else None
+        return (_unbroadcast(g, logvar.data.shape), g_prec * -1.0, g_z,
+                _unbroadcast(-g_diff, mean.data.shape))
+
+    return _record(out, "diag_log_prob", (logvar, logvar, z, mean), vjp)
+
+
+def l1_reconstruction(x, x_hat) -> Tensor:
+    """Σ |x − x_hat| over every entry, over the number of rows of x (1 for
+    a single row): one node in place of the sub, abs, sum and mul ops.
+    Parents (x, x_hat)."""
+    x, x_hat = as_tensor(x), as_tensor(x_hat)
+    _same_shape("l1_reconstruction", x.data, x_hat.data)
+    scale = 1.0 / (x.data.shape[0] if x.data.ndim > 1 else 1)
+    diff = x.data - x_hat.data
+    out = Tensor(np.abs(diff).sum() * scale)
+
+    def vjp(g):
+        g = g * scale * np.sign(diff)
+        return g, -g
+
+    return _record(out, "l1_reconstruction", (x, x_hat), vjp)
+
+
+def neg_mean(x, scale: float = 1.0, minus=None) -> Tensor:
+    """−mean(x · scale − minus) over every entry, ``minus`` (of x's shape)
+    left out when None: one node in place of the mul, sub, mean and
+    negation ops. Parents (minus, x), or (x,)."""
+    x = as_tensor(x)
+    d = x.data * scale
+    parents = (x,)
+    if minus is not None:
+        minus = as_tensor(minus)
+        _same_shape("neg_mean", x.data, minus.data)
+        d = d - minus.data
+        parents = (minus, x)
+    out = Tensor(d.mean() * -1.0)
+
+    def vjp(g):
+        g = g * -1.0 / d.size
+        g_x = np.full(d.shape, g * scale)
+        return (g_x,) if minus is None else (np.full(d.shape, -g), g_x)
+
+    return _record(out, "neg_mean", parents, vjp)
+
+
 def tsum(x, axis=None) -> Tensor:
     x = as_tensor(x)
     out = Tensor(x.data.sum(axis=axis))
@@ -427,11 +575,6 @@ def tmean(x) -> Tensor:
         return (np.broadcast_to(g / x.data.size, x.data.shape).copy(),)
 
     return _record(out, "mean", (x,), vjp)
-
-
-def l1_norm(x) -> Tensor:
-    """Sum of absolute values over the whole tensor."""
-    return tsum(absval(x))
 
 
 def reshape(x, shape) -> Tensor:

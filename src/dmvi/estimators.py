@@ -315,7 +315,7 @@ class ArGaussModel:
         return self._log_lik(z).data
 
     def _nll(self, z_batch: np.ndarray) -> engine.Tensor:
-        return -engine.tmean(self._log_lik(z_batch))
+        return engine.neg_mean(self._log_lik(z_batch))
 
 
 # The autoregressive fit's Adam rate and minibatch.

@@ -189,8 +189,9 @@ def penalty_mean(logit: Tensor) -> Tensor:
     return engine.neg_log_odds_mean(logit, PROB_CLAMP)
 
 
-def elbo_parts(x, bundle: ModelBundle, rng: RngStream, mc_samples: int = 1):
-    """Per-example (reconstruction, kl) rows; ELBO is their difference."""
+def _elbo_sums(x, bundle: ModelBundle, rng: RngStream, mc_samples: int):
+    """Per-example rows of the reconstruction log-likelihood summed over
+    ``mc_samples`` posterior draws, and of the KL."""
     x = engine.as_tensor(x)
     q = bundle.posterior(x)
     kl = kl_diag_standard(q)
@@ -199,14 +200,18 @@ def elbo_parts(x, bundle: ModelBundle, rng: RngStream, mc_samples: int = 1):
         z = reparam(q, rng.normal(q.mean.data.shape))
         lp = bundle.recon_log_prob(x, z, rng)
         total = lp if total is None else total + lp
+    return total, kl
+
+
+def elbo_parts(x, bundle: ModelBundle, rng: RngStream, mc_samples: int = 1):
+    """Per-example (reconstruction, kl) rows; ELBO is their difference."""
+    total, kl = _elbo_sums(x, bundle, rng, mc_samples)
     return total * (1.0 / mc_samples), kl
 
 
 def l1_reconstruction(x, x_hat) -> Tensor:
     """Mean over the batch of per-example l1 distance."""
-    x = engine.as_tensor(x)
-    n = x.data.shape[0] if x.data.ndim > 1 else 1
-    return engine.l1_norm(x - x_hat) * (1.0 / n)
+    return engine.l1_reconstruction(x, x_hat)
 
 
 # The VGH component losses (the code discriminator's is ``bce``). ``recon``
@@ -281,8 +286,18 @@ def _train(data: np.ndarray, cfg: ExperimentConfig, model: str, step):
     bundle, the log and the optimizers by part. Iteration ``i`` calls
     ``step(bundle, opts, cfg, x, loop, i)`` on a minibatch ``x``. It returns
     a function making the rows logged every ``log_every`` iterations and at
-    the last; it reads floats and arrays only, so no graph outlives its step."""
+    the last; it reads floats and arrays only, so no graph outlives its step.
+
+    A model that scores a Bernoulli likelihood refuses data outside [0, 1]
+    before the first step: there x·l − softplus(l) is unbounded above."""
     cfg.validate()
+    scores_likelihood = model == "vae" or (model == "aae"
+                                           and cfg.recon == "loglik")
+    if (cfg.visible == "bernoulli" and scores_likelihood
+            and not ((data >= 0.0) & (data <= 1.0)).all()):
+        raise ContractError(
+            f"a Bernoulli likelihood needs data in [0, 1]; this data spans "
+            f"[{data.min():g}, {data.max():g}]")
     root = RngStream(cfg.seed)
     bundle = build_bundle(cfg, data.shape[1], root.child("init"), PARTS[model])
     rates = {name: getattr(cfg, setting) for name, setting in _RATES.items()}
@@ -299,12 +314,13 @@ def _train(data: np.ndarray, cfg: ExperimentConfig, model: str, step):
 
 def _vae_step(bundle, opts, cfg, x, loop, i):
     """Encoder and decoder in one step up the batch-mean ELBO."""
+    scale = 1.0 / cfg.mc_samples
     with engine.Tape() as tape:
-        recon, kl = elbo_parts(x, bundle, loop, cfg.mc_samples)
-        bound = engine.tmean(recon - kl)
-        loss = -bound
+        total, kl = _elbo_sums(x, bundle, loop, cfg.mc_samples)
+        loss = engine.neg_mean(total, scale, kl)
     minimize(tape, loss, opts["enc"], opts["gen"], what="vae loss", step=i)
-    bound, recon, kl = bound.item(), recon.data, kl.data
+    # The bound and the mean reconstruction row as elbo_parts has them.
+    bound, recon, kl = -loss.item(), total.data * scale, kl.data
     return lambda: (("elbo", bound), ("kl_avg", kl.mean()),
                     ("recon", recon.mean()))
 
@@ -337,7 +353,7 @@ def _aae_step(bundle, opts, cfg, x, loop, i):
     with engine.Tape() as tape:
         z_hat = reparam(bundle.posterior(x), eps)
         if cfg.recon == "loglik":
-            recon = -engine.tmean(bundle.recon_log_prob(x, z_hat, loop))
+            recon = engine.neg_mean(bundle.recon_log_prob(x, z_hat, loop))
         else:
             recon = l1_reconstruction(x, bundle.decode_mean(z_hat))
         ae_loss = recon + penalty_mean(bundle.code_logit(z_hat))

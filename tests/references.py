@@ -1,5 +1,6 @@
 """Reference routes the tests compare the package against: a
-central-difference check of the reverse-mode gradients, and the
+central-difference check of the reverse-mode gradients, the fused ELBO
+nodes of ``engine`` as the separate ops each replaces, and the
 full-covariance Gaussian sampler and density that give an independent
 Monte Carlo route to ``kl_full_gauss``."""
 
@@ -63,6 +64,54 @@ def grad_check(builder, probes: int = 20, eps: float = 1e-5, seed: int = 0) -> f
                 err = abs(ad - fd) / max(1e-8, abs(fd))
                 worst = max(worst, err)
     return worst
+
+
+# The fused ELBO nodes as compositions of the separate ops, built in the
+# order the package built them before the fusion; each takes the arguments
+# of the engine node of its name.
+
+
+def reparam(mean, logvar, eps):
+    return mean + engine.exp(0.5 * logvar) * engine.Tensor(eps)
+
+
+def kl_diag_standard(mean, logvar):
+    var = engine.exp(logvar)
+    terms = mean * mean + var - 1.0 - logvar
+    return 0.5 * engine.tsum(terms, axis=-1)
+
+
+def bernoulli_log_prob(logits, x):
+    x = engine.as_tensor(x)
+    return engine.tsum(x * logits - engine.softplus(logits), axis=-1)
+
+
+def diag_log_prob(mean, logvar, z):
+    z = engine.as_tensor(z)
+    diff = z - mean
+    quad = diff * diff * engine.exp(-logvar)
+    return -0.5 * engine.tsum(quad + logvar + _LOG_2PI, axis=-1)
+
+
+def l1_reconstruction(x, x_hat):
+    x = engine.as_tensor(x)
+    n = x.data.shape[0] if x.data.ndim > 1 else 1
+    return engine.tsum(engine.absval(x - x_hat)) * (1.0 / n)
+
+
+def neg_mean(x, scale=1.0, minus=None):
+    """The VAE's -tmean(total * scale - kl), or -tmean(x) with no
+    ``minus`` (a scale of 1 adds no node there: x * 1.0 is x)."""
+    if minus is not None:
+        x = x * scale - minus
+    elif scale != 1.0:
+        x = x * scale
+    return -engine.tmean(x)
+
+
+ELBO_NODES = {fn.__name__: fn for fn in (
+    reparam, kl_diag_standard, bernoulli_log_prob, diag_log_prob,
+    l1_reconstruction, neg_mean)}
 
 
 def sample_full_gauss(mean: np.ndarray, cov: np.ndarray, n: int,

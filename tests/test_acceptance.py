@@ -101,7 +101,7 @@ def _reduction_shape_builder(rng):
         g = h * b + h
         s = engine.narrow(g, 1, 3, 5)
         col = engine.tsum(s, axis=0)
-        return (engine.tmean(col * col) + 0.1 * engine.l1_norm(s)
+        return (engine.tmean(col * col) + 0.1 * engine.tsum(engine.absval(s))
                 + engine.tsum(g) * (1.0 / 24.0))
 
     return [a, b], loss_fn

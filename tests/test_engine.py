@@ -1,7 +1,8 @@
 """Tape engine: every primitive against central differences, backward
-semantics, the Adam update algebra, the fused network and classifier-loss
-nodes against the separate ops they replace, the gradients a step leaves on
-networks it does not update, and a caller for every public op."""
+semantics, the Adam update algebra, the fused network, classifier-loss and
+ELBO nodes against the separate ops they replace, the tape nodes per
+training step, the gradients a step leaves on networks it does not update,
+and a caller for every public op."""
 
 import ast
 import gc
@@ -14,15 +15,26 @@ import numpy as np
 import pytest
 
 from dmvi import engine, models, optim, synth_gauss
+from dmvi.distributions import (
+    LOGVAR_FLOOR,
+    BernoulliVisible,
+    DiagGaussian,
+    bernoulli_log_prob,
+    diag_log_prob,
+    kl_diag_standard,
+    reparam,
+)
 from dmvi.errors import ContractError, NumericsError, ShapeError
 from dmvi.estimators import ar_fit, ratio_kl
 from dmvi.experiment import ExperimentConfig
-from dmvi.models import PROB_CLAMP, train_aae, train_gan, train_vae, train_vgh
+from dmvi.models import (PROB_CLAMP, build_bundle, train_aae, train_gan,
+                         train_vae, train_vgh)
 from dmvi.nn import MLP
 from dmvi.optim import Adam, minimize
 from dmvi.rng import RngStream
 from dmvi.synth_gauss import make_task, run_estimation, run_minimization
 
+import references
 from references import grad_check
 
 
@@ -80,6 +92,10 @@ def test_constant_loss_zero_gradient():
     assert np.array_equal(x.grad, [0.0, 0.0])
 
 
+_FD_NOISE = np.linspace(-1.5, 1.5, 12).reshape(3, 4)
+_FD_TARGET = np.array([[0.0, 1.0, 0.3, 0.8]] * 3)
+
+
 def test_every_primitive_matches_central_differences():
     # 20 random points per primitive, kept away from kinks and poles.
     rng = RngStream(42)
@@ -98,13 +114,27 @@ def test_every_primitive_matches_central_differences():
         + engine.tsum(engine.tsum(a, axis=1) * engine.tsum(b, axis=1)),
         "mean": lambda a, b: engine.tmean(a * b) + engine.tsum(
             engine.tmean(a) * b),
-        "l1": lambda a, b: engine.l1_norm(a * b + 0.05),
+        "l1_reconstruction": lambda a, b: engine.l1_reconstruction(
+            a * b + 0.05, a - 1.0),
         "abs": lambda a, b: engine.tsum(engine.absval(a + 0.07)),
         "reshape": lambda a, b: engine.tsum(
             engine.reshape(a, (-1,)) * engine.reshape(b, (-1,))),
         "narrow": lambda a, b: engine.tsum(engine.narrow(a, 1, 1, 2) * 2.0),
         "clamp_min": lambda a, b: engine.tsum(engine.clamp_min(a * 3.0, 0.4)),
         "clip": lambda a, b: engine.tsum(engine.clip(a * 3.0, -0.9, 0.9)),
+        # The fused ELBO nodes, with log-variances b - 2.5 ~ N(0, 1) and a
+        # z that needs its gradient.
+        "reparam": lambda a, b: engine.tsum(
+            engine.reparam(a, b - 2.5, _FD_NOISE) * b),
+        "kl_diag_standard": lambda a, b: engine.tsum(
+            engine.kl_diag_standard(a, b - 2.5) * engine.tsum(b, axis=1)),
+        "bernoulli_log_prob": lambda a, b: engine.tsum(
+            engine.bernoulli_log_prob(a * b, _FD_TARGET)),
+        "diag_log_prob": lambda a, b: engine.tsum(
+            engine.diag_log_prob(a, b - 2.5, b * 0.5)),
+        "neg_mean": lambda a, b: engine.neg_mean(
+            engine.tsum(a * a, axis=1), 1.0 / 3.0, engine.tsum(a * b, axis=1))
+        + engine.neg_mean(a * b),
     }
     for name, fn in cases.items():
         for trial in range(20):
@@ -243,6 +273,130 @@ def test_classifier_loss_node_rounds_as_the_composed_ops(form):
         _assert_matches_fd(lambda: fused(x), [x])
 
 
+def _posterior(r, shape, mean_grad=True):
+    """Parameter leaves and a function building a DiagGaussian on them, so
+    that on a tape the clamp sits between the raw log-variance and q. Every
+    third raw entry sits below the floor, where the clamp zeroes its
+    gradient."""
+    mean = r.normal(shape)
+    raw = r.normal(shape) * 2.0
+    raw.reshape(-1)[::3] = LOGVAR_FLOOR - 3.0
+    mean = engine.parameter(mean) if mean_grad else mean
+    raw = engine.parameter(raw)
+    leaves = [raw] + ([mean] if mean_grad else [])
+    return leaves, lambda: DiagGaussian(mean, raw)
+
+
+def _elbo_case(r, visible, mc_samples):
+    """The VAE loss of a small bundle, as its step builds it."""
+    cfg = ExperimentConfig(latent=3, hidden=8, visible=visible)
+    bundle = build_bundle(cfg, 6, r.child("init"))
+    x = (r.uniform((5, 6)) < 0.5).astype(np.float64)
+    if visible == "quantized":
+        x = np.floor(r.uniform((5, 6)) * 4.0)
+    seed = int(r.integers(0, 2**31, ()))
+    params = bundle.encoder.parameters() + bundle.decoder.parameters()
+
+    def loss_fn():
+        total, kl = models._elbo_sums(x, bundle, RngStream(seed), mc_samples)
+        return engine.neg_mean(total, 1.0 / mc_samples, kl)
+
+    return params, loss_fn
+
+
+def _case_posterior(r, mean_grad=True):
+    leaves, posterior = _posterior(r, (6, 3), mean_grad)
+    eps, w = r.normal((6, 3)), r.normal((6,))
+
+    def loss_fn():
+        # q.mean and q.logvar each feed the KL and two draws, so their
+        # gradients sum four or more contributions.
+        q = posterior()
+        return engine.tsum(kl_diag_standard(q) * w + engine.tsum(
+            reparam(q, eps) * reparam(q, eps * 0.5), axis=1))
+
+    return leaves, loss_fn
+
+
+def _case_bernoulli(r, fractional):
+    logits = engine.parameter(r.normal((6, 5)) * 3.0)
+    x = r.uniform((6, 5))
+    if not fractional:
+        x = (x < 0.5).astype(np.float64)
+    w = r.normal((6,))
+    return [logits], lambda: engine.tsum(
+        bernoulli_log_prob(BernoulliVisible(logits), x) * w)
+
+
+def _case_diag(r, z_grad, q_shape=(6, 4)):
+    leaves, posterior = _posterior(r, q_shape)
+    z = r.normal((6, 4))
+    if z_grad:
+        z = engine.parameter(z)
+        leaves.append(z)
+    return leaves, lambda: engine.tsum(diag_log_prob(posterior(), z) * 0.3)
+
+
+def _case_l1(r):
+    x = engine.parameter(r.normal((6, 4)))
+    x_hat = engine.parameter(r.normal((6, 4)))
+    return [x, x_hat], lambda: models.l1_reconstruction(x, x_hat * x_hat)
+
+
+def _case_neg_mean(r):
+    a = engine.parameter(r.normal((7,)))
+    b = engine.parameter(r.normal((7,)))
+    return [a, b], lambda: (engine.neg_mean(a * b, 1.0 / 3.0, b)
+                            + engine.neg_mean(a * a))
+
+
+_ELBO_CASES = {
+    "posterior": _case_posterior,
+    "posterior-constant-mean": lambda r: _case_posterior(r, mean_grad=False),
+    "bernoulli-binary": lambda r: _case_bernoulli(r, fractional=False),
+    "bernoulli-fractional": lambda r: _case_bernoulli(r, fractional=True),
+    "diag-constant-z": lambda r: _case_diag(r, False),
+    "diag-taped-z": lambda r: _case_diag(r, True),
+    "diag-broadcast": lambda r: _case_diag(r, True, (4,)),
+    "l1": _case_l1,
+    "neg-mean": _case_neg_mean,
+    "elbo-bernoulli": lambda r: _elbo_case(r, "bernoulli", 1),
+    "elbo-bernoulli-mc2": lambda r: _elbo_case(r, "bernoulli", 2),
+    "elbo-quantized": lambda r: _elbo_case(r, "quantized", 1),
+}
+
+
+def _elbo_run(monkeypatch, case, seed, nodes):
+    """Loss bytes, leaf gradient bytes and tape ops of one case, with the
+    engine's ELBO nodes replaced by ``nodes``."""
+    leaves, loss_fn = _ELBO_CASES[case](RngStream(seed))
+    with monkeypatch.context() as m:
+        for name, fn in nodes.items():
+            m.setattr(engine, name, fn)
+        with engine.Tape() as tape:
+            # A scaled loss, so the upstream gradient is not 1.
+            loss = loss_fn() * (0.3 - 0.47 * seed)
+    engine.zero_grads(leaves)
+    engine.backward(tape, loss)
+    grads = [None if p.grad is None else p.grad.tobytes() for p in leaves]
+    return (loss.data.tobytes(), grads), {n.op for n in tape.nodes}, leaves
+
+
+@pytest.mark.parametrize("case", sorted(_ELBO_CASES))
+def test_elbo_nodes_round_as_the_composed_ops(monkeypatch, case):
+    for seed in range(5):
+        got, fused_ops, leaves = _elbo_run(monkeypatch, case, seed, {})
+        want, composed_ops, _ = _elbo_run(monkeypatch, case, seed,
+                                          references.ELBO_NODES)
+        assert fused_ops & set(references.ELBO_NODES)
+        assert not composed_ops & set(references.ELBO_NODES)
+        assert got == want
+        assert all(g is not None for g in got[1])
+        if case.startswith(("posterior", "diag")):
+            raw = leaves[0]
+            assert not raw.grad[raw.data < LOGVAR_FLOOR].any()
+
+
 def test_broadcast_gradients_match_fd():
     rng = RngStream(7)
     w = engine.parameter(rng.normal((3, 5)))
@@ -336,15 +490,25 @@ def test_taped_graph_is_freed_without_the_cycle_collector():
             pos = engine.clamp_min(engine.clip(engine.absval(h), 0.1, 2.0), 0.2)
             h = engine.narrow(engine.softplus(h), 1, 1, 2) - engine.log(
                 engine.narrow(pos, 1, 0, 2))
+            m, v = engine.narrow(h, 1, 0, 1), engine.narrow(pos, 1, 0, 1)
+            z = engine.reparam(m, v, np.ones(m.shape))
+            rows = (engine.kl_diag_standard(m, v)
+                    + engine.bernoulli_log_prob(h, np.ones(h.shape))
+                    + engine.diag_log_prob(m, v, z))
             loss = (engine.tmean(engine.reshape(h, (-1,)))
-                    + engine.l1_norm(h) + engine.sigmoid_xent(h, 1, 1e-7)
+                    + engine.tsum(engine.absval(h))
+                    + engine.sigmoid_xent(h, 1, 1e-7)
                     + engine.sigmoid_xent(h, 0, 1e-7)
-                    + engine.neg_log_odds_mean(h, 1e-7))
+                    + engine.neg_log_odds_mean(h, 1e-7)
+                    + engine.l1_reconstruction(h, engine.narrow(pos, 1, 2, 2))
+                    + engine.neg_mean(rows, 0.5, engine.tsum(h, axis=1)))
         assert {n.op for n in tape.nodes} >= {
             "matmul", "linear", "add", "sub", "mul", "exp", "log",
             "sigmoid", "softplus", "leaky_relu", "abs", "clip", "clamp_min",
             "sum", "mean", "reshape", "narrow", "sigmoid_xent",
-            "neg_log_odds_mean"}
+            "neg_log_odds_mean", "reparam", "kl_diag_standard",
+            "bernoulli_log_prob", "diag_log_prob", "l1_reconstruction",
+            "neg_mean"}
         engine.backward(tape, loss)
         del tape, h, pos, loss
         assert gc.collect() == 0
@@ -754,6 +918,72 @@ def test_fused_layers_train_exactly_as_separate_ops(sprites256, monkeypatch,
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+_ELBO_TRAINERS = {
+    "vae": (train_vae, {}),
+    "vae-quantized": (train_vae, {"visible": "quantized"}),
+    "vae-mc2": (train_vae, {"mc_samples": 2}),
+    "aae": (train_aae, {}),
+    "aae-l1": (train_aae, {"recon": "l1"}),
+    "aae-quantized": (train_aae, {"visible": "quantized"}),
+    "vgh": (lambda d, cfg: train_vgh(d, cfg, "vgh"), {}),
+    "vghpp": (lambda d, cfg: train_vgh(d, cfg, "vghpp"), {}),
+}
+
+
+def _train_exact(trainer, data, over):
+    """The log rows and parameter bytes of a few dozen steps."""
+    cfg = ExperimentConfig(latent=4, hidden=16, iters=30, batch=12, seed=5,
+                           log_every=3, **over)
+    bundle, log = trainer(data, cfg)
+    return log.rows, {k: v.data.tobytes()
+                      for k, v in bundle.named_parameters().items()}
+
+
+@pytest.mark.parametrize("name", sorted(_ELBO_TRAINERS))
+def test_elbo_nodes_train_exactly_as_separate_ops(sprites256, monkeypatch,
+                                                  name):
+    trainer, over = _ELBO_TRAINERS[name]
+    got = _train_exact(trainer, sprites256, over)
+    calls = set()
+
+    def counted(node, fn):
+        def run(*args):
+            calls.add(node)
+            return fn(*args)
+        return run
+
+    for node, fn in references.ELBO_NODES.items():
+        monkeypatch.setattr(engine, node, counted(node, fn))
+    want = _train_exact(trainer, sprites256, over)
+    assert "reparam" in calls
+    assert got == want
+
+
+# Tape nodes per training step at hidden 16: the networks are one node
+# each, and each ELBO and classifier-loss term one more.
+_TAPE_NODES = {
+    "vae": {"vae loss": 9},
+    "aae": {"autoencoder loss": 11, "code discriminator loss": 5},
+    "vghpp": {"enc loss": 12, "gen loss": 12, "data_disc loss": 9,
+              "code_disc loss": 5},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TAPE_NODES))
+def test_tape_nodes_per_step(sprites256, monkeypatch, name):
+    counts = {}
+
+    def counting(tape, loss, *opts, what, step=None):
+        counts.setdefault(what, set()).add(len(tape.nodes))
+        minimize(tape, loss, *opts, what=what, step=step)
+
+    monkeypatch.setattr(models, "minimize", counting)
+    _train_rows({"vae": train_vae, "aae": train_aae,
+                 "vghpp": lambda d, cfg: train_vgh(d, cfg, "vghpp")}[name],
+                sprites256)
+    assert counts == {what: {n} for what, n in _TAPE_NODES[name].items()}
 
 
 # Per learner: its networks in the order it builds their optimizers, and

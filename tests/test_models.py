@@ -219,6 +219,30 @@ def test_vae_loss_gradient_via_grad_check():
     assert grad_check(builder, probes=5, seed=3) <= 1e-5
 
 
+@pytest.mark.parametrize("model, over, refused", [
+    ("vae", {}, True),
+    ("aae", {}, True),
+    ("aae", {"recon": "l1"}, False),
+    ("vae", {"visible": "quantized"}, False),
+    ("gan", {}, False),
+    ("vgh", {}, False),
+])
+def test_bernoulli_likelihood_refuses_data_outside_the_unit_interval(
+        model, over, refused):
+    # On grid2d, x·l − softplus(l) has no upper bound, so a bound above 0
+    # would read as fit; only the models that score the likelihood refuse.
+    data = dataset_generate("grid2d", 64, 0)
+    cfg = ExperimentConfig(model=model, latent=2, hidden=8, iters=1, batch=16,
+                           **over)
+    if refused:
+        with pytest.raises(ContractError, match="needs data in"):
+            TRAINERS[model](data, cfg)
+    else:
+        TRAINERS[model](data, cfg)
+    # Data in [0, 1] trains, fractional entries included.
+    TRAINERS[model](np.clip(data / 8.0 + 0.5, 0.0, 1.0), cfg)
+
+
 def test_vae_training_is_deterministic(sprites256):
     cfg = ExperimentConfig(latent=4, hidden=32, iters=20, batch=32, seed=9)
     b1, log1 = train_vae(sprites256, cfg)
