@@ -1,4 +1,6 @@
-"""Distributions used by the trainers and the marginal-KL estimators.
+"""Diagonal-Gaussian posteriors, the prior, and the array helpers of the
+marginal-KL estimators. The visible distributions are not here:
+``models.ModelBundle`` reads the decoder's output itself.
 
 Graph-valued operations (Tensor in, Tensor out) carry gradients for
 training. The estimators evaluate densities over large sample blocks where
@@ -110,38 +112,6 @@ def kl_full_gauss(p0, p1) -> float:
     if sign0 <= 0:
         raise NumericsError("first covariance is not positive definite")
     return 0.5 * (np.trace(s1_inv_s0) + maha - d + logdet1 - logdet0)
-
-
-# ---------------------------------------------------------------------------
-# Visible distributions.
-
-
-class BernoulliVisible:
-    def __init__(self, logits):
-        self.logits = as_tensor(logits)
-
-    def mean(self) -> Tensor:
-        return engine.sigmoid(self.logits)
-
-
-def bernoulli_log_prob(v: BernoulliVisible, x) -> Tensor:
-    """Σ x·log σ(l) + (1−x)·log(1−σ(l)) per row, via x·l − softplus(l).
-
-    For x in {0, 1} this is the Bernoulli log-likelihood, and for x in
-    [0, 1] the negated cross-entropy, never above 0. Outside [0, 1] it is
-    no likelihood: x·l − softplus(l) grows without bound in l, so the
-    trainers refuse such data for this visible.
-    """
-    return engine.bernoulli_log_prob(v.logits, x)
-
-
-def quantized_log_prob(v: DiagGaussian, x, rng: RngStream) -> Tensor:
-    """Log density at x + u with u ~ Uniform[0,1) drawn from ``rng``."""
-    # x is a constant target; the noise rides outside the graph.
-    if isinstance(x, Tensor):
-        x = x.data
-    x = np.asarray(x, dtype=np.float64)
-    return diag_log_prob(v, x + rng.uniform(x.shape))
 
 
 # ---------------------------------------------------------------------------

@@ -286,7 +286,7 @@ def _load_posterior_run(cfg: ExperimentConfig):
     the bundle and the run's data encoded once, its N row-wise posteriors.
     A run without an encoder (a GAN) is a config error."""
     bundle, data, _src = load_run(cfg.run)
-    if bundle.encoder is None:
+    if "enc" not in bundle.nets:
         raise ContractError(f"run {cfg.run!r} has no encoder; "
                             f"{cfg.command} needs its posterior")
     return bundle, bundle.posterior(data)

@@ -2,8 +2,11 @@
 
 All models share the same small fully connected parts: an encoder emitting
 (mean, logvar) of a diagonal Gaussian posterior, a decoder/generator, and
-up to two discriminators (one on data, one on codes). Every model trains in
-one loop, ``_train``, with one Adam per part stepped through
+up to two discriminators (one on data, one on codes), built from one table
+in ``build_bundle``. ``ModelBundle`` is the one place that reads the
+decoder's output as the visible distribution: Bernoulli logits,
+quantized-Gaussian (mean, logvar) pairs, or real-valued points. Every model
+trains in one loop, ``_train``, with one Adam per part stepped through
 ``optim.minimize``; each model's step function states its update order.
 """
 
@@ -14,14 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import engine
-from .distributions import (
-    BernoulliVisible,
-    DiagGaussian,
-    bernoulli_log_prob,
-    kl_diag_standard,
-    quantized_log_prob,
-    reparam,
-)
+from .distributions import DiagGaussian, diag_log_prob, kl_diag_standard, reparam
 from .engine import Tensor
 from .errors import ContractError
 from .nn import MLP
@@ -57,99 +53,82 @@ class MetricLog:
 class ModelBundle:
     """Networks for one model plus the glue to run them.
 
-    Components not used by a model kind are None. ``visible`` selects how
-    decoder outputs are read: Bernoulli logits, quantized-Gaussian
-    (mean, logvar) pairs, or raw real-valued points.
+    ``nets`` holds the networks of the model's ``PARTS``, by part name.
+    ``visible`` selects how decoder outputs are read: Bernoulli logits,
+    quantized-Gaussian (mean, logvar) pairs, or raw real-valued points.
     """
 
-    def __init__(self, encoder, decoder, data_disc, code_disc,
-                 latent: int, data_dim: int, visible: str):
-        self.encoder = encoder
-        self.decoder = decoder
-        self.data_disc = data_disc
-        self.code_disc = code_disc
+    def __init__(self, nets: dict, latent: int, data_dim: int, visible: str):
+        self.nets = nets
         self.latent = latent
         self.data_dim = data_dim
         self.visible = visible
 
     def posterior(self, x) -> DiagGaussian:
-        h = self.encoder(engine.as_tensor(x))
+        h = self.nets["enc"](engine.as_tensor(x))
         mean = engine.narrow(h, 1, 0, self.latent)
         logvar = engine.narrow(h, 1, self.latent, self.latent)
         return DiagGaussian(mean, logvar)
 
-    def decode(self, z):
-        h = self.decoder(engine.as_tensor(z))
-        if self.visible == "bernoulli":
-            return BernoulliVisible(h)
-        if self.visible == "quantized":
-            mean = engine.narrow(h, 1, 0, self.data_dim)
-            logvar = engine.narrow(h, 1, self.data_dim, self.data_dim)
-            return DiagGaussian(mean, logvar)
-        return h
-
     def decode_mean(self, z) -> Tensor:
         """Point reconstruction on the data scale."""
-        vis = self.decode(z)
+        h = self.nets["gen"](engine.as_tensor(z))
         if self.visible == "bernoulli":
-            return vis.mean()
+            return engine.sigmoid(h)
         if self.visible == "quantized":
             # The density is evaluated at x + u, u ~ U[0,1); subtracting the
             # noise mean puts the point estimate back on the integer scale.
-            return vis.mean - 0.5
-        return vis
+            return engine.narrow(h, 1, 0, self.data_dim) - 0.5
+        return h
 
     def recon_log_prob(self, x, z, rng: RngStream) -> Tensor:
-        vis = self.decode(z)
+        """Log-likelihood per row of the target ``x`` under the visible
+        decoded from ``z``. Bernoulli: x·l − softplus(l) summed, never above
+        0 for x in [0, 1]. Quantized: the Gaussian density at x + u, with
+        u ~ U[0,1) drawn from ``rng`` outside the graph."""
+        if self.visible == "real":
+            raise ContractError("real-visible models have no likelihood; use l1")
+        h = self.nets["gen"](engine.as_tensor(z))
         if self.visible == "bernoulli":
-            return bernoulli_log_prob(vis, x)
-        if self.visible == "quantized":
-            return quantized_log_prob(vis, x, rng)
-        raise ContractError("real-visible models have no likelihood; use l1")
+            return engine.bernoulli_log_prob(h, x)
+        d = self.data_dim
+        vis = DiagGaussian(engine.narrow(h, 1, 0, d), engine.narrow(h, 1, d, d))
+        x = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
+        return diag_log_prob(vis, x + rng.uniform(x.shape))
 
     def data_logit(self, x) -> Tensor:
-        return self.data_disc(engine.as_tensor(x))
+        return self.nets["data_disc"](engine.as_tensor(x))
 
     def code_logit(self, z) -> Tensor:
-        return self.code_disc(engine.as_tensor(z))
+        return self.nets["code_disc"](engine.as_tensor(z))
 
     def code_prob(self, z) -> Tensor:
         return engine.sigmoid(self.code_logit(z))
 
     def component_params(self) -> dict:
-        out = {}
-        for name, net in (("enc", self.encoder), ("gen", self.decoder),
-                          ("data_disc", self.data_disc),
-                          ("code_disc", self.code_disc)):
-            if net is not None:
-                out[name] = net.parameters()
-        return out
+        return {name: net.parameters() for name, net in self.nets.items()}
 
     def named_parameters(self) -> dict:
-        out = {}
-        for net in (self.encoder, self.decoder, self.data_disc, self.code_disc):
-            if net is not None:
-                out.update(net.named_parameters())
-        return out
+        return {k: v for net in self.nets.values()
+                for k, v in net.named_parameters().items()}
 
 
 def build_bundle(cfg: ExperimentConfig, data_dim: int, rng: RngStream | None,
                  parts=PARTS["vae"]) -> ModelBundle:
     """The networks of ``parts``, He-initialised from ``rng``; with no
     ``rng``, every parameter starts at zero for a checkpoint to fill."""
-    dec_out = 2 * data_dim if cfg.visible == "quantized" else data_dim
-    h = cfg.hidden
-    child = (lambda label: None) if rng is None else rng.child
-    enc = dec = ddisc = cdisc = None
-    if "enc" in parts:
-        enc = MLP((data_dim, h, h, 2 * cfg.latent), child("enc"), "relu", "enc")
-    if "gen" in parts:
-        dec = MLP((cfg.latent, h, h, dec_out), child("gen"), "relu", "gen")
-    if "data_disc" in parts:
-        ddisc = MLP((data_dim, h, h, h, 1), child("ddisc"), "leaky", "ddisc")
-    if "code_disc" in parts:
-        cdisc = MLP((cfg.latent, h, h, h, 1), child("cdisc"), "leaky", "cdisc")
-    return ModelBundle(enc, dec, ddisc, cdisc, cfg.latent, data_dim, cfg.visible)
+    d, k, h = data_dim, cfg.latent, cfg.hidden
+    dec_out = 2 * d if cfg.visible == "quantized" else d
+    # Per part: layer widths, activation, and the label of its RNG stream
+    # and parameter names. The order is the checkpoint's tensor order.
+    table = {"enc": ((d, h, h, 2 * k), "relu", "enc"),
+             "gen": ((k, h, h, dec_out), "relu", "gen"),
+             "data_disc": ((d, h, h, h, 1), "leaky", "ddisc"),
+             "code_disc": ((k, h, h, h, 1), "leaky", "cdisc")}
+    nets = {name: MLP(dims, None if rng is None else rng.child(label), act,
+                      label)
+            for name, (dims, act, label) in table.items() if name in parts}
+    return ModelBundle(nets, k, d, cfg.visible)
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +188,6 @@ def elbo_parts(x, bundle: ModelBundle, rng: RngStream, mc_samples: int = 1):
     return total * (1.0 / mc_samples), kl
 
 
-def l1_reconstruction(x, x_hat) -> Tensor:
-    """Mean over the batch of per-example l1 distance."""
-    return engine.l1_reconstruction(x, x_hat)
-
-
 # The VGH component losses (the code discriminator's is ``bce``). ``recon``
 # is the l1 reconstruction of x from the reparameterised posterior code
 # z_hat = mean + std * eps; c_* are code-discriminator and
@@ -257,7 +231,7 @@ def vgh_losses(x, bundle: ModelBundle, variant: str, lam: float,
     x_hat = bundle.decode_mean(z_hat)
     x_gen = bundle.decode_mean(z_prior) if variant == "vghpp" else None
 
-    recon = l1_reconstruction(x, x_hat)
+    recon = engine.l1_reconstruction(x, x_hat)
     c_hat = bundle.code_logit(z_hat)
     c_prior = bundle.code_logit(z_prior)
     d_real = bundle.data_logit(x)
@@ -288,15 +262,13 @@ def _train(data: np.ndarray, cfg: ExperimentConfig, model: str, step):
     a function making the rows logged every ``log_every`` iterations and at
     the last; it reads floats and arrays only, so no graph outlives its step.
 
-    A model that scores a Bernoulli likelihood refuses data outside [0, 1]
-    before the first step: there x·l − softplus(l) is unbounded above."""
+    A Bernoulli visible refuses data outside [0, 1] before the first step:
+    its points are sigmoids, which never leave (0, 1), and its likelihood
+    x·l − softplus(l) is unbounded above there."""
     cfg.validate()
-    scores_likelihood = model == "vae" or (model == "aae"
-                                           and cfg.recon == "loglik")
-    if (cfg.visible == "bernoulli" and scores_likelihood
-            and not ((data >= 0.0) & (data <= 1.0)).all()):
+    if cfg.visible == "bernoulli" and not ((data >= 0.0) & (data <= 1.0)).all():
         raise ContractError(
-            f"a Bernoulli likelihood needs data in [0, 1]; this data spans "
+            f"a Bernoulli visible needs data in [0, 1]; this data spans "
             f"[{data.min():g}, {data.max():g}]")
     root = RngStream(cfg.seed)
     bundle = build_bundle(cfg, data.shape[1], root.child("init"), PARTS[model])
@@ -355,7 +327,7 @@ def _aae_step(bundle, opts, cfg, x, loop, i):
         if cfg.recon == "loglik":
             recon = engine.neg_mean(bundle.recon_log_prob(x, z_hat, loop))
         else:
-            recon = l1_reconstruction(x, bundle.decode_mean(z_hat))
+            recon = engine.l1_reconstruction(x, bundle.decode_mean(z_hat))
         ae_loss = recon + penalty_mean(bundle.code_logit(z_hat))
     minimize(tape, ae_loss, opts["enc"], opts["gen"], what="autoencoder loss",
              step=i)
@@ -393,7 +365,7 @@ def _vgh_step(bundle, opts, cfg, x, loop, i, pp: bool):
 
     with engine.Tape() as tape:
         z_hat = reparam(bundle.posterior(x), eps)
-        recon = l1_reconstruction(x, bundle.decode_mean(z_hat))
+        recon = engine.l1_reconstruction(x, bundle.decode_mean(z_hat))
         loss = _vgh_enc_loss(recon, bundle.code_logit(z_hat), cfg.lam)
     minimize(tape, loss, opts["enc"], what="enc loss", step=i)
     enc = loss.item()
@@ -402,7 +374,7 @@ def _vgh_step(bundle, opts, cfg, x, loop, i, pp: bool):
     with engine.Tape() as tape:
         x_hat = bundle.decode_mean(z_hat)
         x_gen = bundle.decode_mean(z_prior) if pp else None
-        recon = l1_reconstruction(x, x_hat)
+        recon = engine.l1_reconstruction(x, x_hat)
         d_hat = bundle.data_logit(x_hat)
         d_gen = bundle.data_logit(x_gen) if pp else None
         loss = _vgh_gen_loss(recon, d_hat, d_gen, cfg.lam)
@@ -426,7 +398,7 @@ def _vgh_step(bundle, opts, cfg, x, loop, i, pp: bool):
     code = loss.item()
     return lambda: (("loss_enc", enc), ("loss_gen", gen), ("loss_disc", disc),
                     ("loss_code_disc", code),
-                    ("recon", l1_reconstruction(x, x_hat).item()))
+                    ("recon", engine.l1_reconstruction(x, x_hat).item()))
 
 
 def train_vae(data: np.ndarray, cfg: ExperimentConfig):

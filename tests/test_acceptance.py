@@ -24,7 +24,6 @@ from dmvi.distributions import (
     gauss_logpdf_np,
     kl_diag_standard,
     kl_full_gauss,
-    quantized_log_prob,
 )
 from dmvi.estimators import (
     StandardPrior,
@@ -278,11 +277,10 @@ def test_synthetic_minimization_trend():
 
 def _recon_nats(bundle, data):
     z = bundle.posterior(data).mean
-    vis = bundle.decode(z)
     if bundle.visible == "bernoulli":
-        probs = engine.sigmoid(vis.logits).data
+        probs = bundle.decode_mean(z).data
         return float(-gauss_logpdf_np(data, probs, np.zeros_like(data)).mean())
-    return float(-quantized_log_prob(vis, data, RngStream(999)).data.mean())
+    return float(-bundle.recon_log_prob(data, z, RngStream(999)).data.mean())
 
 
 def test_visible_distribution_tradeoff():
@@ -374,7 +372,7 @@ def test_vgh_plugins_and_reconstruction_halving():
     cfg = ExperimentConfig(latent=4, hidden=16, visible="bernoulli")
     b = build_bundle(cfg, 10, RngStream(60).child("init"),
                      parts=("enc", "gen", "data_disc", "code_disc"))
-    for net in (b.data_disc, b.code_disc):
+    for net in (b.nets["data_disc"], b.nets["code_disc"]):
         for p in net.parameters():
             p.data[...] = 0.0
     x = (RngStream(61).uniform((6, 10)) < 0.5).astype(np.float64)

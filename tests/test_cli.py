@@ -793,13 +793,18 @@ _EXIT_CODES = [
     pytest.param(lambda tmp, run: ["train", "--dataset", "grid2d", "--n",
                                    "256", "--hidden", "16", "--latent", "2",
                                    "--iters", "200"],
-                 2, "a Bernoulli likelihood needs data in [0, 1]",
+                 2, "a Bernoulli visible needs data in [0, 1]",
                  id="bernoulli-grid2d"),
     pytest.param(lambda tmp, run: ["train", "--dataset", "rings", "--n",
                                    "256", "--hidden", "16", "--latent", "2",
                                    "--iters", "200"],
-                 2, "a Bernoulli likelihood needs data in [0, 1]",
+                 2, "a Bernoulli visible needs data in [0, 1]",
                  id="bernoulli-rings"),
+    pytest.param(lambda tmp, run: ["train", "--model", "gan", "--dataset",
+                                   "grid2d", "--n", "256", "--hidden", "16",
+                                   "--latent", "2", "--iters", "300"],
+                 2, "a Bernoulli visible needs data in [0, 1]",
+                 id="bernoulli-gan-grid2d"),
     pytest.param(lambda tmp, run: ["dataset", "--mode", "inspect", "--data",
                                    _npy(tmp, "empty.npy", np.zeros((0, 3)))],
                  4, "no numeric values", id="empty-npy"),

@@ -10,11 +10,9 @@ from dmvi import engine
 from dmvi.distributions import (
     LOGVAR_FLOOR,
     AffineGaussian,
-    BernoulliVisible,
     DiagGaussian,
     StandardPrior,
     affine_to_moments,
-    bernoulli_log_prob,
     diag_log_prob,
     gauss_logpdf_np,
     gauss_logpdf_pairs,
@@ -23,10 +21,11 @@ from dmvi.distributions import (
     kl_standard_np,
     log_mean_exp,
     mean_stderr,
-    quantized_log_prob,
     reparam,
 )
 from dmvi.errors import ContractError, NumericsError
+from dmvi.experiment import ExperimentConfig
+from dmvi.models import build_bundle
 from dmvi.rng import RngStream
 
 from references import full_gauss_logpdf, mc_kl_full_gauss, sample_full_gauss
@@ -314,13 +313,24 @@ def test_reparam_gradients_flow_to_both_parameters():
 
 
 # ---------------------------------------------------------------------------
-# Visible distributions.
+# Visible distributions: the engine's Bernoulli node, and the quantized
+# Gaussian as ``ModelBundle.recon_log_prob`` reads it.
+
+
+def _quantized_log_prob(h, x, rng):
+    """``recon_log_prob`` of a quantized bundle whose decoder emits ``h``,
+    the rows of (mean, logvar) side by side."""
+    h = engine.as_tensor(h)
+    bundle = build_bundle(ExperimentConfig(visible="quantized", latent=1,
+                                           hidden=2), h.data.shape[1] // 2, None)
+    bundle.nets["gen"] = lambda z: h
+    return bundle.recon_log_prob(x, np.zeros((h.data.shape[0], 1)), rng)
 
 
 def test_bernoulli_log_prob_at_zero_logits():
     x = np.array([[1.0, 0.0, 1.0, 0.0]])
-    v = BernoulliVisible(np.zeros((1, 4)))
-    assert abs(_scalar(bernoulli_log_prob(v, x)) - 4.0 * np.log(0.5)) < 1e-12
+    lp = engine.bernoulli_log_prob(np.zeros((1, 4)), x)
+    assert abs(_scalar(lp) - 4.0 * np.log(0.5)) < 1e-12
 
 
 def test_bernoulli_log_prob_matches_scipy():
@@ -328,8 +338,7 @@ def test_bernoulli_log_prob_matches_scipy():
     for _ in range(50):
         logits = rng.normal((6,)) * 3.0
         x = (rng.uniform((6,)) < 0.5).astype(np.float64)
-        v = BernoulliVisible(logits)
-        got = _scalar(bernoulli_log_prob(v, x))
+        got = _scalar(engine.bernoulli_log_prob(logits, x))
         p = 1.0 / (1.0 + np.exp(-logits))
         want = stats.bernoulli.logpmf(x.astype(int), p).sum()
         assert abs(got - want) < 1e-10
@@ -337,8 +346,7 @@ def test_bernoulli_log_prob_matches_scipy():
 
 def test_bernoulli_log_prob_stable_at_huge_logits():
     x = np.array([[1.0, 0.0]])
-    v = BernoulliVisible(np.array([[500.0, -500.0]]))
-    val = _scalar(bernoulli_log_prob(v, x))
+    val = _scalar(engine.bernoulli_log_prob(np.array([[500.0, -500.0]]), x))
     assert np.isfinite(val)
     assert abs(val) < 1e-6  # both pixels predicted correctly with certainty
 
@@ -348,20 +356,18 @@ def test_bernoulli_gradient_is_residual():
     for _ in range(100):
         logits = engine.parameter(rng.normal((8,)) * 2.0)
         x = rng.uniform((8,))
-        v = BernoulliVisible(logits)
         with engine.Tape() as tape:
-            lp = bernoulli_log_prob(v, x)
+            lp = engine.bernoulli_log_prob(logits, x)
         engine.backward(tape, lp)
         sig = 1.0 / (1.0 + np.exp(-logits.data))
         assert np.allclose(logits.grad, x - sig, rtol=1e-12, atol=1e-12)
 
 
 def test_quantized_log_prob_uses_fresh_noise():
-    x = np.zeros((4, 3))
-    v = DiagGaussian(np.zeros((4, 3)), np.zeros((4, 3)))
-    a = quantized_log_prob(v, x, RngStream(30)).data
-    b = quantized_log_prob(v, x, RngStream(30)).data
-    c = quantized_log_prob(v, x, RngStream(31)).data
+    x, h = np.zeros((4, 3)), np.zeros((4, 6))
+    a = _quantized_log_prob(h, x, RngStream(30)).data
+    b = _quantized_log_prob(h, x, RngStream(30)).data
+    c = _quantized_log_prob(h, x, RngStream(31)).data
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -369,25 +375,25 @@ def test_quantized_log_prob_uses_fresh_noise():
 def test_quantized_gradient_is_scaled_residual_with_replayed_noise():
     rng = RngStream(16)
     x = np.floor(rng.uniform((5, 3)) * 4.0)
-    mean = engine.parameter(rng.normal((5, 3)))
+    mean = rng.normal((5, 3))
     logvar = rng.normal((5, 3)) * 0.2
-    v = DiagGaussian(mean, logvar)
     noise_stream = RngStream(77)
+    h = engine.parameter(np.concatenate([mean, logvar], axis=1))
     with engine.Tape() as tape:
-        lp = quantized_log_prob(v, x, noise_stream)
+        lp = _quantized_log_prob(h, x, noise_stream)
         total = engine.tsum(lp)
     engine.backward(tape, total)
     u = RngStream(77).uniform(x.shape)
-    want = (x + u - mean.data) / np.exp(logvar)
-    assert np.allclose(mean.grad, want, rtol=1e-12, atol=1e-12)
+    want = (x + u - mean) / np.exp(logvar)
+    assert np.allclose(h.grad[:, :3], want, rtol=1e-12, atol=1e-12)
 
 
 def test_quantized_log_prob_accepts_tensor_targets():
     # Training passes the batch through as a constant Tensor.
     x = np.floor(RngStream(32).uniform((4, 3)) * 3.0)
-    v = DiagGaussian(np.zeros((4, 3)), np.zeros((4, 3)))
-    a = quantized_log_prob(v, x, RngStream(33)).data
-    b = quantized_log_prob(v, engine.Tensor(x), RngStream(33)).data
+    h = np.zeros((4, 6))
+    a = _quantized_log_prob(h, x, RngStream(33)).data
+    b = _quantized_log_prob(h, engine.Tensor(x), RngStream(33)).data
     assert np.array_equal(a, b)
 
 
@@ -395,8 +401,8 @@ def test_quantized_density_value_matches_normal_at_noised_point():
     x = np.array([[2.0, 3.0]])
     mean = np.array([[2.5, 2.5]])
     logvar = np.log(np.array([[0.25, 1.0]]))
-    v = DiagGaussian(mean, logvar)
-    got = float(quantized_log_prob(v, x, RngStream(5)).data[0])
+    h = np.concatenate([mean, logvar], axis=1)
+    got = float(_quantized_log_prob(h, x, RngStream(5)).data[0])
     u = RngStream(5).uniform((1, 2))
     want = stats.norm.logpdf(x + u, mean, np.exp(0.5 * logvar)).sum()
     assert abs(got - want) < 1e-10

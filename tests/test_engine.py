@@ -17,9 +17,7 @@ import pytest
 from dmvi import engine, models, optim, synth_gauss
 from dmvi.distributions import (
     LOGVAR_FLOOR,
-    BernoulliVisible,
     DiagGaussian,
-    bernoulli_log_prob,
     diag_log_prob,
     kl_diag_standard,
     reparam,
@@ -295,7 +293,7 @@ def _elbo_case(r, visible, mc_samples):
     if visible == "quantized":
         x = np.floor(r.uniform((5, 6)) * 4.0)
     seed = int(r.integers(0, 2**31, ()))
-    params = bundle.encoder.parameters() + bundle.decoder.parameters()
+    params = bundle.nets["enc"].parameters() + bundle.nets["gen"].parameters()
 
     def loss_fn():
         total, kl = models._elbo_sums(x, bundle, RngStream(seed), mc_samples)
@@ -325,7 +323,7 @@ def _case_bernoulli(r, fractional):
         x = (x < 0.5).astype(np.float64)
     w = r.normal((6,))
     return [logits], lambda: engine.tsum(
-        bernoulli_log_prob(BernoulliVisible(logits), x) * w)
+        engine.bernoulli_log_prob(logits, x) * w)
 
 
 def _case_diag(r, z_grad, q_shape=(6, 4)):
@@ -340,7 +338,7 @@ def _case_diag(r, z_grad, q_shape=(6, 4)):
 def _case_l1(r):
     x = engine.parameter(r.normal((6, 4)))
     x_hat = engine.parameter(r.normal((6, 4)))
-    return [x, x_hat], lambda: models.l1_reconstruction(x, x_hat * x_hat)
+    return [x, x_hat], lambda: engine.l1_reconstruction(x, x_hat * x_hat)
 
 
 def _case_neg_mean(r):
@@ -962,17 +960,28 @@ def test_elbo_nodes_train_exactly_as_separate_ops(sprites256, monkeypatch,
 
 
 # Tape nodes per training step at hidden 16: the networks are one node
-# each, and each ELBO and classifier-loss term one more.
+# each, and each ELBO and classifier-loss term one more. A quantized
+# point estimate is one narrow and one shift of the decoder output.
 _TAPE_NODES = {
-    "vae": {"vae loss": 9},
-    "aae": {"autoencoder loss": 11, "code discriminator loss": 5},
-    "vghpp": {"enc loss": 12, "gen loss": 12, "data_disc loss": 9,
-              "code_disc loss": 5},
+    "vae": ("vae", {}, {"vae loss": 9}),
+    "vae-quantized": ("vae", {"visible": "quantized"}, {"vae loss": 12}),
+    "aae": ("aae", {}, {"autoencoder loss": 11, "code discriminator loss": 5}),
+    "aae-quantized-l1": ("aae", {"visible": "quantized", "recon": "l1"},
+                         {"autoencoder loss": 12,
+                          "code discriminator loss": 5}),
+    "gan-quantized": ("gan", {"visible": "quantized"},
+                      {"discriminator loss": 5, "generator loss": 5}),
+    "vgh-quantized": ("vgh", {"visible": "quantized"},
+                      {"enc loss": 13, "gen loss": 8, "data_disc loss": 5,
+                       "code_disc loss": 5}),
+    "vghpp": ("vghpp", {}, {"enc loss": 12, "gen loss": 12,
+                            "data_disc loss": 9, "code_disc loss": 5}),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_TAPE_NODES))
 def test_tape_nodes_per_step(sprites256, monkeypatch, name):
+    model, over, want = _TAPE_NODES[name]
     counts = {}
 
     def counting(tape, loss, *opts, what, step=None):
@@ -980,10 +989,8 @@ def test_tape_nodes_per_step(sprites256, monkeypatch, name):
         minimize(tape, loss, *opts, what=what, step=step)
 
     monkeypatch.setattr(models, "minimize", counting)
-    _train_rows({"vae": train_vae, "aae": train_aae,
-                 "vghpp": lambda d, cfg: train_vgh(d, cfg, "vghpp")}[name],
-                sprites256)
-    assert counts == {what: {n} for what, n in _TAPE_NODES[name].items()}
+    _train_rows(models.TRAINERS[model], sprites256, **over)
+    assert counts == {what: {n} for what, n in want.items()}
 
 
 # Per learner: its networks in the order it builds their optimizers, and

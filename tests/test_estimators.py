@@ -52,9 +52,9 @@ def _two_point_posterior() -> DiagGaussian:
     compute it exactly."""
     cfg = ExperimentConfig(latent=1, hidden=8, visible="real")
     b = build_bundle(cfg, 1, RngStream(0).child("init"))
-    for p in b.encoder.parameters():
+    for p in b.nets["enc"].parameters():
         p.data[...] = 0.0
-    named = b.encoder.named_parameters()
+    named = b.nets["enc"].named_parameters()
     named["enc.fc0.W"].data[0, 0] = 1.0
     named["enc.fc0.W"].data[0, 1] = -1.0
     named["enc.fc1.W"].data[0, 0] = 1.0
