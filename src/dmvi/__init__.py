@@ -9,12 +9,11 @@ the estimators can be checked against exact divergences.
 from .engine import Tape, Tensor, backward, parameter
 from .errors import ContractError, NumericsError, ParseError, ShapeError
 from .experiment import ExperimentConfig
-from .models import ModelBundle, train_aae, train_gan, train_vae, train_vgh
+from .models import TRAINERS, ModelBundle
 from .rng import RngStream
 
 __all__ = [
     "Tape", "Tensor", "backward", "parameter", "RngStream",
     "ContractError", "NumericsError", "ParseError", "ShapeError",
-    "ModelBundle", "ExperimentConfig",
-    "train_vae", "train_aae", "train_gan", "train_vgh",
+    "ModelBundle", "ExperimentConfig", "TRAINERS",
 ]

@@ -43,7 +43,7 @@ def new_file(path: str, mode: str = "w"):
     return open(path, mode)
 
 
-def save_checkpoint(path: str, tensors: dict, config_hash: bytes = b"") -> None:
+def save_checkpoint(path: str, tensors: dict, config_hash: bytes) -> None:
     """Write named float64 arrays; ``config_hash`` is padded to 32 bytes."""
     config_hash = bytes(config_hash)[:32].ljust(32, b"\0")
     parts = [MAGIC, struct.pack("<I", VERSION), config_hash,

@@ -7,8 +7,10 @@ rings: concentric annuli. All generators are pure functions of the seed.
 
 from __future__ import annotations
 
+import gzip
 import hashlib
 import struct
+import zlib
 
 import numpy as np
 
@@ -91,9 +93,15 @@ _IDX_UBYTE = 0x08
 
 
 def load_idx(path: str) -> np.ndarray:
-    """Read an unsigned-byte IDX file, scaled to [0, 1]."""
+    """Read an unsigned-byte IDX file, scaled to [0, 1]. A file starting
+    with the gzip magic 1f 8b is decompressed first, whatever its name."""
     with open(path, "rb") as f:
         raw = f.read()
+    if raw[:2] == b"\x1f\x8b":
+        try:
+            raw = gzip.decompress(raw)
+        except (EOFError, zlib.error, gzip.BadGzipFile) as e:
+            raise ParseError(f"corrupt gzip stream in {path!r}: {e}") from e
     if len(raw) < 4:
         raise ParseError(f"truncated header: {len(raw)} bytes, need 4")
     zero, zero2, dtype, ndims = struct.unpack(">BBBB", raw[:4])

@@ -4,13 +4,17 @@ SSIM-based sample-diversity score.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from .distributions import LOGVAR_FLOOR, DiagGaussian, kl_standard_np
 from .errors import ContractError, ShapeError
 from .estimators import marginal_log_q
-from .models import ModelBundle
 from .rng import RngStream
+
+if TYPE_CHECKING:
+    from .models import ModelBundle
 
 # A latent unit whose mean KL is below this many nats counts as sparse.
 SPARSE_BELOW = 0.01

@@ -7,8 +7,9 @@ the same operations run as plain value computations and record nothing.
 
 Every dense network of the package is one ``linear`` node, and every
 classifier-loss term one ``sigmoid_xent`` or ``neg_log_odds_mean`` node that
-reads the logit. Each ELBO term is one node too: the reparameterised draw
-``reparam``, the closed-form ``kl_diag_standard``, the likelihoods
+reads the logit and clamps p to [PROB_CLAMP, 1 - PROB_CLAMP] before each
+log; ``bce`` sums two. Each ELBO term is one node too: the reparameterised
+draw ``reparam``, the closed-form ``kl_diag_standard``, the likelihoods
 ``bernoulli_log_prob`` and ``diag_log_prob``, ``l1_reconstruction``, and
 ``neg_mean``, a loss's negated batch mean. A fused node rounds as the
 separate ops would and sits where the last of them would sit, so gradients
@@ -22,6 +23,11 @@ import numpy as np
 from .errors import ContractError, ShapeError
 
 _ACTIVE_TAPE = None
+
+# Classifier probabilities are clamped here before any log; keeps every
+# adversarial loss term finite (|log| <= 16.2) no matter how saturated the
+# classifier gets.
+PROB_CLAMP = 1e-7
 
 
 class Tape:
@@ -302,10 +308,10 @@ def sigmoid(x) -> Tensor:
     return _record(out, "sigmoid", (x,), vjp)
 
 
-def sigmoid_xent(x, label: int, clamp: float) -> Tensor:
+def sigmoid_xent(x, label: int) -> Tensor:
     """Mean cross-entropy of p = sigmoid(x) against one label for every
     entry: the mean of -log p for label 1, or of -log(1 - p) for label 0,
-    with p (or 1 - p) clipped to [clamp, 1 - clamp] before the log.
+    with p (or 1 - p) clipped to [PROB_CLAMP, 1 - PROB_CLAMP] before the log.
 
     One node in place of the sigmoid, 1 - p, clip, log, mean and negation
     ops, each rounding as that op does. Every intermediate has one
@@ -316,12 +322,12 @@ def sigmoid_xent(x, label: int, clamp: float) -> Tensor:
     y = _sigmoid(x.data)
     not_y = 1.0 - y
     q = y if label == 1 else not_y
-    hi = 1.0 - clamp
-    c = np.clip(q, clamp, hi)
+    lo, hi = PROB_CLAMP, 1.0 - PROB_CLAMP
+    c = np.clip(q, lo, hi)
     out = Tensor(-np.log(c).mean())
 
     def vjp(g):
-        g = -g / c.size / c * ((q >= clamp) & (q <= hi))
+        g = -g / c.size / c * ((q >= lo) & (q <= hi))
         if label != 1:
             g = -g
         return (g * y * not_y,)
@@ -329,9 +335,15 @@ def sigmoid_xent(x, label: int, clamp: float) -> Tensor:
     return _record(out, "sigmoid_xent", (x,), vjp)
 
 
-def neg_log_odds_mean(x, clamp: float) -> Tensor:
+def bce(l_one, l_zero) -> Tensor:
+    """Classifier cross-entropy from logits: batch means of -log p on rows
+    labelled 1 and of -log(1-p) on rows labelled 0."""
+    return sigmoid_xent(l_one, 1) + sigmoid_xent(l_zero, 0)
+
+
+def neg_log_odds_mean(x) -> Tensor:
     """Mean over every entry of log(1 - p) - log p, p = sigmoid(x), with
-    1 - p and p each clipped to [clamp, 1 - clamp] before its log.
+    1 - p and p each clipped to [PROB_CLAMP, 1 - PROB_CLAMP] before its log.
 
     One node in place of the sigmoid, 1 - p, clip, log, sub and mean ops,
     each rounding as that op does; p's two gradients add in the order the
@@ -340,15 +352,15 @@ def neg_log_odds_mean(x, clamp: float) -> Tensor:
     x = as_tensor(x)
     y = _sigmoid(x.data)
     not_y = 1.0 - y
-    hi = 1.0 - clamp
-    c_not, c_y = np.clip(not_y, clamp, hi), np.clip(y, clamp, hi)
+    lo, hi = PROB_CLAMP, 1.0 - PROB_CLAMP
+    c_not, c_y = np.clip(not_y, lo, hi), np.clip(y, lo, hi)
     d = np.log(c_not) - np.log(c_y)
     out = Tensor(d.mean())
 
     def vjp(g):
         g = g / d.size
-        g_y = -g / c_y * ((y >= clamp) & (y <= hi))
-        g_y = g_y + -(g / c_not * ((not_y >= clamp) & (not_y <= hi)))
+        g_y = -g / c_y * ((y >= lo) & (y <= hi))
+        g_y = g_y + -(g / c_not * ((not_y >= lo) & (not_y <= hi)))
         return (g_y * y * not_y,)
 
     return _record(out, "neg_log_odds_mean", (x,), vjp)

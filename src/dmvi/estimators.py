@@ -5,8 +5,9 @@ here reads it as ``post``, the data's N row-wise posteriors, encoded once
 by the caller. The Monte Carlo route evaluates that mixture exactly at
 sampled codes; the ratio route trains a classifier between code samples
 and prior samples and reads the KL off its odds; the density route fits an
-explicit model to code samples and plugs it in. All three report a standard error over their per-sample
-terms and serialize to the same JSON record shape.
+explicit model to code samples and plugs it in. All three report a
+standard error over their per-sample terms and serialize to the same JSON
+record shape. Nothing here imports the models whose codes it measures.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .distributions import (
     reparam,
 )
 from .errors import ContractError, NumericsError
-from .models import PROB_CLAMP, bce
 from . import engine
 from .nn import MLP
 from .optim import Adam, minimize
@@ -54,7 +54,7 @@ class EstimateReport:
     inner: int               # posterior evaluations per z
     status: str = "ok"       # ok | invalid
 
-    def to_json(self, config_hash: str = "") -> dict:
+    def to_json(self, config_hash: str) -> dict:
         return {"method": self.method, "value": self.value,
                 "stderr": self.stderr, "num_z": self.num_z,
                 "inner": self.inner, "status": self.status,
@@ -128,13 +128,27 @@ def surgery_decompose(post: DiagGaussian, num_z: int, rng: RngStream) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Density-ratio classifier.
+# Density-ratio classifier, and the fit loop it shares with the AR density.
 
 
-# The classifier's Adam rate, minibatch per side and held-out share per side.
-RATIO_LR = 1e-3
-RATIO_BATCH = 128
+# ``_fit``'s Adam rate and minibatch per sample set; held-out share per side.
+FIT_LR = 1e-3
+FIT_BATCH = 128
 RATIO_HOLDOUT = 0.2
+
+
+def _fit(params, loss, samples, iters: int, rng: RngStream, what: str) -> None:
+    """``iters`` Adam steps at FIT_LR on ``params`` down ``loss(*batches)``,
+    one FIT_BATCH minibatch per array of ``samples`` each step, drawn in
+    order from ``rng``'s "loop" child."""
+    opt = Adam(params, FIT_LR)
+    loop = rng.child("loop")
+    for step in range(iters):
+        batches = [x[loop.integers(0, x.shape[0], (FIT_BATCH,))]
+                   for x in samples]
+        with engine.Tape() as tape:
+            value = loss(*batches)
+        minimize(tape, value, opt, what=what, step=step)
 
 
 def ratio_kl(samples_q: np.ndarray, samples_p: np.ndarray,
@@ -165,23 +179,19 @@ def ratio_kl(samples_q: np.ndarray, samples_p: np.ndarray,
     train_p, eval_p = split(samples_p, rng.child("split_p"))
 
     dims = (d,) + (cfg.ratio_hidden,) * cfg.ratio_layers + (1,)
-    net = MLP(dims, rng.child("net"), activation="leaky", name="ratio")
-    opt = Adam(net.parameters(), RATIO_LR)
-    loop = rng.child("loop")
+    net = MLP(dims, rng.child("net"), "leaky", "ratio")
     status = "ok"
     try:
-        for _ in range(cfg.ratio_iters):
-            bq = train_q[loop.integers(0, train_q.shape[0], (RATIO_BATCH,))]
-            bp = train_p[loop.integers(0, train_p.shape[0], (RATIO_BATCH,))]
-            with engine.Tape() as tape:
-                loss = bce(net(engine.Tensor(bq)), net(engine.Tensor(bp)))
-            minimize(tape, loss, opt, what="classifier loss")
+        _fit(net.parameters(),
+             lambda bq, bp: engine.bce(net(engine.Tensor(bq)),
+                                       net(engine.Tensor(bp))),
+             (train_q, train_p), cfg.ratio_iters, rng, "classifier loss")
     except NumericsError:
         status = "invalid"
 
     if status == "ok":
         probs = engine._sigmoid(net(engine.Tensor(eval_q)).data[:, 0])
-        probs = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
+        probs = np.clip(probs, engine.PROB_CLAMP, 1.0 - engine.PROB_CLAMP)
         value, stderr = mean_stderr(np.log(probs) - np.log1p(-probs))
     else:
         value, stderr = float("nan"), float("nan")
@@ -318,23 +328,13 @@ class ArGaussModel:
         return engine.neg_mean(self._log_lik(z_batch))
 
 
-# The autoregressive fit's Adam rate and minibatch.
-AR_LR = 1e-3
-AR_BATCH = 128
-
-
 def ar_fit(samples: np.ndarray, cfg: ExperimentConfig,
            rng: RngStream) -> ArGaussModel:
     """Maximum-likelihood training of the autoregressive factorization."""
     x = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     model = ArGaussModel(x.shape[1], cfg.ar_hidden, rng.child("init"))
-    opt = Adam(model.parameters(), AR_LR)
-    loop = rng.child("loop")
-    for step in range(cfg.ar_iters):
-        batch = x[loop.integers(0, x.shape[0], (AR_BATCH,))]
-        with engine.Tape() as tape:
-            loss = model._nll(batch)
-        minimize(tape, loss, opt, what="autoregressive fit loss", step=step)
+    _fit(model.parameters(), model._nll, (x,), cfg.ar_iters, rng,
+         "autoregressive fit loss")
     return model
 
 

@@ -172,6 +172,9 @@ def load_data(cfg: ExperimentConfig) -> np.ndarray:
         if not cfg.idx_path:
             raise ContractError("dataset 'idx' needs idx_path")
         data = load_idx(cfg.idx_path)
+        if data.ndim < 2:
+            raise ContractError(f"idx data needs 2 or more dimensions, got "
+                                f"shape {list(data.shape)}")
         return data.reshape(data.shape[0], -1) if data.ndim > 2 else data
     return dataset_generate(cfg.dataset, cfg.n, cfg.seed)
 
@@ -204,7 +207,7 @@ def _write_summary(path: str, rows) -> None:
                 f.write(f"{name},{float(value)!r}\n")
 
 
-def _finish(cfg: ExperimentConfig, rows, extra_summary: dict | None = None):
+def _finish(cfg: ExperimentConfig, rows, extra_summary: dict | None):
     out = cfg.out
     with new_file(os.path.join(out, "config.ini")) as f:
         f.write(cfg.to_ini())

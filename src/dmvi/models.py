@@ -1,4 +1,5 @@
-"""Trainers: VAE, adversarial autoencoder, GAN, and the VGH hybrids.
+"""The model zoo: VAE, adversarial autoencoder, GAN, and the VGH hybrids,
+each trained through ``TRAINERS[model](data, cfg) -> (bundle, log)``.
 
 All models share the same small fully connected parts: an encoder emitting
 (mean, logvar) of a diagonal Gaussian posterior, a decoder/generator, and
@@ -7,18 +8,20 @@ in ``build_bundle``. ``ModelBundle`` is the one place that reads the
 decoder's output as the visible distribution: Bernoulli logits,
 quantized-Gaussian (mean, logvar) pairs, or real-valued points. Every model
 trains in one loop, ``_train``, with one Adam per part stepped through
-``optim.minimize``; each model's step function states its update order.
+``optim.minimize``; each model's step function in ``_STEPS`` states its
+update order. The classifier losses are the engine's nodes.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import engine
 from .distributions import DiagGaussian, diag_log_prob, kl_diag_standard, reparam
-from .engine import Tensor
+from .engine import PROB_CLAMP, Tensor
 from .errors import ContractError
 from .nn import MLP
 from .optim import Adam, minimize
@@ -26,11 +29,6 @@ from .rng import RngStream
 
 if TYPE_CHECKING:
     from .experiment import ExperimentConfig
-
-# Discriminator probabilities are clamped here before any log; keeps every
-# adversarial loss term finite (|log| <= 16.2) no matter how saturated the
-# classifier gets.
-PROB_CLAMP = 1e-7
 
 # The networks each model kind trains; its checkpoint holds exactly these.
 PARTS = {
@@ -114,7 +112,7 @@ class ModelBundle:
 
 
 def build_bundle(cfg: ExperimentConfig, data_dim: int, rng: RngStream | None,
-                 parts=PARTS["vae"]) -> ModelBundle:
+                 parts: tuple) -> ModelBundle:
     """The networks of ``parts``, He-initialised from ``rng``; with no
     ``rng``, every parameter starts at zero for a checkpoint to fill."""
     d, k, h = data_dim, cfg.latent, cfg.hidden
@@ -148,26 +146,6 @@ def ratio_penalty(p: Tensor) -> Tensor:
     return _log_not(p) - _safe_log(p)
 
 
-# The training losses read the classifier's logit l, p = sigmoid(l), each
-# term one engine node that rounds as the ops on p above do.
-
-
-def xent(logit: Tensor, label: int) -> Tensor:
-    """Batch mean of -log p (label 1) or -log(1-p) (label 0)."""
-    return engine.sigmoid_xent(logit, label, PROB_CLAMP)
-
-
-def bce(l_one: Tensor, l_zero: Tensor) -> Tensor:
-    """Classifier cross-entropy from logits: batch means of -log p on rows
-    labelled 1 and of -log(1-p) on rows labelled 0."""
-    return xent(l_one, 1) + xent(l_zero, 0)
-
-
-def penalty_mean(logit: Tensor) -> Tensor:
-    """Batch mean of ``ratio_penalty`` at p = sigmoid(logit)."""
-    return engine.neg_log_odds_mean(logit, PROB_CLAMP)
-
-
 def _elbo_sums(x, bundle: ModelBundle, rng: RngStream, mc_samples: int):
     """Per-example rows of the reconstruction log-likelihood summed over
     ``mc_samples`` posterior draws, and of the KL."""
@@ -188,31 +166,32 @@ def elbo_parts(x, bundle: ModelBundle, rng: RngStream, mc_samples: int = 1):
     return total * (1.0 / mc_samples), kl
 
 
-# The VGH component losses (the code discriminator's is ``bce``). ``recon``
-# is the l1 reconstruction of x from the reparameterised posterior code
-# z_hat = mean + std * eps; c_* are code-discriminator and
+# The VGH component losses (the code discriminator's is ``engine.bce``).
+# ``recon`` is the l1 reconstruction of x from the reparameterised posterior
+# code z_hat = mean + std * eps; c_* are code-discriminator and
 # d_* data-discriminator logits on prior codes (c_prior), posterior
 # codes (c_hat), data (d_real), reconstructions (d_hat) and prior samples
 # (d_gen, vghpp only: None for vgh).
 
 
 def _vgh_enc_loss(recon: Tensor, c_hat: Tensor, lam: float) -> Tensor:
-    return lam * recon + penalty_mean(c_hat)
+    return lam * recon + engine.neg_log_odds_mean(c_hat)
 
 
 def _vgh_gen_loss(recon: Tensor, d_hat: Tensor, d_gen: Tensor | None,
                   lam: float) -> Tensor:
-    loss = lam * recon + penalty_mean(d_hat)
+    loss = lam * recon + engine.neg_log_odds_mean(d_hat)
     if d_gen is not None:
-        loss = loss + penalty_mean(d_gen)
+        loss = loss + engine.neg_log_odds_mean(d_gen)
     return loss
 
 
 def _vgh_disc_loss(d_real: Tensor, d_hat: Tensor,
                    d_gen: Tensor | None) -> Tensor:
     if d_gen is None:
-        return bce(d_real, d_hat)
-    return 2.0 * xent(d_real, 1) + xent(d_hat, 0) + xent(d_gen, 0)
+        return engine.bce(d_real, d_hat)
+    return (2.0 * engine.sigmoid_xent(d_real, 1)
+            + engine.sigmoid_xent(d_hat, 0) + engine.sigmoid_xent(d_gen, 0))
 
 
 def vgh_losses(x, bundle: ModelBundle, variant: str, lam: float,
@@ -240,7 +219,7 @@ def vgh_losses(x, bundle: ModelBundle, variant: str, lam: float,
     return {"enc": _vgh_enc_loss(recon, c_hat, lam),
             "gen": _vgh_gen_loss(recon, d_hat, d_gen, lam),
             "data_disc": _vgh_disc_loss(d_real, d_hat, d_gen),
-            "code_disc": bce(c_prior, c_hat), "recon": recon}
+            "code_disc": engine.bce(c_prior, c_hat), "recon": recon}
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +234,13 @@ def _minibatch(data: np.ndarray, rng: RngStream, batch: int) -> np.ndarray:
     return data[rng.integers(0, data.shape[0], (batch,))]
 
 
-def _train(data: np.ndarray, cfg: ExperimentConfig, model: str, step):
+def _train(data: np.ndarray, cfg: ExperimentConfig, model: str):
     """Train the parts of ``model``, each with its own Adam; return the
-    bundle, the log and the optimizers by part. Iteration ``i`` calls
-    ``step(bundle, opts, cfg, x, loop, i)`` on a minibatch ``x``. It returns
-    a function making the rows logged every ``log_every`` iterations and at
-    the last; it reads floats and arrays only, so no graph outlives its step.
+    bundle and the log. Iteration ``i`` calls the model's step
+    ``_STEPS[model](bundle, opts, cfg, x, loop, i)`` on a minibatch ``x``.
+    It returns a function making the rows logged every ``log_every``
+    iterations and at the last; it reads floats and arrays only, so no
+    graph outlives its step.
 
     A Bernoulli visible refuses data outside [0, 1] before the first step:
     its points are sigmoids, which never leave (0, 1), and its likelihood
@@ -275,13 +255,13 @@ def _train(data: np.ndarray, cfg: ExperimentConfig, model: str, step):
     rates = {name: getattr(cfg, setting) for name, setting in _RATES.items()}
     opts = {name: Adam(params, cfg.lr if rates[name] is None else rates[name])
             for name, params in bundle.component_params().items()}
-    loop, log = root.child("loop"), MetricLog()
+    loop, log, step = root.child("loop"), MetricLog(), _STEPS[model]
     for i in range(cfg.iters):
         rows = step(bundle, opts, cfg, _minibatch(data, loop, cfg.batch), loop, i)
         if i % cfg.log_every == 0 or i == cfg.iters - 1:
             for name, value in rows():
                 log.add(i, name, value)
-    return bundle, log, opts
+    return bundle, log
 
 
 def _vae_step(bundle, opts, cfg, x, loop, i):
@@ -299,19 +279,22 @@ def _vae_step(bundle, opts, cfg, x, loop, i):
 
 def _gan_step(bundle, opts, cfg, x, loop, i):
     """The data discriminator first, on generated points as constants; then
-    the generator, against the just-stepped discriminator."""
+    the generator, against the just-stepped discriminator. The generator's
+    pass is taped once: the discriminator step reads its values, and the
+    generator step continues on that tape."""
     z = loop.normal((cfg.batch, cfg.latent))
-    fake = bundle.decode_mean(Tensor(z)).data
+    with engine.Tape() as g_tape:
+        fake = bundle.decode_mean(Tensor(z))
     with engine.Tape() as tape:
-        d_loss = bce(bundle.data_logit(x), bundle.data_logit(fake))
+        d_loss = engine.bce(bundle.data_logit(x), bundle.data_logit(fake.data))
     minimize(tape, d_loss, opts["data_disc"], what="discriminator loss", step=i)
-    with engine.Tape() as tape:
-        l_fake = bundle.data_logit(bundle.decode_mean(Tensor(z)))
+    with g_tape:
+        l_fake = bundle.data_logit(fake)
         if cfg.generator_loss == "nonsat":
-            g_loss = xent(l_fake, 1)
+            g_loss = engine.sigmoid_xent(l_fake, 1)
         else:
-            g_loss = penalty_mean(l_fake)
-    minimize(tape, g_loss, opts["gen"], what="generator loss", step=i)
+            g_loss = engine.neg_log_odds_mean(l_fake)
+    minimize(g_tape, g_loss, opts["gen"], what="generator loss", step=i)
     d_loss, g_loss = d_loss.item(), g_loss.item()
     return lambda: (("loss_disc", d_loss), ("loss_gen", g_loss))
 
@@ -328,11 +311,12 @@ def _aae_step(bundle, opts, cfg, x, loop, i):
             recon = engine.neg_mean(bundle.recon_log_prob(x, z_hat, loop))
         else:
             recon = engine.l1_reconstruction(x, bundle.decode_mean(z_hat))
-        ae_loss = recon + penalty_mean(bundle.code_logit(z_hat))
+        ae_loss = recon + engine.neg_log_odds_mean(bundle.code_logit(z_hat))
     minimize(tape, ae_loss, opts["enc"], opts["gen"], what="autoencoder loss",
              step=i)
     with engine.Tape() as tape:
-        c_loss = bce(bundle.code_logit(z_prior), bundle.code_logit(z_hat.data))
+        c_loss = engine.bce(bundle.code_logit(z_prior),
+                            bundle.code_logit(z_hat.data))
     minimize(tape, c_loss, opts["code_disc"], what="code discriminator loss",
              step=i)
     recon, ae_loss, c_loss = recon.item(), ae_loss.item(), c_loss.item()
@@ -342,7 +326,8 @@ def _aae_step(bundle, opts, cfg, x, loop, i):
 
 def _vgh_step(bundle, opts, cfg, x, loop, i, pp: bool):
     """One Adam step per component, encoder, generator, data discriminator,
-    then code discriminator (``pp``: the vghpp variant).
+    then code discriminator (``pp``: the vghpp variant). The last
+    iteration's rows end with each part's Adam step count.
 
     Component updates within an iteration share the same minibatch and
     noise draws; each update recomputes its loss from current parameters.
@@ -393,42 +378,20 @@ def _vgh_step(bundle, opts, cfg, x, loop, i, pp: bool):
 
     with engine.Tape() as tape:
         c_hat = bundle.code_logit(z_hat)
-        loss = bce(bundle.code_logit(z_prior), c_hat)
+        loss = engine.bce(bundle.code_logit(z_prior), c_hat)
     minimize(tape, loss, opts["code_disc"], what="code_disc loss", step=i)
     code = loss.item()
+    updates = tuple((f"updates_{name}", float(opt.t))
+                    for name, opt in opts.items() if i == cfg.iters - 1)
     return lambda: (("loss_enc", enc), ("loss_gen", gen), ("loss_disc", disc),
                     ("loss_code_disc", code),
-                    ("recon", engine.l1_reconstruction(x, x_hat).item()))
+                    ("recon", engine.l1_reconstruction(x, x_hat).item()),
+                    *updates)
 
 
-def train_vae(data: np.ndarray, cfg: ExperimentConfig):
-    """Adam ascent on the batch-mean ELBO."""
-    return _train(data, cfg, "vae", _vae_step)[:2]
+_STEPS = {"vae": _vae_step, "aae": _aae_step, "gan": _gan_step,
+          "vgh": functools.partial(_vgh_step, pp=False),
+          "vghpp": functools.partial(_vgh_step, pp=True)}
 
-
-def train_gan(data: np.ndarray, cfg: ExperimentConfig):
-    """Alternating cross-entropy discriminator and chosen generator loss."""
-    return _train(data, cfg, "gan", _gan_step)[:2]
-
-
-def train_aae(data: np.ndarray, cfg: ExperimentConfig):
-    """Reconstruction plus code-adversarial latent matching."""
-    return _train(data, cfg, "aae", _aae_step)[:2]
-
-
-def train_vgh(data: np.ndarray, cfg: ExperimentConfig, variant: str = "vghpp"):
-    """The VGH hybrid ``variant``, logging each part's Adam step count."""
-    bundle, log, opts = _train(data, cfg, variant, lambda *args: _vgh_step(
-        *args, pp=variant == "vghpp"))
-    for name, opt in opts.items():
-        log.add(cfg.iters - 1, f"updates_{name}", float(opt.t))
-    return bundle, log
-
-
-TRAINERS = {
-    "vae": train_vae,
-    "aae": train_aae,
-    "gan": train_gan,
-    "vgh": lambda data, cfg: train_vgh(data, cfg, "vgh"),
-    "vghpp": lambda data, cfg: train_vgh(data, cfg, "vghpp"),
-}
+# model -> trainer, ``(data, cfg) -> (bundle, log)``.
+TRAINERS = {model: functools.partial(_train, model=model) for model in _STEPS}

@@ -28,8 +28,8 @@ class MLP:
     start at zero too, for a checkpoint to fill.
     """
 
-    def __init__(self, dims, rng: RngStream | None, activation: str = "relu",
-                 name: str = "mlp"):
+    def __init__(self, dims, rng: RngStream | None, activation: str,
+                 name: str):
         if len(dims) < 2:
             raise ContractError("an MLP needs at least input and output dims")
         if activation not in _SLOPES and activation not in _ACTIVATIONS:

@@ -92,7 +92,7 @@ class Adam:
 
 
 def minimize(tape: engine.Tape, loss: engine.Tensor, *opts: Adam, what: str,
-             step: int | None = None) -> None:
+             step: int) -> None:
     """Step ``opts``, in order, down the gradient of ``loss`` on ``tape``.
 
     Only the stepped parameters get a gradient: a network on the tape that
@@ -100,12 +100,11 @@ def minimize(tape: engine.Tape, loss: engine.Tensor, *opts: Adam, what: str,
     but its own weights and biases get none, and their ``.grad`` stays as
     it was.
 
-    A non-finite loss raises ``NumericsError`` naming ``what`` (and
-    ``step``) before any gradient or parameter is touched.
+    A non-finite loss raises ``NumericsError`` naming ``what`` and ``step``
+    before any gradient or parameter is touched.
     """
     if not np.isfinite(loss.data):
-        at = "" if step is None else f" at step {step}"
-        raise NumericsError(f"non-finite {what}{at}")
+        raise NumericsError(f"non-finite {what} at step {step}")
     for opt in opts:
         engine.zero_grads(opt.params)
     engine.backward(tape, loss, [p for opt in opts for p in opt.params])

@@ -25,9 +25,9 @@ def _derive_key(seed: int, label: str) -> int:
 class RngStream:
     """Deterministic stream of draws keyed by (seed, counter)."""
 
-    def __init__(self, seed: int, counter: int = 0):
+    def __init__(self, seed: int):
         self.seed = int(seed) & (2**64 - 1)
-        self.counter = int(counter)
+        self.counter = 0
 
     def _next(self) -> np.random.Generator:
         bg = np.random.Philox(key=self.seed)

@@ -14,10 +14,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import engine
+from . import engine, estimators
 from .distributions import AffineGaussian, affine_to_moments, kl_full_gauss
 from .errors import ContractError, NumericsError
-from .models import bce, penalty_mean
 from .nn import MLP
 from .optim import Adam, minimize
 from .rng import RngStream
@@ -72,17 +71,15 @@ def make_task(k: int, seed: int) -> SyntheticTask:
 
 def _make_classifier(d: int, rng: RngStream) -> MLP:
     w = max(64, 4 * d)
-    return MLP((d, w, w, w, w, 1), rng, activation="leaky", name="clf")
+    return MLP((d, w, w, w, w, 1), rng, "leaky", "clf")
 
 
 def run_estimation(task: SyntheticTask, cfg: ExperimentConfig, samples: int,
                    rng: RngStream) -> dict:
     """Fixed-distribution setting: closed-form truth vs the ratio estimate."""
-    from .estimators import ratio_kl
-
     sq = task.learner().sample(rng.child("q"), samples)
     sp = task.target.sample(rng.child("p"), samples)
-    report = ratio_kl(sq, sp, cfg, rng.child("clf"))
+    report = estimators.ratio_kl(sq, sp, cfg, rng.child("clf"))
     return {"true_kl": task.true_kl(), "est_kl": report.value,
             "report": report}
 
@@ -116,11 +113,13 @@ def run_minimization(task: SyntheticTask, iters: int, log_every: int) -> dict:
         try:
             x_q = engine.linear(z, learner).data
             with engine.Tape() as tape:
-                c_loss = bce(clf(engine.Tensor(x_p)), clf(engine.Tensor(x_q)))
+                c_loss = engine.bce(clf(engine.Tensor(x_p)),
+                                    clf(engine.Tensor(x_q)))
             minimize(tape, c_loss, opt_c, what="classifier loss", step=step)
 
             with engine.Tape() as tape:
-                l_loss = penalty_mean(clf(engine.linear(z, learner)))
+                l_loss = engine.neg_log_odds_mean(
+                    clf(engine.linear(z, learner)))
             minimize(tape, l_loss, opt_l, what="learner loss", step=step)
         except NumericsError:
             status = "diverged"

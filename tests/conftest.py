@@ -8,7 +8,7 @@ import pytest
 
 from dmvi.datasets import dataset_generate
 from dmvi.experiment import ExperimentConfig
-from dmvi.models import train_aae, train_vae
+from dmvi.models import TRAINERS
 
 
 @pytest.fixture(scope="session")
@@ -40,7 +40,7 @@ def vae_small(sprites256):
     """Quick Bernoulli VAE for estimator and diagnostic unit tests."""
     cfg = ExperimentConfig(latent=8, hidden=64, iters=300, batch=64, seed=0,
                       log_every=50)
-    return _timed(train_vae, sprites256, cfg)
+    return _timed(TRAINERS["vae"], sprites256, cfg)
 
 
 @pytest.fixture(scope="session")
@@ -48,7 +48,7 @@ def toy_vae(sprites1024):
     """The reference toy model: 16 latents on 1024 sprites."""
     cfg = ExperimentConfig(latent=16, hidden=256, iters=2000, batch=64, seed=0,
                       log_every=100)
-    return _timed(train_vae, sprites1024, cfg)
+    return _timed(TRAINERS["vae"], sprites1024, cfg)
 
 
 @pytest.fixture(scope="session")
@@ -56,4 +56,4 @@ def aae_small(sprites256):
     """Matched-architecture adversarial autoencoder for contrast tests."""
     cfg = ExperimentConfig(latent=8, hidden=64, iters=300, batch=64, seed=0,
                       log_every=50)
-    return _timed(train_aae, sprites256, cfg)
+    return _timed(TRAINERS["aae"], sprites256, cfg)

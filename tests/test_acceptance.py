@@ -34,13 +34,7 @@ from dmvi.estimators import (
     surgery_decompose,
 )
 from dmvi.experiment import ExperimentConfig
-from dmvi.models import (
-    build_bundle,
-    train_aae,
-    train_vae,
-    train_vgh,
-    vgh_losses,
-)
+from dmvi.models import TRAINERS, build_bundle, vgh_losses
 from dmvi.nn import MLP
 from dmvi.rng import RngStream
 from dmvi.synth_gauss import make_task, run_minimization
@@ -107,7 +101,7 @@ def _reduction_shape_builder(rng):
 
 
 def _network_builder(rng):
-    net = MLP((5, 16, 16, 3), rng, activation="relu", name="g")
+    net = MLP((5, 16, 16, 3), rng, "relu", "g")
     x = engine.Tensor(rng.normal((6, 5)))
     y = engine.Tensor(rng.normal((6, 3)))
 
@@ -220,7 +214,7 @@ def test_ratio_estimator_sanity(toy_vae):
         else:
             cfg = ExperimentConfig(latent=16, hidden=256, iters=2000, batch=64,
                               seed=seed, log_every=100)
-            bundle, _ = train_vae(toy_vae.data, cfg)
+            bundle, _ = TRAINERS["vae"](toy_vae.data, cfg)
             data = toy_vae.data
         r = RngStream(9000 + seed)
         post = bundle.posterior(data)
@@ -294,7 +288,7 @@ def test_visible_distribution_tradeoff():
         for visible in ("bernoulli", "quantized"):
             cfg = ExperimentConfig(latent=8, hidden=64, iters=1000, batch=64,
                               seed=seed, visible=visible, log_every=1000)
-            bundle, _ = train_vae(data, cfg)
+            bundle, _ = TRAINERS["vae"](data, cfg)
             pair[visible] = (avg_posterior_kl(bundle.posterior(data)),
                              _recon_nats(bundle, data))
         rows.append(pair)
@@ -345,10 +339,10 @@ def test_representation_contrast():
     summary = []
     for seed in range(5):
         stats = {}
-        for name, trainer in (("vae", train_vae), ("aae", train_aae)):
+        for name in ("vae", "aae"):
             cfg = ExperimentConfig(latent=16, hidden=64, iters=8000, batch=64,
                               seed=seed, lr=5e-3, log_every=8000)
-            bundle, _ = trainer(data, cfg)
+            bundle, _ = TRAINERS[name](data, cfg)
             stats[name] = posterior_kl_stats(bundle.posterior(data))
         v, a = stats["vae"], stats["aae"]
         wins += v["sparsity_fraction"] > a["sparsity_fraction"]
@@ -394,7 +388,7 @@ def test_vgh_plugins_and_reconstruction_halving():
     for seed in range(5):
         cfg = ExperimentConfig(latent=8, hidden=64, iters=1000, batch=64,
                           seed=seed, log_every=500)
-        _, log = train_vgh(data, cfg, "vghpp")
+        _, log = TRAINERS["vghpp"](data, cfg)
         recon = [r["value"] for r in log.rows if r["name"] == "recon"]
         ratios.append(recon[-1] / recon[0])
         halved += recon[-1] <= 0.5 * recon[0]

@@ -18,7 +18,7 @@ from dmvi.checkpoint import (
 )
 from dmvi.errors import ParseError, ShapeError
 from dmvi.experiment import ExperimentConfig
-from dmvi.models import build_bundle
+from dmvi.models import PARTS, build_bundle
 from dmvi.rng import RngStream
 
 
@@ -48,7 +48,7 @@ def test_roundtrip_bitwise(tmp_path):
 def test_roundtrip_preserves_exact_bits(tmp_path):
     p = str(tmp_path / "bits.ckpt")
     vals = np.array([0.1, -0.0, np.pi, 1e-300, 1e300])
-    save_checkpoint(p, {"v": vals})
+    save_checkpoint(p, {"v": vals}, b"")
     loaded, _ = load_checkpoint(p)
     assert loaded["v"].tobytes() == vals.tobytes()
 
@@ -67,7 +67,7 @@ def test_header_layout(tmp_path):
 
 def test_flipped_byte_detected(tmp_path):
     p = tmp_path / "flip.ckpt"
-    save_checkpoint(str(p), _sample_tensors())
+    save_checkpoint(str(p), _sample_tensors(), b"")
     raw = bytearray(p.read_bytes())
     raw[60] ^= 0xFF
     p.write_bytes(bytes(raw))
@@ -77,7 +77,7 @@ def test_flipped_byte_detected(tmp_path):
 
 def test_truncated_file_detected(tmp_path):
     p = tmp_path / "trunc.ckpt"
-    save_checkpoint(str(p), _sample_tensors())
+    save_checkpoint(str(p), _sample_tensors(), b"")
     raw = p.read_bytes()
     p.write_bytes(raw[: len(raw) // 2])
     with pytest.raises(ParseError):
@@ -122,10 +122,11 @@ def test_error_messages_carry_offsets(tmp_path):
 
 def test_apply_checkpoint_restores_parameters(tmp_path):
     cfg = ExperimentConfig(latent=3, hidden=8, batch=4, seed=5)
-    bundle = build_bundle(cfg, data_dim=6, rng=RngStream(5))
+    bundle = build_bundle(cfg, data_dim=6, rng=RngStream(5),
+                          parts=PARTS["vae"])
     saved = {k: v.data.copy() for k, v in bundle.named_parameters().items()}
     p = str(tmp_path / "b.ckpt")
-    save_checkpoint(p, saved)
+    save_checkpoint(p, saved, b"")
     # Perturb, then restore.
     for t in bundle.named_parameters().values():
         t.data += 1.0
@@ -137,7 +138,8 @@ def test_apply_checkpoint_restores_parameters(tmp_path):
 
 def test_apply_checkpoint_shape_mismatch(tmp_path):
     cfg = ExperimentConfig(latent=3, hidden=8, batch=4, seed=5)
-    bundle = build_bundle(cfg, data_dim=6, rng=RngStream(5))
+    bundle = build_bundle(cfg, data_dim=6, rng=RngStream(5),
+                          parts=PARTS["vae"])
     tensors = {k: np.zeros((1, 1)) for k in bundle.named_parameters()}
     with pytest.raises(ShapeError, match="does not match"):
         apply_checkpoint(bundle, tensors)
@@ -145,7 +147,8 @@ def test_apply_checkpoint_shape_mismatch(tmp_path):
 
 def test_apply_checkpoint_missing_tensor():
     cfg = ExperimentConfig(latent=3, hidden=8, batch=4, seed=5)
-    bundle = build_bundle(cfg, data_dim=6, rng=RngStream(5))
+    bundle = build_bundle(cfg, data_dim=6, rng=RngStream(5),
+                          parts=PARTS["vae"])
     with pytest.raises(ShapeError, match="missing"):
         apply_checkpoint(bundle, {})
 

@@ -6,6 +6,7 @@ in a subprocess to cover the installed path.
 """
 
 import csv
+import gzip
 import hashlib
 import json
 import os
@@ -643,6 +644,20 @@ def _npy(tmp, name, arr):
     return str(path)
 
 
+def _idx(tmp, name, dims, gzipped=False, truncated=False):
+    """An unsigned-byte IDX file of extents ``dims``, optionally gzipped,
+    optionally cut to half its bytes."""
+    raw = struct.pack(f">BBBB{len(dims)}I", 0, 0, 0x08, len(dims), *dims)
+    raw += bytes(i % 251 for i in range(int(np.prod(dims))))
+    if gzipped:
+        raw = gzip.compress(raw)
+    if truncated:
+        raw = raw[:len(raw) // 2]
+    path = tmp / name
+    path.write_bytes(raw)
+    return str(path)
+
+
 def _ini(tmp, text):
     path = tmp / "given.ini"
     path.write_text(text)
@@ -805,6 +820,28 @@ _EXIT_CODES = [
                                    "--latent", "2", "--iters", "300"],
                  2, "a Bernoulli visible needs data in [0, 1]",
                  id="bernoulli-gan-grid2d"),
+    pytest.param(lambda tmp, run: ["train", "--dataset", "idx", "--idx-path",
+                                   _idx(tmp, "x.idx.gz", (20, 3, 3),
+                                        gzipped=True),
+                                   "--iters", "5", "--hidden", "8",
+                                   "--latent", "2"],
+                 0, None, id="gzip-idx"),
+    pytest.param(lambda tmp, run: ["train", "--dataset", "idx", "--idx-path",
+                                   _idx(tmp, "labels.idx", (20,)),
+                                   "--iters", "5", "--hidden", "8",
+                                   "--latent", "2"],
+                 2, "idx data needs 2 or more dimensions, got shape [20]",
+                 id="idx-1d"),
+    pytest.param(lambda tmp, run: ["train", "--dataset", "idx", "--idx-path",
+                                   _idx(tmp, "scalar.idx", ()),
+                                   "--iters", "5", "--hidden", "8",
+                                   "--latent", "2"],
+                 2, "idx data needs 2 or more dimensions, got shape []",
+                 id="idx-0d"),
+    pytest.param(lambda tmp, run: ["dataset", "--mode", "inspect", "--data",
+                                   _idx(tmp, "x.idx.gz", (20, 9),
+                                        gzipped=True, truncated=True)],
+                 4, "corrupt gzip stream", id="truncated-gzip-idx"),
     pytest.param(lambda tmp, run: ["dataset", "--mode", "inspect", "--data",
                                    _npy(tmp, "empty.npy", np.zeros((0, 3)))],
                  4, "no numeric values", id="empty-npy"),

@@ -1,5 +1,6 @@
 """Toy data generators and the IDX reader."""
 
+import gzip
 import struct
 
 import numpy as np
@@ -159,6 +160,32 @@ def test_load_idx_payload_size_mismatch(tmp_path):
     p = tmp_path / "bad.idx"
     _write_idx(p, (3, 3), b"\x00" * 8)  # needs 9
     with pytest.raises(ParseError, match="require 9"):
+        load_idx(str(p))
+
+
+def test_load_idx_reads_gzip_by_its_magic(tmp_path):
+    raw = tmp_path / "digits.idx"
+    _write_idx(raw, (2, 3, 4), bytes(range(24)))
+    # The name does not say the file is compressed; its first bytes do.
+    packed = tmp_path / "digits.bin"
+    packed.write_bytes(gzip.compress(raw.read_bytes()))
+    assert load_idx(str(packed)).tobytes() == load_idx(str(raw)).tobytes()
+
+
+def _corrupt_gzip(gz, how):
+    if how == "truncated":
+        return gz[:len(gz) // 2]
+    if how == "crc":
+        return gz[:-8] + bytes([gz[-8] ^ 0xFF]) + gz[-7:]
+    return gz[:10] + b"\xff" * 20 + gz[30:]        # an invalid deflate block
+
+
+@pytest.mark.parametrize("how", ["truncated", "crc", "deflate"])
+def test_corrupt_gzip_idx_raises_parse_error(tmp_path, how):
+    p = tmp_path / "digits.idx.gz"
+    _write_idx(p, (4, 50), bytes(range(200)))
+    p.write_bytes(_corrupt_gzip(gzip.compress(p.read_bytes()), how))
+    with pytest.raises(ParseError, match="corrupt gzip stream"):
         load_idx(str(p))
 
 

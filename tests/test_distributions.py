@@ -25,7 +25,7 @@ from dmvi.distributions import (
 )
 from dmvi.errors import ContractError, NumericsError
 from dmvi.experiment import ExperimentConfig
-from dmvi.models import build_bundle
+from dmvi.models import PARTS, build_bundle
 from dmvi.rng import RngStream
 
 from references import full_gauss_logpdf, mc_kl_full_gauss, sample_full_gauss
@@ -322,7 +322,8 @@ def _quantized_log_prob(h, x, rng):
     the rows of (mean, logvar) side by side."""
     h = engine.as_tensor(h)
     bundle = build_bundle(ExperimentConfig(visible="quantized", latent=1,
-                                           hidden=2), h.data.shape[1] // 2, None)
+                                           hidden=2), h.data.shape[1] // 2, None,
+                          PARTS["vae"])
     bundle.nets["gen"] = lambda z: h
     return bundle.recon_log_prob(x, np.zeros((h.data.shape[0], 1)), rng)
 

@@ -2,7 +2,7 @@
 semantics, the Adam update algebra, the fused network, classifier-loss and
 ELBO nodes against the separate ops they replace, the tape nodes per
 training step, the gradients a step leaves on networks it does not update,
-and a caller for every public op."""
+a caller for every public op, and which modules may import the models."""
 
 import ast
 import gc
@@ -25,8 +25,7 @@ from dmvi.distributions import (
 from dmvi.errors import ContractError, NumericsError, ShapeError
 from dmvi.estimators import ar_fit, ratio_kl
 from dmvi.experiment import ExperimentConfig
-from dmvi.models import (PROB_CLAMP, build_bundle, train_aae, train_gan,
-                         train_vae, train_vgh)
+from dmvi.models import PARTS, TRAINERS, build_bundle
 from dmvi.nn import MLP
 from dmvi.optim import Adam, minimize
 from dmvi.rng import RngStream
@@ -219,29 +218,31 @@ def test_backward_fills_only_the_given_params():
             assert p.requires_grad
 
 
-def _composed_xent(x, label, clamp):
+_LO, _HI = engine.PROB_CLAMP, 1.0 - engine.PROB_CLAMP
+
+
+def _composed_xent(x, label):
     """engine.sigmoid_xent as the sigmoid, 1 - p, clip, log, mean and
     negation nodes it replaces."""
     p = engine.sigmoid(x)
     if label != 1:
         p = 1.0 - p
-    return -engine.tmean(engine.log(engine.clip(p, clamp, 1.0 - clamp)))
+    return -engine.tmean(engine.log(engine.clip(p, _LO, _HI)))
 
 
-def _composed_neg_log_odds_mean(x, clamp):
+def _composed_neg_log_odds_mean(x):
     """engine.neg_log_odds_mean as the nodes of models.ratio_penalty."""
     p = engine.sigmoid(x)
-    log_not = engine.log(engine.clip(1.0 - p, clamp, 1.0 - clamp))
-    return engine.tmean(log_not - engine.log(engine.clip(p, clamp, 1.0 - clamp)))
+    log_not = engine.log(engine.clip(1.0 - p, _LO, _HI))
+    return engine.tmean(log_not - engine.log(engine.clip(p, _LO, _HI)))
 
 
 _LOSS_NODES = {
-    "label1": (lambda x: engine.sigmoid_xent(x, 1, PROB_CLAMP),
-               lambda x: _composed_xent(x, 1, PROB_CLAMP)),
-    "label0": (lambda x: engine.sigmoid_xent(x, 0, PROB_CLAMP),
-               lambda x: _composed_xent(x, 0, PROB_CLAMP)),
-    "penalty": (lambda x: engine.neg_log_odds_mean(x, PROB_CLAMP),
-                lambda x: _composed_neg_log_odds_mean(x, PROB_CLAMP)),
+    "label1": (lambda x: engine.sigmoid_xent(x, 1),
+               lambda x: _composed_xent(x, 1)),
+    "label0": (lambda x: engine.sigmoid_xent(x, 0),
+               lambda x: _composed_xent(x, 0)),
+    "penalty": (engine.neg_log_odds_mean, _composed_neg_log_odds_mean),
 }
 
 
@@ -288,7 +289,7 @@ def _posterior(r, shape, mean_grad=True):
 def _elbo_case(r, visible, mc_samples):
     """The VAE loss of a small bundle, as its step builds it."""
     cfg = ExperimentConfig(latent=3, hidden=8, visible=visible)
-    bundle = build_bundle(cfg, 6, r.child("init"))
+    bundle = build_bundle(cfg, 6, r.child("init"), PARTS["vae"])
     x = (r.uniform((5, 6)) < 0.5).astype(np.float64)
     if visible == "quantized":
         x = np.floor(r.uniform((5, 6)) * 4.0)
@@ -495,9 +496,9 @@ def test_taped_graph_is_freed_without_the_cycle_collector():
                     + engine.diag_log_prob(m, v, z))
             loss = (engine.tmean(engine.reshape(h, (-1,)))
                     + engine.tsum(engine.absval(h))
-                    + engine.sigmoid_xent(h, 1, 1e-7)
-                    + engine.sigmoid_xent(h, 0, 1e-7)
-                    + engine.neg_log_odds_mean(h, 1e-7)
+                    + engine.sigmoid_xent(h, 1)
+                    + engine.sigmoid_xent(h, 0)
+                    + engine.neg_log_odds_mean(h)
                     + engine.l1_reconstruction(h, engine.narrow(pos, 1, 2, 2))
                     + engine.neg_mean(rows, 0.5, engine.tsum(h, axis=1)))
         assert {n.op for n in tape.nodes} >= {
@@ -531,7 +532,7 @@ def test_gradients_accumulate_on_leaves_until_zeroed():
 
 def _mlp_builder(activation, dims=(5, 16, 16, 16, 3)):
     def builder(rng):
-        net = MLP(dims, rng, activation=activation, name="t")
+        net = MLP(dims, rng, activation, "t")
         x = engine.Tensor(rng.normal((6, dims[0])))
 
         def loss_fn():
@@ -751,7 +752,7 @@ def test_adam_wrapper_steps_tensor_params():
     opt = Adam([x], lr=0.1)
     with engine.Tape() as tape:
         loss = engine.tsum(x * x)
-    minimize(tape, loss, opt, what="loss")
+    minimize(tape, loss, opt, what="loss", step=0)
     assert x.data[0] < 3.0
 
 
@@ -772,15 +773,14 @@ def _chain_loss(nets, x, scale=1.0):
     return engine.tmean(b(h) * scale) + engine.tmean(c(h))
 
 
-@pytest.mark.parametrize("step,message", [(None, "non-finite test loss$"),
-                                          (7, "non-finite test loss at step 7$")])
+@pytest.mark.parametrize("step,message", [(7, "non-finite test loss at step 7$")])
 def test_minimize_refuses_non_finite_loss_untouched(step, message):
     nets = _two_nets(1)
     opts = [Adam(nets[0].parameters(), 0.1), Adam(nets[1].parameters(), 0.1)]
     x = RngStream(2).normal((4, 3))
     with engine.Tape() as tape:
         loss = _chain_loss(nets, x)
-    minimize(tape, loss, *opts, what="test loss")
+    minimize(tape, loss, *opts, what="test loss", step=0)
     params = [p for net in nets for p in net.parameters()]
     saved = [(p.data.copy(), None if p.grad is None else p.grad.copy())
              for p in params]
@@ -806,7 +806,7 @@ def test_minimize_steps_two_optimizers_like_the_hand_sequence():
     for _ in range(3):
         with engine.Tape() as tape:
             loss = _chain_loss(got, x)
-        minimize(tape, loss, *got_opts, what="loss")
+        minimize(tape, loss, *got_opts, what="loss", step=0)
 
         with engine.Tape() as tape:
             loss = _chain_loss(want, x)
@@ -851,27 +851,26 @@ def _codes(seed, shift=0.0):
 
 
 _LEARNERS = {
-    "vae": lambda data: _train_rows(train_vae, data),
-    "aae-loglik": lambda data: _train_rows(train_aae, data),
-    "aae-l1": lambda data: _train_rows(train_aae, data, recon="l1"),
+    "vae": lambda data: _train_rows(TRAINERS["vae"], data),
+    "aae-loglik": lambda data: _train_rows(TRAINERS["aae"], data),
+    "aae-l1": lambda data: _train_rows(TRAINERS["aae"], data, recon="l1"),
     "ratio": lambda data: ratio_kl(
         _codes(3, 0.5), _codes(4),
         ExperimentConfig(ratio_hidden=16, ratio_layers=2, ratio_iters=4),
-        RngStream(5)).to_json(),
+        RngStream(5)).to_json(""),
     "ar": lambda data: ar_fit(
         _codes(6), ExperimentConfig(ar_hidden=4, ar_iters=4),
         RngStream(7)).log_prob(_codes(8)).tolist(),
     "minimize": lambda data: run_minimization(make_task(10, 9), 4,
                                               log_every=1)["trajectory"],
-    "gan-nonsat": lambda data: _train_rows(train_gan, data),
-    "gan-reverse_kl": lambda data: _train_rows(train_gan, data,
+    "gan-nonsat": lambda data: _train_rows(TRAINERS["gan"], data),
+    "gan-reverse_kl": lambda data: _train_rows(TRAINERS["gan"], data,
                                                generator_loss="reverse_kl"),
-    "vghpp": lambda data: _train_rows(
-        lambda d, cfg: train_vgh(d, cfg, "vghpp"), data),
+    "vghpp": lambda data: _train_rows(TRAINERS["vghpp"], data),
     "synth-estimate": lambda data: run_estimation(
         make_task(10, 10), ExperimentConfig(ratio_hidden=16, ratio_layers=2,
                                             ratio_iters=4),
-        64, RngStream(11))["report"].to_json(),
+        64, RngStream(11))["report"].to_json(""),
 }
 
 
@@ -919,22 +918,22 @@ def test_fused_layers_train_exactly_as_separate_ops(sprites256, monkeypatch,
 
 
 _ELBO_TRAINERS = {
-    "vae": (train_vae, {}),
-    "vae-quantized": (train_vae, {"visible": "quantized"}),
-    "vae-mc2": (train_vae, {"mc_samples": 2}),
-    "aae": (train_aae, {}),
-    "aae-l1": (train_aae, {"recon": "l1"}),
-    "aae-quantized": (train_aae, {"visible": "quantized"}),
-    "vgh": (lambda d, cfg: train_vgh(d, cfg, "vgh"), {}),
-    "vghpp": (lambda d, cfg: train_vgh(d, cfg, "vghpp"), {}),
+    "vae": ("vae", {}),
+    "vae-quantized": ("vae", {"visible": "quantized"}),
+    "vae-mc2": ("vae", {"mc_samples": 2}),
+    "aae": ("aae", {}),
+    "aae-l1": ("aae", {"recon": "l1"}),
+    "aae-quantized": ("aae", {"visible": "quantized"}),
+    "vgh": ("vgh", {}),
+    "vghpp": ("vghpp", {}),
 }
 
 
-def _train_exact(trainer, data, over):
+def _train_exact(model, data, over):
     """The log rows and parameter bytes of a few dozen steps."""
     cfg = ExperimentConfig(latent=4, hidden=16, iters=30, batch=12, seed=5,
                            log_every=3, **over)
-    bundle, log = trainer(data, cfg)
+    bundle, log = TRAINERS[model](data, cfg)
     return log.rows, {k: v.data.tobytes()
                       for k, v in bundle.named_parameters().items()}
 
@@ -942,8 +941,8 @@ def _train_exact(trainer, data, over):
 @pytest.mark.parametrize("name", sorted(_ELBO_TRAINERS))
 def test_elbo_nodes_train_exactly_as_separate_ops(sprites256, monkeypatch,
                                                   name):
-    trainer, over = _ELBO_TRAINERS[name]
-    got = _train_exact(trainer, sprites256, over)
+    model, over = _ELBO_TRAINERS[name]
+    got = _train_exact(model, sprites256, over)
     calls = set()
 
     def counted(node, fn):
@@ -954,7 +953,7 @@ def test_elbo_nodes_train_exactly_as_separate_ops(sprites256, monkeypatch,
 
     for node, fn in references.ELBO_NODES.items():
         monkeypatch.setattr(engine, node, counted(node, fn))
-    want = _train_exact(trainer, sprites256, over)
+    want = _train_exact(model, sprites256, over)
     assert "reparam" in calls
     assert got == want
 
@@ -984,7 +983,7 @@ def test_tape_nodes_per_step(sprites256, monkeypatch, name):
     model, over, want = _TAPE_NODES[name]
     counts = {}
 
-    def counting(tape, loss, *opts, what, step=None):
+    def counting(tape, loss, *opts, what, step):
         counts.setdefault(what, set()).add(len(tape.nodes))
         minimize(tape, loss, *opts, what=what, step=step)
 
@@ -1016,7 +1015,7 @@ def test_steps_leave_no_gradient_on_networks_they_do_not_update(
         init(self, *args, **kwargs)
         built.append(self)
 
-    def checked(tape, loss, *opts, what, step=None):
+    def checked(tape, loss, *opts, what, step):
         nets = {net: opt.params for net, opt in zip(networks, built)}
         every = [p for ps in nets.values() for p in ps]
         leaves = {id(p) for node in tape.nodes for p in node.parents}
@@ -1045,9 +1044,7 @@ def test_steps_leave_no_gradient_on_networks_they_do_not_update(
     if name == "synth":
         run_minimization(make_task(10, 9), 2, 100)
     else:
-        _train_rows({"aae": train_aae, "gan": train_gan,
-                     "vghpp": lambda d, cfg: train_vgh(d, cfg, "vghpp")}[name],
-                    sprites256)
+        _train_rows(TRAINERS[name], sprites256)
     assert len(built) == len(networks)
     assert set(expected) <= seen
 
@@ -1157,3 +1154,48 @@ def test_every_analysis_function_has_a_caller(short):
     orphans = sorted(qual for qual, name in _public_callables(module)
                      if name not in called)
     assert not orphans, f"{short} functions no command reaches: {orphans}"
+
+
+def _runtime_imports(tree):
+    """The modules of the package an AST imports outside an
+    ``if TYPE_CHECKING:`` block, by short name."""
+    found = set()
+
+    def visit(node):
+        if (isinstance(node, ast.If)
+                and getattr(node.test, "id", None) == "TYPE_CHECKING"):
+            return
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return found
+
+
+def test_only_the_dispatcher_and_the_package_import_the_models():
+    # The estimators measure the models' codes; they stand apart from the
+    # models, whose classifier losses are the engine's nodes.
+    importers = sorted(
+        path.stem for path in (_ROOT / "src" / "dmvi").glob("*.py")
+        if "models" in _runtime_imports(ast.parse(path.read_text())))
+    assert importers == ["__init__", "experiment"]
+
+
+def test_the_probability_clamp_is_declared_once():
+    declared = sorted(
+        path.stem for path in (_ROOT / "src" / "dmvi").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in getattr(node, "targets", [getattr(node, "target", None)])
+        if getattr(target, "id", None) == "PROB_CLAMP")
+    assert declared == ["engine"]
+    takes_clamp = sorted(
+        name for name, fn in inspect.getmembers(engine, inspect.isfunction)
+        if fn.__module__ == engine.__name__
+        and "clamp" in inspect.signature(fn).parameters)
+    assert not takes_clamp, f"engine functions taking a clamp: {takes_clamp}"

@@ -32,7 +32,7 @@ from dmvi.estimators import (
     surgery_decompose,
 )
 from dmvi.experiment import ExperimentConfig
-from dmvi.models import build_bundle
+from dmvi.models import PARTS, build_bundle
 from dmvi.rng import RngStream
 
 # Quadrature of KL(0.5 N(-1,0.25) + 0.5 N(1,0.25) || N(0,1)), computed
@@ -51,7 +51,7 @@ def _two_point_posterior() -> DiagGaussian:
     """q(z|x) = N(x, 0.25) at x = -1 and x = 1, from a 1-D encoder wired to
     compute it exactly."""
     cfg = ExperimentConfig(latent=1, hidden=8, visible="real")
-    b = build_bundle(cfg, 1, RngStream(0).child("init"))
+    b = build_bundle(cfg, 1, RngStream(0).child("init"), PARTS["vae"])
     for p in b.nets["enc"].parameters():
         p.data[...] = 0.0
     named = b.nets["enc"].named_parameters()
@@ -108,7 +108,7 @@ def test_marginal_log_q_single_row_matches_batch_to_rounding(vae_small):
     # encoder on the same data covers d = 16.
     data = vae_small.data
     wide = build_bundle(ExperimentConfig(latent=16, hidden=64), data.shape[1],
-                        RngStream(6).child("init"))
+                        RngStream(6).child("init"), PARTS["vae"])
     for bundle in (vae_small.bundle, wide):
         post = bundle.posterior(data)
         z = RngStream(7).normal((130, bundle.latent))

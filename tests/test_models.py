@@ -13,21 +13,14 @@ from dmvi.datasets import dataset_generate
 from dmvi.distributions import kl_diag_standard, log_mean_exp
 from dmvi.errors import ContractError, NumericsError
 from dmvi.experiment import ExperimentConfig
+from dmvi.engine import PROB_CLAMP, bce
 from dmvi.models import (
     PARTS,
-    PROB_CLAMP,
     TRAINERS,
     ModelBundle,
-    bce,
     build_bundle,
     elbo_parts,
-    xent,
-    penalty_mean,
     ratio_penalty,
-    train_aae,
-    train_gan,
-    train_vae,
-    train_vgh,
     vgh_losses,
 )
 from dmvi.optim import Adam
@@ -169,7 +162,7 @@ def test_vae_training_improves_elbo(vae_small):
 def test_quantized_vae_trains(sprites256):
     cfg = ExperimentConfig(latent=4, hidden=16, iters=30, batch=16, seed=0,
                       visible="quantized", log_every=10)
-    bundle, log = train_vae(sprites256, cfg)
+    bundle, log = TRAINERS["vae"](sprites256, cfg)
     assert all(np.isfinite(r["value"]) for r in log.rows)
     elbos = [r["value"] for r in log.rows if r["name"] == "elbo"]
     assert elbos[-1] > elbos[0]
@@ -204,7 +197,8 @@ def test_vae_loss_gradient_via_grad_check():
     # fixed so finite differences see a deterministic function.
     def builder(rng):
         cfg = ExperimentConfig(latent=3, hidden=12)
-        b = build_bundle(cfg, 8, RngStream(int(rng.integers(0, 2**31, ()))))
+        b = build_bundle(cfg, 8, RngStream(int(rng.integers(0, 2**31, ()))),
+                         PARTS["vae"])
         x = (rng.uniform((4, 8)) < 0.5).astype(np.float64)
         eps = rng.normal((4, 3))
 
@@ -247,8 +241,8 @@ def test_bernoulli_likelihood_refuses_data_outside_the_unit_interval(
 
 def test_vae_training_is_deterministic(sprites256):
     cfg = ExperimentConfig(latent=4, hidden=32, iters=20, batch=32, seed=9)
-    b1, log1 = train_vae(sprites256, cfg)
-    b2, log2 = train_vae(sprites256, cfg)
+    b1, log1 = TRAINERS["vae"](sprites256, cfg)
+    b2, log2 = TRAINERS["vae"](sprites256, cfg)
     for k, v in b1.named_parameters().items():
         assert np.array_equal(v.data, b2.named_parameters()[k].data)
     assert log1.rows == log2.rows
@@ -260,15 +254,15 @@ def _param_bytes(bundle):
 
 def test_vae_steps_each_part_at_its_own_rate(sprites256):
     base = dict(latent=4, hidden=16, iters=5, batch=16, seed=2)
-    default, _ = train_vae(sprites256, ExperimentConfig(**base))
-    faster, _ = train_vae(sprites256, ExperimentConfig(lr_gen=1e-2, **base))
+    default, _ = TRAINERS["vae"](sprites256, ExperimentConfig(**base))
+    faster, _ = TRAINERS["vae"](sprites256, ExperimentConfig(lr_gen=1e-2, **base))
     for want, got in zip(default.nets["gen"].parameters(),
                          faster.nets["gen"].parameters()):
         assert not np.array_equal(want.data, got.data)
     # One Adam per part steps as one joint Adam at the same rate does.
-    split, split_log = train_vae(sprites256, ExperimentConfig(
+    split, split_log = TRAINERS["vae"](sprites256, ExperimentConfig(
         lr_enc=2e-3, lr_gen=2e-3, **base))
-    joint, joint_log = train_vae(sprites256, ExperimentConfig(lr=2e-3, **base))
+    joint, joint_log = TRAINERS["vae"](sprites256, ExperimentConfig(lr=2e-3, **base))
     assert _param_bytes(split) == _param_bytes(joint)
     assert split_log.rows == joint_log.rows
 
@@ -280,7 +274,7 @@ def test_vae_aborts_on_divergence(sprites256):
                       lr=100.0)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericsError, match="step"):
-            train_vae(sprites256, cfg)
+            TRAINERS["vae"](sprites256, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +312,8 @@ def test_gan_loss_values_at_blind_discriminator():
     # The training losses, read from the logit, agree.
     logit = b.data_logit(x)
     assert abs(bce(logit, logit).item() - 2.0 * np.log(2.0)) < 1e-12
-    assert abs(xent(logit, 1).item() - np.log(2.0)) < 1e-12
-    assert penalty_mean(logit).item() == 0.0
+    assert abs(engine.sigmoid_xent(logit, 1).item() - np.log(2.0)) < 1e-12
+    assert engine.neg_log_odds_mean(logit).item() == 0.0
 
 
 def test_bce_matches_hand_formula_and_saturates():
@@ -343,7 +337,7 @@ def test_bce_matches_hand_formula_and_saturates():
 def test_gan_training_runs_and_logs(sprites256):
     cfg = ExperimentConfig(latent=4, hidden=32, iters=30, batch=32, seed=1,
                       log_every=10)
-    bundle, log = train_gan(sprites256, cfg)
+    bundle, log = TRAINERS["gan"](sprites256, cfg)
     names = {r["name"] for r in log.rows}
     assert names == {"loss_disc", "loss_gen"}
     assert all(np.isfinite(r["value"]) for r in log.rows)
@@ -353,14 +347,30 @@ def test_gan_training_runs_and_logs(sprites256):
 def test_gan_reverse_kl_variant_runs(sprites256):
     cfg = ExperimentConfig(latent=4, hidden=32, iters=30, batch=32, seed=1,
                       generator_loss="reverse_kl", log_every=10)
-    _, log = train_gan(sprites256, cfg)
+    _, log = TRAINERS["gan"](sprites256, cfg)
     assert all(np.isfinite(r["value"]) for r in log.rows)
+
+
+def test_gan_step_runs_the_generator_once(sprites256, monkeypatch):
+    # The discriminator step reads the values of the taped generator pass
+    # that the generator step then differentiates.
+    taped = []
+    decode_mean = ModelBundle.decode_mean
+
+    def counting(self, z):
+        taped.append(engine._ACTIVE_TAPE is not None)
+        return decode_mean(self, z)
+
+    monkeypatch.setattr(ModelBundle, "decode_mean", counting)
+    cfg = ExperimentConfig(latent=4, hidden=16, iters=3, batch=8, seed=1)
+    TRAINERS["gan"](sprites256, cfg)
+    assert taped == [True] * 3
 
 
 def test_aae_training_reduces_reconstruction(sprites256):
     cfg = ExperimentConfig(latent=8, hidden=64, iters=300, batch=64, seed=2,
                       log_every=50)
-    bundle, log = train_aae(sprites256, cfg)
+    bundle, log = TRAINERS["aae"](sprites256, cfg)
     recon = [r["value"] for r in log.rows if r["name"] == "recon"]
     assert recon[-1] < 0.5 * recon[0]
     assert "data_disc" not in bundle.nets
@@ -369,7 +379,7 @@ def test_aae_training_reduces_reconstruction(sprites256):
 def test_aae_l1_recon_mode_runs(sprites256):
     cfg = ExperimentConfig(latent=4, hidden=32, iters=30, batch=32, seed=3,
                       recon="l1", log_every=10)
-    _, log = train_aae(sprites256, cfg)
+    _, log = TRAINERS["aae"](sprites256, cfg)
     recon = [r["value"] for r in log.rows if r["name"] == "recon"]
     assert all(np.isfinite(v) and v >= 0.0 for v in recon)
 
@@ -472,7 +482,7 @@ def test_vgh_losses_gradients_via_grad_check():
 def test_train_vgh_step_counts_match_iterations(sprites256):
     cfg = ExperimentConfig(latent=4, hidden=32, iters=17, batch=32, seed=5,
                       log_every=5)
-    _, log = train_vgh(sprites256, cfg, "vghpp")
+    _, log = TRAINERS["vghpp"](sprites256, cfg)
     counts = {r["name"]: r["value"] for r in log.rows
               if r["name"].startswith("updates_")}
     assert counts == {"updates_enc": 17.0, "updates_gen": 17.0,
@@ -483,7 +493,7 @@ def test_train_vgh_logs_all_losses_finite(sprites256):
     cfg = ExperimentConfig(latent=4, hidden=32, iters=25, batch=32, seed=6,
                       log_every=5)
     for variant in ("vgh", "vghpp"):
-        _, log = train_vgh(sprites256, cfg, variant)
+        _, log = TRAINERS[variant](sprites256, cfg)
         names = {r["name"] for r in log.rows}
         assert {"loss_enc", "loss_gen", "loss_disc", "loss_code_disc",
                 "recon"} <= names
@@ -512,7 +522,7 @@ def test_every_trainer_logs_at_the_shared_cadence(sprites256, model):
 
 
 def _reference_train_vgh(data, cfg, variant):
-    """train_vgh as the full graph defines it: every component step builds
+    """The VGH trainer as the full graph defines it: every component step builds
     all four losses and backpropagates its own."""
     root = RngStream(cfg.seed)
     b = build_bundle(cfg, data.shape[1], root.child("init"), PARTS[variant])
@@ -546,7 +556,7 @@ def _reference_train_vgh(data, cfg, variant):
 def test_train_vgh_matches_full_graph_updates_exactly(sprites256, variant):
     cfg = ExperimentConfig(latent=4, hidden=16, iters=5, batch=32, seed=8,
                            log_every=1)
-    got, log = train_vgh(sprites256, cfg, variant)
+    got, log = TRAINERS[variant](sprites256, cfg)
     want, rows = _reference_train_vgh(sprites256, cfg, variant)
     got_params, want_params = got.named_parameters(), want.named_parameters()
     assert got_params.keys() == want_params.keys()
@@ -580,7 +590,7 @@ def test_train_vgh_iteration_builds_only_needed_graphs(sprites256, monkeypatch,
 
     monkeypatch.setattr(engine, "linear", counting)
     cfg = ExperimentConfig(latent=4, hidden=16, iters=1, batch=8, seed=1)
-    train_vgh(sprites256, cfg, variant)
+    TRAINERS[variant](sprites256, cfg)
     # Each network by its (input, output) widths: the data is 144 wide, the
     # code 4 and the encoder's output 8.
     names = {(144, 8): "enc", (4, 144): "gen", (144, 1): "data_disc",
