@@ -48,14 +48,20 @@ _SUBCOMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for ``argv``: every subcommand, but with flags only on the
+    one ``argv[0]`` names, or on all when it names none. Adding all ~70
+    flags costs more than a short command's own set-up."""
     parser = argparse.ArgumentParser(
         prog="dmvi", allow_abbrev=False,
         description="Train small generative models and estimate how far "
                     "their aggregate posterior sits from the prior.")
     sub = parser.add_subparsers(dest="command", required=True)
+    named = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
     for command, (help_text, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        if named not in (None, command):
+            continue
         p.add_argument("--config", help="INI config file; flags override it")
         for spec in ("out", "seed") + flags:
             if isinstance(spec, str):
@@ -69,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def build_config(argv) -> ExperimentConfig:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser(argv).parse_args(argv)
     if getattr(args, "config", None):
         with open(args.config) as f:
             cfg = ExperimentConfig.from_ini(f.read())
@@ -114,7 +120,7 @@ def main(argv=None) -> int:
         # file, or a bad DMVI_SEED: out and run are known from the flags
         # and the defaults unless a config file could have named them.
         code = EXIT_IO if isinstance(e, OSError) else EXIT_CONFIG
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
         reads_run = "run" in _SUBCOMMANDS[args.command][1]
         out, run = args.out, getattr(args, "run", None)
         if not args.config:

@@ -32,11 +32,9 @@ def make_sprites(n: int, rng: RngStream) -> np.ndarray:
     rows = rng.integers(0, SPRITE_SIDE, (n,))
     cols = rng.integers(0, SPRITE_SIDE, (n,))
     out = np.zeros((n, SPRITE_SIDE, SPRITE_SIDE))
-    for i in range(n):
-        if kinds[i] in (0, 2):
-            out[i, rows[i], :] = 1.0
-        if kinds[i] in (1, 2):
-            out[i, :, cols[i]] = 1.0
+    h, v = np.flatnonzero(kinds != 1), np.flatnonzero(kinds != 0)
+    out[h, rows[h], :] = 1.0
+    out[v, :, cols[v]] = 1.0
     return out.reshape(n, SPRITE_SIDE * SPRITE_SIDE)
 
 

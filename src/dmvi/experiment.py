@@ -12,7 +12,6 @@ from __future__ import annotations
 import configparser
 import contextlib
 import hashlib
-import io
 import json
 import os
 import typing
@@ -95,29 +94,31 @@ class ExperimentConfig:
     div_n: int = _setting("diagnostics", 64, positive=True)
 
     def to_ini(self) -> str:
-        parser = configparser.ConfigParser(interpolation=None)
+        """The settings in field order under their sections, byte for byte
+        what ``ConfigParser.write`` writes: an embedded newline continues on
+        a tab-indented line. An unset optional rate is left out."""
+        sections: dict[str, list[str]] = {}
         for f in fields(self):
             value = getattr(self, f.name)
-            if value is None:
-                continue
-            section = f.metadata["section"]
-            if not parser.has_section(section):
-                parser.add_section(section)
-            parser.set(section, f.name, repr(value) if isinstance(value, float)
-                       else str(value))
-        buf = io.StringIO()
-        parser.write(buf)
-        return buf.getvalue()
+            if value is not None:
+                text = repr(value) if isinstance(value, float) else str(value)
+                sections.setdefault(f.metadata["section"], []).append(
+                    f"{f.name} = " + text.replace("\n", "\n\t") + "\n")
+        return "".join(f"[{s}]\n" + "".join(lines) + "\n"
+                       for s, lines in sections.items())
 
     @classmethod
     def from_ini(cls, text: str) -> "ExperimentConfig":
-        """Parse an INI file; an unknown section or key, or a value of the
-        wrong type, is a ContractError."""
+        """Parse an INI file; an unknown section or key, a setting under
+        [DEFAULT] (read into every section), or a value of the wrong type
+        is a ContractError."""
         parser = configparser.ConfigParser(interpolation=None)
         try:
             parser.read_string(text)
         except configparser.Error as e:
             raise ContractError(f"malformed config: {e}") from e
+        if parser.defaults():
+            raise ContractError("unknown config section [DEFAULT]")
         cfg = cls()
         for section in parser.sections():
             if section not in SECTIONS:

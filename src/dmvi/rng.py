@@ -1,9 +1,9 @@
 """Counter-based random streams.
 
-Every draw rebuilds a Philox generator from (seed, counter), so a stream's
-output is a pure function of those two integers: replaying a run, or deriving
-a labelled child stream, cannot depend on call order elsewhere in the
-program.
+Every draw sets the stream's one Philox generator to the state of
+``Philox(key=seed)`` advanced by ``counter << 64``, so a stream's output is
+a pure function of those two integers: replaying a run, or deriving a
+labelled child stream, cannot depend on call order elsewhere in the program.
 """
 
 from __future__ import annotations
@@ -11,10 +11,6 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
-
-# Each draw occupies its own 2**64-block window of the Philox counter, so a
-# single call can consume up to ~2**66 doubles without touching the next slot.
-_SLOT_BITS = 64
 
 
 def _derive_key(seed: int, label: str) -> int:
@@ -28,12 +24,20 @@ class RngStream:
     def __init__(self, seed: int):
         self.seed = int(seed) & (2**64 - 1)
         self.counter = 0
+        self._bits = None   # built at the first draw; many streams make none
 
     def _next(self) -> np.random.Generator:
-        bg = np.random.Philox(key=self.seed)
-        bg.advance(self.counter << _SLOT_BITS)
+        if self._bits is None:
+            self._bits = np.random.Philox(key=self.seed)
+            self._gen = np.random.Generator(self._bits)
+            # Key [seed, 0], counter 0, an empty buffer, no cached uint32.
+            # Draw i sets counter word 1 to i: its own 2**64-block window, so
+            # one call can consume ~2**66 doubles without touching the next.
+            self._state = self._bits.state
+        self._state["state"]["counter"][1] = self.counter
+        self._bits.state = self._state
         self.counter += 1
-        return np.random.Generator(bg)
+        return self._gen
 
     def normal(self, shape=()) -> np.ndarray:
         return self._next().standard_normal(shape)

@@ -1,16 +1,23 @@
 """Reference routes the tests compare the package against: a
 central-difference check of the reverse-mode gradients, the fused ELBO
-nodes of ``engine`` as the separate ops each replaces, and the
+nodes of ``engine`` as the separate ops each replaces, the
 full-covariance Gaussian sampler and density that give an independent
-Monte Carlo route to ``kl_full_gauss``."""
+Monte Carlo route to ``kl_full_gauss``, the per-row sprite loop, the
+``ConfigParser`` writer of ``to_ini`` and the freshly built Philox
+generator behind each ``RngStream`` draw."""
 
 from __future__ import annotations
+
+import configparser
+import io
+from dataclasses import fields
 
 import numpy as np
 
 from dmvi import engine
 from dmvi.distributions import mean_stderr
 from dmvi.errors import NumericsError
+from dmvi.datasets import SPRITE_SIDE
 from dmvi.rng import RngStream
 
 # Coordinates probed per parameter. Full sweeps on 256-wide layers would
@@ -145,3 +152,42 @@ def full_gauss_logpdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.nd
     maha = (y * y).sum(axis=0)
     logdet = 2.0 * np.log(np.diag(chol)).sum()
     return -0.5 * (d * _LOG_2PI + logdet + maha)
+
+
+def sprites_loop(n: int, rng: RngStream) -> np.ndarray:
+    """``make_sprites`` as one image at a time, from the same three draws."""
+    kinds = rng.integers(0, 3, (n,))          # 0 h-bar, 1 v-bar, 2 cross
+    rows = rng.integers(0, SPRITE_SIDE, (n,))
+    cols = rng.integers(0, SPRITE_SIDE, (n,))
+    out = np.zeros((n, SPRITE_SIDE, SPRITE_SIDE))
+    for i in range(n):
+        if kinds[i] in (0, 2):
+            out[i, rows[i], :] = 1.0
+        if kinds[i] in (1, 2):
+            out[i, :, cols[i]] = 1.0
+    return out.reshape(n, SPRITE_SIDE * SPRITE_SIDE)
+
+
+def configparser_ini(cfg) -> str:
+    """``ExperimentConfig.to_ini`` as ``ConfigParser.write`` writes it."""
+    parser = configparser.ConfigParser(interpolation=None)
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if value is None:
+            continue
+        section = f.metadata["section"]
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser.set(section, f.name, repr(value) if isinstance(value, float)
+                   else str(value))
+    buf = io.StringIO()
+    parser.write(buf)
+    return buf.getvalue()
+
+
+def philox_draw(seed: int, counter: int) -> np.random.Generator:
+    """The generator of draw ``counter`` of ``RngStream(seed)``: a new
+    Philox keyed by the seed, advanced to the draw's 2**64-block slot."""
+    bits = np.random.Philox(key=seed)
+    bits.advance(counter << 64)
+    return np.random.Generator(bits)

@@ -17,6 +17,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dmvi import cli, experiment
 from dmvi.checkpoint import load_checkpoint
@@ -25,9 +27,10 @@ from dmvi.diagnostics import posterior_kl_stats
 from dmvi.errors import ContractError
 from dmvi.estimators import surgery_decompose
 from dmvi.experiment import (SETTINGS, ExperimentConfig, execute, load_run,
-                             write_json)
+                             value_type, write_json)
 from dmvi.models import ModelBundle
 from dmvi.rng import RngStream
+from references import configparser_ini
 
 
 def _read_json(path):
@@ -142,6 +145,32 @@ def test_default_ini_text_is_pinned():
     assert ExperimentConfig().to_ini() == DEFAULT_INI
 
 
+def test_default_config_hash_is_pinned():
+    assert ExperimentConfig().config_hash().hex() == (
+        "e87a4c8ca02dbb580e9b5df483d21e59a441cf88d748983d213e2e994291c5a1")
+
+
+_INI_TEXT = st.text(st.sampled_from(" %=;#\n\t[]:x") | st.characters(),
+                    max_size=8)
+_INI_FLOAT = st.sampled_from([-0.0, 1e-300, 5e-324, float("nan"),
+                              float("inf"), -float("inf")]) | st.floats()
+_INI_VALUES = {str: _INI_TEXT, int: st.integers(), float: _INI_FLOAT}
+
+
+def _ini_values(name):
+    values = _INI_VALUES[value_type(name)]
+    return values | st.none() if SETTINGS[name].default is None else values
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.builds(ExperimentConfig,
+                 **{name: _ini_values(name) for name in SETTINGS}))
+@example(ExperimentConfig(out="a b\n%c;#=", run="", lam=-0.0, lr=5e-324,
+                          lr_enc=float("nan"), lr_gen=float("inf")))
+def test_ini_text_is_what_configparser_writes(cfg):
+    assert cfg.to_ini() == configparser_ini(cfg)
+
+
 # Every flag of every subcommand: (argv, the fields it sets).
 FLAG_CASES = [
     (["train", "--model", "aae", "--dataset", "idx", "--n", "77",
@@ -185,7 +214,7 @@ def test_flags_set_their_fields(argv, expected):
         assert type(getattr(cfg, name)) is type(value), name
 
 
-@pytest.mark.parametrize("argv", [
+REFUSED_FLAGS = [
     ["dataset", "--kind", "idx"],
     ["train", "--model", "vae2"],
     ["train", "--visible", "poisson"],
@@ -195,7 +224,10 @@ def test_flags_set_their_fields(argv, expected):
     ["train", "--num-z", "4"],
     ["surgery", "--n", "16"],           # no prefix of another flag
     ["train", "--lr-e", "0.1"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", REFUSED_FLAGS)
 def test_flag_choices_and_scope(argv):
     with pytest.raises(SystemExit) as e:
         cli.build_config(argv)
@@ -229,6 +261,20 @@ def test_bad_env_seed_is_config_error(monkeypatch, tmp_path):
     monkeypatch.setenv("DMVI_SEED", "abc")
     assert cli.main(["train"]) == 2
     assert _read_json(tmp_path / "run_out" / "status.json")["exit_code"] == 2
+
+
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nhidden = 64\n",                     # read into no section
+    "[DEFAULT]\nseed = 1\n[train]\nlatent = 4\n",   # read into [train]
+])
+def test_settings_under_default_are_refused(tmp_path, text):
+    ini = tmp_path / "default.ini"
+    ini.write_text(text)
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(ini), "--out", str(out)]) == 2
+    assert (_read_json(out / "status.json")["error"]
+            == "unknown config section [DEFAULT]")
+    assert not (out / "checkpoint.dmvi").exists()
 
 
 def test_unknown_subcommand_exits_two():
@@ -987,6 +1033,31 @@ def test_failed_rerun_leaves_only_its_error_status(tiny_run, tmp_path,
                          "--out", str(tmp_path / "next")]) == 2
         assert "did not finish" in _read_json(
             tmp_path / "next" / "status.json")["error"]
+
+
+# Every argv of the tables above, and the help and usage errors.
+_PARSER_CASES = ([argv for argv, _ in FLAG_CASES] + REFUSED_FLAGS
+                 + [p.values[0]("tmp", "run") for p in _REPLACED]
+                 + [["--help"], [], ["bogus"], ["train", "extra"],
+                    ["surgery", "--bogus", "1"], ["train", "--help"],
+                    ["-h", "train"]])
+
+
+@pytest.mark.parametrize("argv", _PARSER_CASES,
+                         ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_parser_matches_the_all_flags_parser(argv, capsys, monkeypatch):
+    # The parser adds flags only to the subcommand argv[0] names; one whose
+    # argv[0] names none adds every subcommand's flags.
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def parse(parser):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as e:
+            result = e.code
+        return result, capsys.readouterr()
+
+    assert parse(cli._build_parser(argv)) == parse(cli._build_parser([]))
 
 
 def test_module_entry_point(tmp_path):

@@ -24,6 +24,7 @@ from dmvi.datasets import (
 )
 from dmvi.errors import ContractError, ParseError
 from dmvi.rng import RngStream
+from references import sprites_loop
 
 
 def test_sprites_shape_and_values():
@@ -55,6 +56,21 @@ def test_sprite_pixel_count():
     # A bar lights 12 pixels; a cross lights 23 (overlap counted once).
     assert set(np.unique(counts)) <= {float(SPRITE_SIDE),
                                       float(2 * SPRITE_SIDE - 1)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 512, 1024])
+@pytest.mark.parametrize("seed", [0, 1, 2**40 + 3])
+def test_sprites_match_the_per_row_loop(n, seed):
+    got = make_sprites(n, RngStream(seed))
+    want = sprites_loop(n, RngStream(seed))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_sprites_digest_is_pinned():
+    # Integer draws and 0/1 pixels only, so the bytes, and with them the
+    # data_digest every sprites run records, are the same on any machine.
+    assert array_digest(dataset_generate("sprites", 512, 0)) == (
+        "d59c298e4ba69461d81cab4c18e908995585332ba4b9d8361e23ce37f03a2f57")
 
 
 def test_grid2d_means_layout():

@@ -3,6 +3,7 @@
 import numpy as np
 
 from dmvi.rng import RngStream
+from references import philox_draw
 
 
 def test_same_seed_same_draws():
@@ -60,3 +61,47 @@ def test_uniform_range_and_normal_moments():
 def test_integers_bounds():
     v = RngStream(3).integers(2, 9, (1000,))
     assert v.min() >= 2 and v.max() < 9
+
+
+# Every kind of draw, as RngStream makes it and as a generator makes it.
+# A one-element integers draw in [0, 7) takes half of a 64-bit output and
+# caches the other half (has_uint32), which the next draw must not see.
+_DRAWS = [
+    (lambda r: r.integers(0, 7, (1,)), lambda g: g.integers(0, 7, size=(1,))),
+    (lambda r: r.normal((3, 5)), lambda g: g.standard_normal((3, 5))),
+    (lambda r: r.integers(0, 7, (1,)), lambda g: g.integers(0, 7, size=(1,))),
+    (lambda r: r.uniform((7,)), lambda g: g.random((7,))),
+    (lambda r: r.integers(-5, 2**40, (4,)),
+     lambda g: g.integers(-5, 2**40, size=(4,))),
+    (lambda r: r.permutation(9), lambda g: g.permutation(9)),
+]
+
+
+def test_a_cached_uint32_is_what_the_draws_exercise():
+    g = philox_draw(11, 0)
+    _DRAWS[0][1](g)
+    assert g.bit_generator.state["has_uint32"] == 1
+
+
+def test_each_draw_is_a_fresh_philox_at_its_slot():
+    streams = [RngStream(11), RngStream(2**64 - 1), RngStream(11).child("c")]
+    for _ in range(3):
+        for draw, reference in _DRAWS:
+            for r in streams:       # interleaved: each stream in turn
+                counter = r.counter
+                got = draw(r)
+                assert r.counter == counter + 1
+                assert np.array_equal(got, reference(philox_draw(r.seed,
+                                                                 counter)))
+
+
+def test_child_draws_ignore_the_parents_draws():
+    parent = RngStream(4)
+    child = parent.child("c")
+    mixed = []
+    for draw, _ in _DRAWS:
+        draw(parent)
+        mixed.append(draw(child))
+    alone = RngStream(4).child("c")
+    for (draw, _), got in zip(_DRAWS, mixed):
+        assert np.array_equal(got, draw(alone))
