@@ -46,22 +46,26 @@ def new_file(path: str, mode: str = "w"):
 def save_checkpoint(path: str, tensors: dict, config_hash: bytes) -> None:
     """Write named float64 arrays; ``config_hash`` is padded to 32 bytes."""
     config_hash = bytes(config_hash)[:32].ljust(32, b"\0")
-    parts = [MAGIC, struct.pack("<I", VERSION), config_hash,
-             struct.pack("<I", len(tensors))]
+    # Every piece is ready before the file is touched, and each is written
+    # and hashed where it lies: a payload is copied only if its array is not
+    # C-contiguous.
+    parts = [MAGIC + struct.pack("<I", VERSION) + config_hash
+             + struct.pack("<I", len(tensors))]
     for name, arr in tensors.items():
         arr = np.asarray(arr, dtype=np.float64)
         encoded = name.encode("utf-8")
-        parts.append(struct.pack("<H", len(encoded)))
-        parts.append(encoded)
         # Rank and extents come from the original array; ascontiguousarray
         # would promote rank 0 to rank 1.
-        parts.append(struct.pack("<I", arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        parts.append(np.ascontiguousarray(arr).tobytes())
-    body = b"".join(parts)
+        parts.append(struct.pack("<H", len(encoded)) + encoded
+                     + struct.pack("<I", arr.ndim)
+                     + struct.pack(f"<{arr.ndim}Q", *arr.shape))
+        parts.append(np.ascontiguousarray(arr))
+    digest = hashlib.sha256()
     with new_file(path, "wb") as f:
-        f.write(body)
-        f.write(hashlib.sha256(body).digest())
+        for part in parts:
+            f.write(part)
+            digest.update(part)
+        f.write(digest.digest())
 
 
 class _Reader:

@@ -80,7 +80,7 @@ def array_digest(arr: np.ndarray) -> str:
     h = hashlib.sha256()
     h.update(str(arr.dtype).encode())
     h.update(str(arr.shape).encode())
-    h.update(np.ascontiguousarray(arr).tobytes())
+    h.update(np.ascontiguousarray(arr))
     return h.hexdigest()
 
 

@@ -215,6 +215,10 @@ def linear(x, layers, slope: float = 0.0) -> Tensor:
     x = as_tensor(x)
     layers = [(as_tensor(W), as_tensor(b)) for W, b in layers]
     last = len(layers) - 1
+    # Only the vjp reads the layer inputs and scales, and with no tape none
+    # is recorded: an untaped pass lets each go once the next layer is
+    # computed.
+    keep = _ACTIVE_TAPE is not None
     h = x.data
     inputs, scales = [], []
     for i, (W, b) in enumerate(layers):
@@ -222,7 +226,8 @@ def linear(x, layers, slope: float = 0.0) -> Tensor:
             raise ShapeError(
                 f"linear needs (m,k) @ (k,n); got {h.shape} @ {W.data.shape}"
             )
-        inputs.append(h)
+        if keep:
+            inputs.append(h)
         h = h @ W.data
         h += b.data
         if i < last:
@@ -236,7 +241,8 @@ def linear(x, layers, slope: float = 0.0) -> Tensor:
             scale = (h > 0).astype(np.float64)
             np.maximum(scale, slope, out=scale)
             h *= scale
-            scales.append(scale)
+            if keep:
+                scales.append(scale)
     out = Tensor(h)
     parents = (x,) + tuple(t for pair in layers for t in pair)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import engine
-from .errors import NumericsError
+from .errors import ContractError, NumericsError
 
 BETA1 = 0.5
 BETA2 = 0.9
@@ -35,20 +35,50 @@ class Adam:
     def __init__(self, params, lr: float):
         self.params = list(params)
         self.lr = lr
+        # A multi-block step writes through flat views of the parameters'
+        # data, made here, and only C-contiguous data has one.
+        if not all(p.data.flags.c_contiguous for p in self.params):
+            raise ContractError("Adam needs C-contiguous parameter data")
         # The moments live in one flat buffer each, so a step costs a handful
         # of operations per block of entries rather than per parameter;
-        # ``m`` and ``v`` are per-parameter views into them. ``_g`` gathers
-        # the gradients and ``_tmp`` holds intermediates, so a step allocates
-        # no array.
+        # ``m`` and ``v`` are per-parameter views into them, and the only
+        # state a step carries to the next. ``_g`` gathers one block of
+        # gradients and ``_tmp`` holds its intermediates: 2n + 2 min(n,
+        # _BLOCK) floats in all for n entries, and a step allocates no array.
         sizes = [p.data.size for p in self.params]
-        self._slices = [slice(end - n, end)
-                        for end, n in zip(np.cumsum(sizes).tolist(), sizes)]
-        self._m, self._v, self._g, self._tmp = np.zeros((4, sum(sizes)))
-        self.m = [self._m[sl].reshape(p.data.shape)
-                  for sl, p in zip(self._slices, self.params)]
-        self.v = [self._v[sl].reshape(p.data.shape)
-                  for sl, p in zip(self._slices, self.params)]
+        ends = np.cumsum(sizes, dtype=np.int64).tolist()
+        starts = [end - size for end, size in zip(ends, sizes)]
+        n = sum(sizes)
+        k = min(n, _BLOCK)
+        self._m, self._v = np.zeros((2, n))
+        self._g, self._tmp = np.zeros((2, k))
+        self.m = [self._m[a:b].reshape(p.data.shape)
+                  for a, b, p in zip(starts, ends, self.params)]
+        self.v = [self._v[a:b].reshape(p.data.shape)
+                  for a, b, p in zip(starts, ends, self.params)]
         self.t = 0
+        # When one block holds every entry, a step gathers all gradients
+        # first and each parameter steps by its own view of ``_g``, as
+        # ``_updates``. Otherwise each block gathers its own pieces: (index
+        # of the parameter, range within its flat gradient, the piece's view
+        # of ``_g``, the same range of the parameter's flat data).
+        one_block = n <= _BLOCK
+        self._updates = [self._g[a:b].reshape(p.data.shape)
+                         for a, b, p in zip(starts, ends, self.params)
+                         ] if one_block else []
+        self._blocks = []
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            pieces = []
+            for i, (a, b, p) in enumerate(zip(starts, ends, self.params)):
+                first, last = max(lo, a), min(hi, b)
+                if not one_block and first < last:
+                    own = slice(first - a, last - a)
+                    pieces.append((i, own, self._g[first - lo:last - lo],
+                                   p.data.reshape(-1)[own]))
+            self._blocks.append((self._m[lo:hi], self._v[lo:hi],
+                                 self._g[:hi - lo], self._tmp[:hi - lo],
+                                 pieces))
 
     def step(self):
         """One in-place update from the parameters' ``.grad``.
@@ -60,35 +90,55 @@ class Adam:
         refused = "non-finite or overflowing gradient; step refused"
         if any(g is None for g in grads):
             raise NumericsError(refused)
-        g, tmp = self._g, self._tmp
-        if grads:
+        if self._updates:
+            g = self._g
             np.concatenate([grad.ravel() for grad in grads], out=g)
-        # A NaN maximum fails the comparison too.
-        if not np.abs(g, out=tmp).max(initial=0.0) <= _GRAD_BOUND:
-            raise NumericsError(refused)
+            # A NaN maximum fails the comparison too.
+            if not np.abs(g, out=self._tmp).max(initial=0.0) <= _GRAD_BOUND:
+                raise NumericsError(refused)
+        else:
+            # Each gradient is checked where it lies before any block is
+            # gathered; a NaN fails both comparisons.
+            for grad in grads:
+                if not (grad.max(initial=-np.inf) <= _GRAD_BOUND
+                        and grad.min(initial=np.inf) >= -_GRAD_BOUND):
+                    raise NumericsError(refused)
+            grads = [grad.ravel() for grad in grads]
         self.t += 1
         bias1, bias2 = 1.0 - BETA1 ** self.t, 1.0 - BETA2 ** self.t
+        lr = self.lr
         # Each line rounds as m = beta1 m + (1 - beta1) g,
         # v = beta2 v + (1 - beta2) g g and
         # update = lr m_hat / (sqrt(v_hat) + eps) do, operation by operation;
-        # the update overwrites the gathered gradient.
-        for lo in range(0, g.size, _BLOCK):
-            blk = slice(lo, lo + _BLOCK)
-            m, v, gb, tb = self._m[blk], self._v[blk], g[blk], tmp[blk]
+        # the update overwrites the gathered gradient. A bias correction that
+        # rounds to 1.0 (beta1's from t = 54, beta2's from t = 356) skips its
+        # divide, since x / 1.0 == x.
+        for m, v, gb, tb, pieces in self._blocks:
+            if pieces:
+                np.concatenate([grads[i][sl] for i, sl, _, _ in pieces],
+                               out=gb)
             m *= BETA1
             m += np.multiply(gb, 1.0 - BETA1, out=tb)
             v *= BETA2
             np.multiply(gb, 1.0 - BETA2, out=tb)
             tb *= gb
             v += tb
-            np.divide(m, bias1, out=gb)
-            gb *= self.lr
-            np.divide(v, bias2, out=tb)
-            np.sqrt(tb, out=tb)
+            if bias1 == 1.0:
+                np.multiply(m, lr, out=gb)
+            else:
+                np.divide(m, bias1, out=gb)
+                gb *= lr
+            if bias2 == 1.0:
+                np.sqrt(v, out=tb)
+            else:
+                np.divide(v, bias2, out=tb)
+                np.sqrt(tb, out=tb)
             tb += EPS
             gb /= tb
-        for p, sl in zip(self.params, self._slices):
-            p.data -= g[sl].reshape(p.data.shape)
+            for _, _, update, data in pieces:
+                data -= update
+        for p, update in zip(self.params, self._updates):
+            p.data -= update
 
 
 def minimize(tape: engine.Tape, loss: engine.Tensor, *opts: Adam, what: str,

@@ -111,16 +111,18 @@ def run_minimization(task: SyntheticTask, iters: int, log_every: int) -> dict:
         x_p = task.target.sample(loop, BATCH)
         z = loop.normal((BATCH, task.k))
         try:
-            x_q = engine.linear(z, learner).data
+            # The learner's pass is taped once: the classifier step reads
+            # its values, and the learner step continues on that tape.
+            with engine.Tape() as l_tape:
+                x_q = engine.linear(z, learner)
             with engine.Tape() as tape:
                 c_loss = engine.bce(clf(engine.Tensor(x_p)),
-                                    clf(engine.Tensor(x_q)))
+                                    clf(engine.Tensor(x_q.data)))
             minimize(tape, c_loss, opt_c, what="classifier loss", step=step)
 
-            with engine.Tape() as tape:
-                l_loss = engine.neg_log_odds_mean(
-                    clf(engine.linear(z, learner)))
-            minimize(tape, l_loss, opt_l, what="learner loss", step=step)
+            with l_tape:
+                l_loss = engine.neg_log_odds_mean(clf(x_q))
+            minimize(l_tape, l_loss, opt_l, what="learner loss", step=step)
         except NumericsError:
             status = "diverged"
             rows.append({"step": step, "true_kl": float("nan"),

@@ -3,18 +3,22 @@ central-difference check of the reverse-mode gradients, the fused ELBO
 nodes of ``engine`` as the separate ops each replaces, the
 full-covariance Gaussian sampler and density that give an independent
 Monte Carlo route to ``kl_full_gauss``, the per-row sprite loop, the
-``ConfigParser`` writer of ``to_ini`` and the freshly built Philox
-generator behind each ``RngStream`` draw."""
+``ConfigParser`` writer of ``to_ini``, the freshly built Philox
+generator behind each ``RngStream`` draw and the checkpoint writer that
+joined every piece before hashing."""
 
 from __future__ import annotations
 
 import configparser
+import hashlib
 import io
+import struct
 from dataclasses import fields
 
 import numpy as np
 
 from dmvi import engine
+from dmvi.checkpoint import MAGIC, VERSION
 from dmvi.distributions import mean_stderr
 from dmvi.errors import NumericsError
 from dmvi.datasets import SPRITE_SIDE
@@ -191,3 +195,22 @@ def philox_draw(seed: int, counter: int) -> np.random.Generator:
     bits = np.random.Philox(key=seed)
     bits.advance(counter << 64)
     return np.random.Generator(bits)
+
+
+def joined_checkpoint(tensors: dict, config_hash: bytes) -> bytes:
+    """The bytes of a checkpoint of ``tensors``, built as one string: every
+    header field and payload copied out with ``tobytes`` and joined, then
+    hashed."""
+    config_hash = bytes(config_hash)[:32].ljust(32, b"\0")
+    parts = [MAGIC, struct.pack("<I", VERSION), config_hash,
+             struct.pack("<I", len(tensors))]
+    for name, arr in tensors.items():
+        arr = np.asarray(arr, dtype=np.float64)
+        encoded = name.encode("utf-8")
+        parts.append(struct.pack("<H", len(encoded)))
+        parts.append(encoded)
+        parts.append(struct.pack("<I", arr.ndim))
+        parts.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
+        parts.append(np.ascontiguousarray(arr).tobytes())
+    body = b"".join(parts)
+    return body + hashlib.sha256(body).digest()

@@ -21,6 +21,8 @@ from dmvi.experiment import ExperimentConfig
 from dmvi.models import PARTS, build_bundle
 from dmvi.rng import RngStream
 
+import references
+
 
 def _sample_tensors():
     rng = RngStream(0)
@@ -63,6 +65,30 @@ def test_header_layout(tmp_path):
     assert struct.unpack("<I", raw[40:44])[0] == 1
     # Trailing 32 bytes are the digest of everything before them.
     assert raw[-32:] == hashlib.sha256(raw[:-32]).digest()
+
+
+def test_streamed_writer_matches_the_joined_bytes(tmp_path):
+    # save_checkpoint writes and hashes each piece where it lies; the file
+    # is byte for byte the one built as a single joined string.
+    rng = RngStream(9)
+    wide = rng.normal((6, 5))
+    tensors = {
+        "rank0": np.array(-2.25),
+        "empty": np.zeros((0, 3)),
+        "empty.inner": np.zeros((4, 0, 2)),
+        "transposed": wide.T,
+        "strided": wide[::2, 1::2],
+        "listed": [[1, 2], [3, 4]],
+        "név": rng.normal((3,)),
+    }
+    assert not tensors["transposed"].flags.c_contiguous
+    path = tmp_path / "c.ckpt"
+    for config_hash in (b"", bytes(range(40))):
+        save_checkpoint(str(path), tensors, config_hash)
+        assert path.read_bytes() == references.joined_checkpoint(
+            tensors, config_hash)
+    save_checkpoint(str(path), {}, b"h")
+    assert path.read_bytes() == references.joined_checkpoint({}, b"h")
 
 
 def test_flipped_byte_detected(tmp_path):

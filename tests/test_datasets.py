@@ -131,6 +131,17 @@ def test_array_digest_sensitivity():
     assert array_digest(a) != array_digest(b)
 
 
+def test_array_digest_of_strided_and_rank_zero_arrays_is_pinned():
+    # Hashing the buffer of the C-ordered array gives the digest its bytes
+    # gave; both values were taken when the digest hashed ``tobytes()``.
+    strided = np.arange(12.0).reshape(3, 4).T[::2]
+    assert not strided.flags.c_contiguous
+    assert array_digest(strided) == (
+        "6f4ce6517220cba9860bdb7fa97fd6a89b38e0a8cea6136051eddc54921bea89")
+    assert array_digest(np.array(2.5)) == (
+        "c33df8200985b6e6e88644b8a52e588df27632a96c0ad18d05319b46b54abdd8")
+
+
 # ---------------------------------------------------------------------------
 # IDX reader.
 

@@ -9,6 +9,7 @@ import gc
 import importlib
 import inspect
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -457,6 +458,38 @@ def test_linear_shape_error_names_both_shapes():
     assert "(2, 6)" in str(exc.value) and "(4, 5)" in str(exc.value)
 
 
+def test_untaped_linear_keeps_no_layer_inputs():
+    # Only the vjp reads each layer's input and activation scale. A pass with
+    # no tape frees them layer by layer: its peak holds about three
+    # activations (the previous layer's output and scale and the new
+    # output), where the taped pass keeps two per hidden layer.
+    rng = RngStream(31)
+    rows, width = 512, 256
+    x = rng.normal((rows, 32))
+    layers = [(engine.parameter(rng.normal((a, b))), engine.parameter(
+        rng.normal((b,)))) for a, b in ((32, width), (width, width),
+                                        (width, 8))]
+    activation = rows * width * 8
+
+    def peak(taped):
+        tracemalloc.start()
+        try:
+            if taped:
+                with engine.Tape():
+                    out = engine.linear(x, layers, 0.2)
+            else:
+                out = engine.linear(x, layers, 0.2)
+            return out.data, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    untaped, untaped_peak = peak(False)
+    taped, taped_peak = peak(True)
+    assert np.array_equal(untaped, taped)
+    assert taped_peak >= 4 * activation
+    assert untaped_peak <= 3.25 * activation
+
+
 def test_nested_tapes_rejected():
     with engine.Tape():
         with pytest.raises(ContractError):
@@ -718,7 +751,8 @@ def test_adam_refuses_gradient_whose_square_overflows():
 def test_adam_rounds_as_the_per_parameter_formula(monkeypatch, block):
     # The flat buffers change where the moments live, not how any entry of
     # an update rounds, whether one block holds every entry or blocks split
-    # parameters.
+    # parameters. 400 steps pass t = 54 and t = 356, where the two bias
+    # corrections round to 1.0 and the step skips their divides.
     if block is not None:
         monkeypatch.setattr(optim, "_BLOCK", block)
     # Parameters start at zero so that no rounding of an update hides in a
@@ -730,9 +764,13 @@ def test_adam_rounds_as_the_per_parameter_formula(monkeypatch, block):
     m = [np.zeros(s) for s in shapes]
     v = [np.zeros(s) for s in shapes]
     opt = Adam(params, lr=0.01)
+    if block is not None:
+        # 18 entries in blocks of 5: the (3, 4) weight spans three blocks,
+        # and the (4,) bias straddles the third and the fourth.
+        assert len(opt._blocks) == 4
     beta1, beta2, eps = optim.BETA1, optim.BETA2, optim.EPS
-    for t in range(1, 6):
-        grads = [rng.normal(s) * 10.0 ** (t - 3) for s in shapes]
+    for t in range(1, 401):
+        grads = [rng.normal(s) * 10.0 ** (t % 7 - 3) for s in shapes]
         for p, g in zip(params, grads):
             p.grad = g
         opt.step()
@@ -745,6 +783,84 @@ def test_adam_rounds_as_the_per_parameter_formula(monkeypatch, block):
         for p, w, mi, vi, pm, pv in zip(params, want, m, v, opt.m, opt.v):
             assert np.array_equal(p.data, w)
             assert np.array_equal(pm, mi) and np.array_equal(pv, vi)
+    assert 1.0 - beta1 ** 400 == 1.0 and 1.0 - beta2 ** 400 == 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, 1e200])
+def test_adam_refuses_a_bad_last_block_untouched(monkeypatch, bad):
+    # A multi-block step checks every gradient before it updates any block,
+    # so a bad entry that only the last block covers still leaves the
+    # parameters, the moments, t and the gradients as they were.
+    monkeypatch.setattr(optim, "_BLOCK", 5)
+    rng = RngStream(3)
+    shapes = [(3, 4), (4,), (2, 1)]
+    params = [engine.parameter(rng.normal(s)) for s in shapes]
+    opt = Adam(params, lr=0.01)
+    for p in params:
+        p.grad = rng.normal(p.data.shape)
+    opt.step()
+    for p in params:
+        p.grad = rng.normal(p.data.shape)
+    params[-1].grad[1, 0] = bad              # entry 17, in the fourth block
+    data = [p.data.copy() for p in params]
+    grads = [(p.grad, p.grad.copy()) for p in params]
+    m, v = [a.copy() for a in opt.m], [a.copy() for a in opt.v]
+    with pytest.raises(NumericsError, match="step refused"):
+        opt.step()
+    assert opt.t == 1
+    for p, d, (g, g_copy), mi, vi, pm, pv in zip(params, data, grads, m, v,
+                                                  opt.m, opt.v):
+        assert np.array_equal(p.data, d)
+        assert p.grad is g and np.array_equal(g, g_copy, equal_nan=True)
+        assert np.array_equal(pm, mi) and np.array_equal(pv, vi)
+
+
+@pytest.mark.parametrize("block, shapes", [
+    (5, [(3, 4), (4,), (2, 1)]),
+    (None, [(256, 300), (300,), (300, 256), (256,)]),
+])
+def test_adam_holds_its_moments_and_one_block(monkeypatch, block, shapes):
+    # An optimizer over n entries holds m, v and one block each of gathered
+    # gradient and scratch, 2n + 2 min(n, _BLOCK) floats, and its steps
+    # allocate no array.
+    if block is not None:
+        monkeypatch.setattr(optim, "_BLOCK", block)
+    n = sum(int(np.prod(s)) for s in shapes)
+    floats = 2 * n + 2 * min(n, optim._BLOCK)
+    rng = RngStream(4)
+    params = [engine.parameter(rng.normal(s)) for s in shapes]
+    for p in params:
+        p.grad = rng.normal(p.data.shape)
+    arrays = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+
+    def array_bytes():
+        snap = tracemalloc.take_snapshot().filter_traces([arrays])
+        return sum(stat.size for stat in snap.statistics("filename"))
+
+    tracemalloc.start()
+    try:
+        before = array_bytes()
+        base = tracemalloc.get_traced_memory()[0]
+        opt = Adam(params, lr=0.01)
+        held = array_bytes() - before
+        opt.step()
+        opt.step()
+        held_after_steps = array_bytes() - before
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert held == held_after_steps == 8 * floats
+    # The tables, views and lists of the optimizer are Python objects
+    # outside numpy's domain; the 4n floats of a whole-size gathered
+    # gradient and scratch would exceed this by 2.4 MB on the wide case.
+    assert peak <= 8 * floats + 32 * 1024
+
+
+def test_adam_refuses_non_contiguous_parameters():
+    p = engine.parameter(np.zeros((3, 4)))
+    p.data = p.data.T
+    with pytest.raises(ContractError, match="C-contiguous"):
+        Adam([p], lr=0.1)
 
 
 def test_adam_wrapper_steps_tensor_params():

@@ -5,6 +5,8 @@ The closed-form KL is cross-checked against an independent scipy route
 Carlo), so the trajectory's truth column can be trusted downstream.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -117,6 +119,31 @@ def test_minimization_is_deterministic():
     assert all(_rows_equal(ra, rb)
                for ra, rb in zip(a["trajectory"], b["trajectory"]))
     assert trajectory_csv(a["trajectory"]) == trajectory_csv(b["trajectory"])
+
+
+def test_minimization_tapes_the_learner_once_per_step(monkeypatch):
+    # The classifier step reads the values of the taped learner pass that
+    # the learner step then differentiates; the trajectory and the learner
+    # keep the bytes they had when the pass was run twice.
+    task = make_task(10, 7)
+    calls = []
+    linear = synth_gauss.engine.linear
+
+    def counting(x, layers, *args):
+        if layers[0][0] is task.learner_W:
+            calls.append(synth_gauss.engine._ACTIVE_TAPE is not None)
+        return linear(x, layers, *args)
+
+    monkeypatch.setattr(synth_gauss.engine, "linear", counting)
+    out = run_minimization(task, 120, log_every=10)
+    assert calls == [True] * 120
+    h = hashlib.sha256()
+    h.update(np.array([[r["true_kl"], r["est_kl"]]
+                       for r in out["trajectory"]]).tobytes())
+    h.update(task.learner_W.data.tobytes())
+    h.update(task.learner_b.data.tobytes())
+    assert h.hexdigest() == (
+        "d167afe09d19d2e52f77fd755591f2aafe409f75a8235e7f947ed5610e30936c")
 
 
 def test_trajectory_csv_round_trips():
