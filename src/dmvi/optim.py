@@ -35,8 +35,8 @@ class Adam:
     def __init__(self, params, lr: float):
         self.params = list(params)
         self.lr = lr
-        # A multi-block step writes through flat views of the parameters'
-        # data, made here, and only C-contiguous data has one.
+        # A step writes through flat views of the parameters' data, made
+        # here, and only C-contiguous data has one.
         if not all(p.data.flags.c_contiguous for p in self.params):
             raise ContractError("Adam needs C-contiguous parameter data")
         # The moments live in one flat buffer each, so a step costs a handful
@@ -57,22 +57,16 @@ class Adam:
         self.v = [self._v[a:b].reshape(p.data.shape)
                   for a, b, p in zip(starts, ends, self.params)]
         self.t = 0
-        # When one block holds every entry, a step gathers all gradients
-        # first and each parameter steps by its own view of ``_g``, as
-        # ``_updates``. Otherwise each block gathers its own pieces: (index
-        # of the parameter, range within its flat gradient, the piece's view
-        # of ``_g``, the same range of the parameter's flat data).
-        one_block = n <= _BLOCK
-        self._updates = [self._g[a:b].reshape(p.data.shape)
-                         for a, b, p in zip(starts, ends, self.params)
-                         ] if one_block else []
+        # Each block lists the pieces of parameters it covers: (index of the
+        # parameter, range within its flat gradient, the piece's view of
+        # ``_g``, the same range of the parameter's flat data).
         self._blocks = []
         for lo in range(0, n, _BLOCK):
             hi = min(lo + _BLOCK, n)
             pieces = []
             for i, (a, b, p) in enumerate(zip(starts, ends, self.params)):
                 first, last = max(lo, a), min(hi, b)
-                if not one_block and first < last:
+                if first < last:
                     own = slice(first - a, last - a)
                     pieces.append((i, own, self._g[first - lo:last - lo],
                                    p.data.reshape(-1)[own]))
@@ -90,15 +84,16 @@ class Adam:
         refused = "non-finite or overflowing gradient; step refused"
         if any(g is None for g in grads):
             raise NumericsError(refused)
-        if self._updates:
+        # One block is gathered whole and checked there; a NaN maximum fails
+        # the comparison too. Several blocks check each gradient where it
+        # lies, before any block is gathered; a NaN fails both comparisons.
+        one_block = len(self._blocks) == 1
+        if one_block:
             g = self._g
             np.concatenate([grad.ravel() for grad in grads], out=g)
-            # A NaN maximum fails the comparison too.
             if not np.abs(g, out=self._tmp).max(initial=0.0) <= _GRAD_BOUND:
                 raise NumericsError(refused)
         else:
-            # Each gradient is checked where it lies before any block is
-            # gathered; a NaN fails both comparisons.
             for grad in grads:
                 if not (grad.max(initial=-np.inf) <= _GRAD_BOUND
                         and grad.min(initial=np.inf) >= -_GRAD_BOUND):
@@ -114,7 +109,7 @@ class Adam:
         # rounds to 1.0 (beta1's from t = 54, beta2's from t = 356) skips its
         # divide, since x / 1.0 == x.
         for m, v, gb, tb, pieces in self._blocks:
-            if pieces:
+            if not one_block:
                 np.concatenate([grads[i][sl] for i, sl, _, _ in pieces],
                                out=gb)
             m *= BETA1
@@ -137,8 +132,6 @@ class Adam:
             gb /= tb
             for _, _, update, data in pieces:
                 data -= update
-        for p, update in zip(self.params, self._updates):
-            p.data -= update
 
 
 def minimize(tape: engine.Tape, loss: engine.Tensor, *opts: Adam, what: str,
