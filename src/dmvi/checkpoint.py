@@ -16,6 +16,7 @@ Round-trips are bitwise: loading returns exactly the arrays saved.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import struct
 
@@ -122,7 +123,7 @@ def load_checkpoint(path: str):
         rank = r.u("<I", "rank")
         shape = tuple(
             struct.unpack(f"<{rank}Q", r.take(8 * rank, "extents")))
-        size = int(np.prod(shape)) if shape else 1
+        size = math.prod(shape)
         payload = r.take(8 * size, f"payload of {name}")
         tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
     return tensors, config_hash

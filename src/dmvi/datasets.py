@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gzip
 import hashlib
+import math
 import struct
 import zlib
 
@@ -117,7 +118,7 @@ def load_idx(path: str) -> np.ndarray:
             f"truncated dimension table at offset {len(raw)}, "
             f"need {header_end} bytes")
     dims = struct.unpack(f">{ndims}I", raw[4:header_end])
-    count = int(np.prod(dims)) if dims else 1
+    count = math.prod(dims)
     payload = raw[header_end:]
     if len(payload) != count:
         raise ParseError(

@@ -54,12 +54,6 @@ class EstimateReport:
     inner: int               # posterior evaluations per z
     status: str = "ok"       # ok | invalid
 
-    def to_json(self, config_hash: str) -> dict:
-        return {"method": self.method, "value": self.value,
-                "stderr": self.stderr, "num_z": self.num_z,
-                "inner": self.inner, "status": self.status,
-                "config_hash": config_hash}
-
 
 def marginal_log_q(z: np.ndarray, post: DiagGaussian) -> np.ndarray:
     """log (1/N) Σ_n q(z|x_n) at each row of z, for the N row-wise

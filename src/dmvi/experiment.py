@@ -15,7 +15,7 @@ import hashlib
 import json
 import os
 import typing
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -176,48 +176,36 @@ def load_data(cfg: ExperimentConfig) -> np.ndarray:
         if data.ndim < 2:
             raise ContractError(f"idx data needs 2 or more dimensions, got "
                                 f"shape {list(data.shape)}")
+        if 0 in data.shape:
+            raise ContractError(f"idx data has no rows or no features, got "
+                                f"shape {list(data.shape)}")
         return data.reshape(data.shape[0], -1) if data.ndim > 2 else data
     return dataset_generate(cfg.dataset, cfg.n, cfg.seed)
 
 
 def _write_metrics(path: str, rows) -> None:
+    """One JSON object per (step, name, value) row with a finite value."""
     with new_file(path) as f:
-        for r in rows:
-            value = r["value"]
-            if not np.isfinite(value):
-                continue
-            f.write(json.dumps({"step": int(r["step"]), "name": r["name"],
-                                "value": float(value)}, sort_keys=True))
-            f.write("\n")
-
-
-def _write_summary(path: str, rows) -> None:
-    last = {}
-    order = []
-    for r in rows:
-        if r["name"] not in last:
-            order.append(r["name"])
-        last[r["name"]] = r["value"]
-    with new_file(path) as f:
-        f.write("name,value\n")
-        for name in order:
-            value = last[name]
-            if isinstance(value, str):
-                f.write(f"{name},{value}\n")
-            else:
-                f.write(f"{name},{float(value)!r}\n")
+        for step, name, value in rows:
+            if np.isfinite(value):
+                row = {"step": int(step), "name": name, "value": float(value)}
+                f.write(json.dumps(row, sort_keys=True) + "\n")
 
 
 def _finish(cfg: ExperimentConfig, rows, extra_summary: dict | None):
+    """Write config.ini, metrics.jsonl and summary.csv: each name's last
+    value at its first position, the rows' names before ``extra_summary``'s."""
     out = cfg.out
     with new_file(os.path.join(out, "config.ini")) as f:
         f.write(cfg.to_ini())
     _write_metrics(os.path.join(out, "metrics.jsonl"), rows)
-    summary_rows = list(rows)
-    if extra_summary:
-        summary_rows += [{"step": 0, "name": k, "value": v}
-                         for k, v in extra_summary.items()]
-    _write_summary(os.path.join(out, "summary.csv"), summary_rows)
+    last = {name: value for _step, name, value in rows}
+    last.update(extra_summary or {})
+    with new_file(os.path.join(out, "summary.csv")) as f:
+        f.write("name,value\n")
+        for name, value in last.items():
+            text = value if isinstance(value, str) else repr(float(value))
+            f.write(f"{name},{text}\n")
 
 
 def _recorded_digest(run_dir: str) -> str | None:
@@ -273,16 +261,17 @@ def load_run(run_dir: str):
 
 
 # ---------------------------------------------------------------------------
-# Command bodies. Each returns the metric rows plus a summary dict.
+# Command bodies. Each returns its (step, name, value) metric rows plus a
+# dict of summary-only entries, or None.
 
 
 def _cmd_train(cfg: ExperimentConfig):
     data = load_data(cfg)
-    bundle, log = TRAINERS[cfg.model](data, cfg)
+    bundle, rows = TRAINERS[cfg.model](data, cfg)
     save_checkpoint(os.path.join(cfg.out, "checkpoint.dmvi"),
                     {k: v.data for k, v in bundle.named_parameters().items()},
                     cfg.config_hash())
-    return log.rows, {"data_digest": array_digest(data)}
+    return rows, {"data_digest": array_digest(data)}
 
 
 def _load_posterior_run(cfg: ExperimentConfig):
@@ -315,12 +304,10 @@ def _cmd_estimate(cfg: ExperimentConfig):
                      else est.ar_fit(codes, cfg, rng.child("fit")))
             report = est.density_model_kl(model, post, cfg.num_z,
                                           rng.child("eval"))
-    payload = report.to_json(cfg.config_hash().hex())
-    write_json(cfg.out, "report.json", payload)
-    rows = []
-    if np.isfinite(report.value):
-        rows.append({"step": 0, "name": f"kl_{cfg.method}",
-                     "value": report.value})
+    write_json(cfg.out, "report.json",
+               {**asdict(report), "config_hash": cfg.config_hash().hex()})
+    rows = ([(0, f"kl_{cfg.method}", report.value)]
+            if np.isfinite(report.value) else [])
     return rows, {"status_" + cfg.method: 1.0 if report.status == "ok" else 0.0}
 
 
@@ -336,10 +323,9 @@ def _cmd_surgery(cfg: ExperimentConfig):
                  sparsity_fraction=stats["sparsity_fraction"],
                  floor_fraction=stats["floor_fraction"])
     write_json(cfg.out, "report.json", parts)
-    rows = [{"step": 0, "name": name, "value": parts[name]}
+    return [(0, name, parts[name])
             for name in ("avg_kl", "marginal_kl", "mutual_info", "floor",
-                         "sparsity_fraction", "floor_fraction")]
-    return rows, None
+                         "sparsity_fraction", "floor_fraction")], None
 
 
 def _cmd_low_posterior(cfg: ExperimentConfig):
@@ -355,9 +341,8 @@ def _cmd_low_posterior(cfg: ExperimentConfig):
         f.write("rank,log_q\n")
         for i, v in enumerate(result["log_q"]):
             f.write(f"{i},{float(v)!r}\n")
-    rows = [{"step": i, "name": "log_q", "value": float(v)}
-            for i, v in enumerate(result["log_q"])]
-    return rows, None
+    return [(i, "log_q", float(v))
+            for i, v in enumerate(result["log_q"])], None
 
 
 def _cmd_diversity(cfg: ExperimentConfig):
@@ -369,7 +354,7 @@ def _cmd_diversity(cfg: ExperimentConfig):
     decoded = bundle.decode_mean(z).data
     score = diversity(decoded)
     write_json(cfg.out, "report.json", {"diversity": score, "n": cfg.div_n})
-    return [{"step": 0, "name": "diversity", "value": score}], None
+    return [(0, "diversity", score)], None
 
 
 def _cmd_synth(cfg: ExperimentConfig):
@@ -383,9 +368,7 @@ def _cmd_synth(cfg: ExperimentConfig):
         write_json(cfg.out, "report.json",
                     {"true_kl": result["true_kl"], "est_kl": result["est_kl"],
                      "k": cfg.k, "d": task.d})
-        rows = [{"step": 0, "name": "true_kl", "value": result["true_kl"]},
-                {"step": 0, "name": "est_kl", "value": result["est_kl"]}]
-        return rows, None
+        return [(0, name, result[name]) for name in ("true_kl", "est_kl")], None
     result = run_minimization(task, cfg.synth_iters, cfg.synth_log_every)
     with new_file(os.path.join(cfg.out, "trajectory.csv")) as f:
         f.write(trajectory_csv(result["trajectory"]))
@@ -395,13 +378,8 @@ def _cmd_synth(cfg: ExperimentConfig):
                  "final_kl": result["final_kl"],
                  "min_kl": result["min_kl"],
                  "min_kl_step": result["min_kl_step"]})
-    rows = []
-    for r in result["trajectory"]:
-        rows.append({"step": r["step"], "name": "true_kl",
-                     "value": r["true_kl"]})
-        rows.append({"step": r["step"], "name": "est_kl",
-                     "value": r["est_kl"]})
-    return rows, None
+    return [(r["step"], name, r[name]) for r in result["trajectory"]
+            for name in ("true_kl", "est_kl")], None
 
 
 def _cmd_dataset(cfg: ExperimentConfig):

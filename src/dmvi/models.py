@@ -1,5 +1,5 @@
 """The model zoo: VAE, adversarial autoencoder, GAN, and the VGH hybrids,
-each trained through ``TRAINERS[model](data, cfg) -> (bundle, log)``.
+each trained through ``TRAINERS[model](data, cfg) -> (bundle, rows)``.
 
 All models share the same small fully connected parts: an encoder emitting
 (mean, logvar) of a diagonal Gaussian posterior, a decoder/generator, and
@@ -38,14 +38,6 @@ PARTS = {
     "vgh": ("enc", "gen", "data_disc", "code_disc"),
     "vghpp": ("enc", "gen", "data_disc", "code_disc"),
 }
-
-
-class MetricLog:
-    def __init__(self):
-        self.rows = []
-
-    def add(self, step: int, name: str, value: float):
-        self.rows.append({"step": step, "name": name, "value": float(value)})
 
 
 class ModelBundle:
@@ -236,11 +228,11 @@ def _minibatch(data: np.ndarray, rng: RngStream, batch: int) -> np.ndarray:
 
 def _train(data: np.ndarray, cfg: ExperimentConfig, model: str):
     """Train the parts of ``model``, each with its own Adam; return the
-    bundle and the log. Iteration ``i`` calls the model's step
-    ``_STEPS[model](bundle, opts, cfg, x, loop, i)`` on a minibatch ``x``.
-    It returns a function making the rows logged every ``log_every``
-    iterations and at the last; it reads floats and arrays only, so no
-    graph outlives its step.
+    bundle and the (step, name, value) rows it logged. Iteration ``i``
+    calls the model's step ``_STEPS[model](bundle, opts, cfg, x, loop, i)``
+    on a minibatch ``x``. It returns a function making the (name, value)
+    pairs logged every ``log_every`` iterations and at the last; it reads
+    floats and arrays only, so no graph outlives its step.
 
     A Bernoulli visible refuses data outside [0, 1] before the first step:
     its points are sigmoids, which never leave (0, 1), and its likelihood
@@ -255,13 +247,12 @@ def _train(data: np.ndarray, cfg: ExperimentConfig, model: str):
     rates = {name: getattr(cfg, setting) for name, setting in _RATES.items()}
     opts = {name: Adam(params, cfg.lr if rates[name] is None else rates[name])
             for name, params in bundle.component_params().items()}
-    loop, log, step = root.child("loop"), MetricLog(), _STEPS[model]
+    loop, rows, step = root.child("loop"), [], _STEPS[model]
     for i in range(cfg.iters):
-        rows = step(bundle, opts, cfg, _minibatch(data, loop, cfg.batch), loop, i)
+        logs = step(bundle, opts, cfg, _minibatch(data, loop, cfg.batch), loop, i)
         if i % cfg.log_every == 0 or i == cfg.iters - 1:
-            for name, value in rows():
-                log.add(i, name, value)
-    return bundle, log
+            rows += [(i, name, value) for name, value in logs()]
+    return bundle, rows
 
 
 def _vae_step(bundle, opts, cfg, x, loop, i):
@@ -393,5 +384,5 @@ _STEPS = {"vae": _vae_step, "aae": _aae_step, "gan": _gan_step,
           "vgh": functools.partial(_vgh_step, pp=False),
           "vghpp": functools.partial(_vgh_step, pp=True)}
 
-# model -> trainer, ``(data, cfg) -> (bundle, log)``.
+# model -> trainer, ``(data, cfg) -> (bundle, rows)``.
 TRAINERS = {model: functools.partial(_train, model=model) for model in _STEPS}

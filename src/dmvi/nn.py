@@ -12,7 +12,8 @@ from .rng import RngStream
 # leaky-relu slope it applies between layers.
 _SLOPES = {"relu": 0.0, "leaky": 0.2}
 
-# Activations applied as their own node after each hidden layer.
+# No network applies these; only perfbench/tracer.py reads this table, and
+# patches both entries.
 _ACTIVATIONS = {
     "sigmoid": engine.sigmoid,
     "softplus": engine.softplus,
@@ -32,7 +33,7 @@ class MLP:
                  name: str):
         if len(dims) < 2:
             raise ContractError("an MLP needs at least input and output dims")
-        if activation not in _SLOPES and activation not in _ACTIVATIONS:
+        if activation not in _SLOPES:
             raise ContractError(f"unknown activation {activation!r}")
         self.names = [f"{name}.fc{i}" for i in range(len(dims) - 1)]
         self.stack = []
@@ -43,17 +44,11 @@ class MLP:
                 W = rng.child(label).normal((m, n)) * np.sqrt(2.0 / m)
             self.stack.append((engine.parameter(W),
                                engine.parameter(np.zeros(n))))
-        self.slope = _SLOPES.get(activation)
-        self.act = _ACTIVATIONS.get(activation)
+        self.slope = _SLOPES[activation]
 
     def __call__(self, x):
-        """The whole network as one ``engine.linear`` node, or one node per
-        layer and activation for an activation ``linear`` cannot fuse."""
-        if self.act is None:
-            return engine.linear(x, self.stack, self.slope)
-        for pair in self.stack[:-1]:
-            x = self.act(engine.linear(x, [pair]))
-        return engine.linear(x, self.stack[-1:])
+        """The whole network as one ``engine.linear`` node."""
+        return engine.linear(x, self.stack, self.slope)
 
     def parameters(self):
         return [t for pair in self.stack for t in pair]

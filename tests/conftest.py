@@ -30,8 +30,8 @@ def sprites1024():
 
 def _timed(trainer, data, cfg, **kw):
     t0 = time.perf_counter()
-    bundle, log = trainer(data, cfg, **kw)
-    return SimpleNamespace(bundle=bundle, log=log, data=data, cfg=cfg,
+    bundle, rows = trainer(data, cfg, **kw)
+    return SimpleNamespace(bundle=bundle, rows=rows, data=data, cfg=cfg,
                            elapsed=time.perf_counter() - t0)
 
 

@@ -388,8 +388,8 @@ def test_vgh_plugins_and_reconstruction_halving():
     for seed in range(5):
         cfg = ExperimentConfig(latent=8, hidden=64, iters=1000, batch=64,
                           seed=seed, log_every=500)
-        _, log = TRAINERS["vghpp"](data, cfg)
-        recon = [r["value"] for r in log.rows if r["name"] == "recon"]
+        _, rows = TRAINERS["vghpp"](data, cfg)
+        recon = [v for _, name, v in rows if name == "recon"]
         ratios.append(recon[-1] / recon[0])
         halved += recon[-1] <= 0.5 * recon[0]
     dt = time.perf_counter() - t0

@@ -9,6 +9,7 @@ import csv
 import gzip
 import hashlib
 import json
+import math
 import os
 import shutil
 import struct
@@ -322,6 +323,25 @@ def test_summary_keeps_last_value_per_name(tiny_run):
             (tiny_run / "metrics.jsonl").read_text().splitlines()]
     last_elbo = [r["value"] for r in rows if r["name"] == "elbo"][-1]
     assert float(table["elbo"]) == last_elbo
+
+
+def test_finish_writes_rows_and_summary_bytes(tmp_path):
+    # A repeated name keeps its first position and its last value; a NaN
+    # row is left out of metrics.jsonl but is the summary's last value; a
+    # summary entry replaces a row name's value in place.
+    rows = [(0, "elbo", -3.5), (0, "kl", 0.3), (5, "elbo", np.float64(-1.25)),
+            (5, "kl", float("nan")), (5, "recon", 2.0)]
+    extra = {"recon": 7.0, "data_digest": "ab12", "rows": 64.0}
+    experiment._finish(ExperimentConfig(command="train", out=str(tmp_path)),
+                       rows, extra)
+    assert (tmp_path / "metrics.jsonl").read_bytes() == (
+        b'{"name": "elbo", "step": 0, "value": -3.5}\n'
+        b'{"name": "kl", "step": 0, "value": 0.3}\n'
+        b'{"name": "elbo", "step": 5, "value": -1.25}\n'
+        b'{"name": "recon", "step": 5, "value": 2.0}\n')
+    assert (tmp_path / "summary.csv").read_bytes() == (
+        b"name,value\nelbo,-1.25\nkl,nan\nrecon,7.0\ndata_digest,ab12\n"
+        b"rows,64.0\n")
 
 
 def _artifacts(out):
@@ -690,11 +710,14 @@ def _npy(tmp, name, arr):
     return str(path)
 
 
-def _idx(tmp, name, dims, gzipped=False, truncated=False):
-    """An unsigned-byte IDX file of extents ``dims``, optionally gzipped,
-    optionally cut to half its bytes."""
+def _idx(tmp, name, dims, gzipped=False, truncated=False, payload=None):
+    """An unsigned-byte IDX file of extents ``dims`` and, unless given, as
+    many payload bytes as they count; optionally gzipped, optionally cut to
+    half its bytes."""
     raw = struct.pack(f">BBBB{len(dims)}I", 0, 0, 0x08, len(dims), *dims)
-    raw += bytes(i % 251 for i in range(int(np.prod(dims))))
+    if payload is None:
+        payload = bytes(i % 251 for i in range(math.prod(dims)))
+    raw += payload
     if gzipped:
         raw = gzip.compress(raw)
     if truncated:
@@ -720,6 +743,19 @@ def _non_utf8_name_run(tmp, run):
     at = 4 + 4 + 32 + 4            # magic, version, config hash, count
     (n,) = struct.unpack_from("<H", body, at)
     body = body[:at] + struct.pack("<H", 2) + b"\xff\xfe" + body[at + 2 + n:]
+    ckpt.write_bytes(body + hashlib.sha256(body).digest())
+    return str(copy)
+
+
+def _huge_tensor_run(tmp, run):
+    """A copy of ``run`` whose checkpoint holds one tensor of shape
+    (2**32, 2**32) and no payload, under a valid digest: counted in int64,
+    its 2**64 elements wrap to 0."""
+    copy = tmp / "huge"
+    shutil.copytree(run, copy)
+    ckpt = copy / "checkpoint.dmvi"
+    body = ckpt.read_bytes()[:4 + 4 + 32]      # magic, version, config hash
+    body += struct.pack("<IH1sI2Q", 1, 1, b"w", 2, 2**32, 2**32)
     ckpt.write_bytes(body + hashlib.sha256(body).digest())
     return str(copy)
 
@@ -884,6 +920,20 @@ _EXIT_CODES = [
                                    "--latent", "2"],
                  2, "idx data needs 2 or more dimensions, got shape []",
                  id="idx-0d"),
+    *(pytest.param(lambda tmp, run, dims=dims: [
+        "train", "--dataset", "idx", "--idx-path", _idx(tmp, "e.idx", dims),
+        "--iters", "5", "--hidden", "8", "--latent", "2"],
+        2, f"idx data has no rows or no features, got shape {list(dims)}",
+        id=f"idx-zero-extent-{'x'.join(map(str, dims))}")
+      for dims in ((0, 12, 12), (0, 144), (5, 0))),
+    pytest.param(lambda tmp, run: ["dataset", "--mode", "inspect", "--data",
+                                   _idx(tmp, "huge.idx", (65536,) * 4,
+                                        payload=b"")],
+                 4, "require 18446744073709551616", id="idx-extents-overflow"),
+    pytest.param(lambda tmp, run: ["estimate-kl", "--num-z", "16", "--run",
+                                   _huge_tensor_run(tmp, run)],
+                 4, "need 147573952589676412928 bytes for payload of w",
+                 id="checkpoint-extents-overflow"),
     pytest.param(lambda tmp, run: ["dataset", "--mode", "inspect", "--data",
                                    _idx(tmp, "x.idx.gz", (20, 9),
                                         gzipped=True, truncated=True)],

@@ -10,6 +10,7 @@ import importlib
 import inspect
 import json
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -959,7 +960,7 @@ def _unfused_linear(x, layers, slope=0.0):
 def _train_rows(trainer, data, **over):
     cfg = ExperimentConfig(latent=4, hidden=16, iters=4, batch=16, seed=2,
                            log_every=1, **over)
-    return trainer(data, cfg)[1].rows
+    return trainer(data, cfg)[1]
 
 
 def _codes(seed, shift=0.0):
@@ -970,10 +971,10 @@ _LEARNERS = {
     "vae": lambda data: _train_rows(TRAINERS["vae"], data),
     "aae-loglik": lambda data: _train_rows(TRAINERS["aae"], data),
     "aae-l1": lambda data: _train_rows(TRAINERS["aae"], data, recon="l1"),
-    "ratio": lambda data: ratio_kl(
+    "ratio": lambda data: asdict(ratio_kl(
         _codes(3, 0.5), _codes(4),
         ExperimentConfig(ratio_hidden=16, ratio_layers=2, ratio_iters=4),
-        RngStream(5)).to_json(""),
+        RngStream(5))),
     "ar": lambda data: ar_fit(
         _codes(6), ExperimentConfig(ar_hidden=4, ar_iters=4),
         RngStream(7)).log_prob(_codes(8)).tolist(),
@@ -983,10 +984,10 @@ _LEARNERS = {
     "gan-reverse_kl": lambda data: _train_rows(TRAINERS["gan"], data,
                                                generator_loss="reverse_kl"),
     "vghpp": lambda data: _train_rows(TRAINERS["vghpp"], data),
-    "synth-estimate": lambda data: run_estimation(
+    "synth-estimate": lambda data: asdict(run_estimation(
         make_task(10, 10), ExperimentConfig(ratio_hidden=16, ratio_layers=2,
                                             ratio_iters=4),
-        64, RngStream(11))["report"].to_json(""),
+        64, RngStream(11))["report"]),
 }
 
 
@@ -1049,8 +1050,8 @@ def _train_exact(model, data, over):
     """The log rows and parameter bytes of a few dozen steps."""
     cfg = ExperimentConfig(latent=4, hidden=16, iters=30, batch=12, seed=5,
                            log_every=3, **over)
-    bundle, log = TRAINERS[model](data, cfg)
-    return log.rows, {k: v.data.tobytes()
+    bundle, rows = TRAINERS[model](data, cfg)
+    return rows, {k: v.data.tobytes()
                       for k, v in bundle.named_parameters().items()}
 
 

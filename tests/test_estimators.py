@@ -8,6 +8,8 @@ for the two-point mixture were computed with scipy.integrate.quad and are
 asserted both frozen and live.
 """
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -215,11 +217,10 @@ def test_surgery_sandwich_on_trained_model(vae_small):
 
 
 def test_report_serialization():
+    # The report's fields are the keys of estimate-kl's report.json.
     rep = EstimateReport("mc", 1.5, 0.1, 100, inner=4)
-    js = rep.to_json("abc")
-    assert js == {"method": "mc", "value": 1.5, "stderr": 0.1,
-                  "num_z": 100, "inner": 4, "status": "ok",
-                  "config_hash": "abc"}
+    assert asdict(rep) == {"method": "mc", "value": 1.5, "stderr": 0.1,
+                           "num_z": 100, "inner": 4, "status": "ok"}
 
 
 # ---------------------------------------------------------------------------

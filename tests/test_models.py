@@ -153,18 +153,18 @@ def test_elbo_parts_shapes_and_mc_averaging():
 
 
 def test_vae_training_improves_elbo(vae_small):
-    elbos = [r["value"] for r in vae_small.log.rows if r["name"] == "elbo"]
+    elbos = [v for _, name, v in vae_small.rows if name == "elbo"]
     assert elbos[-1] > elbos[0] + 10.0
-    kls = [r["value"] for r in vae_small.log.rows if r["name"] == "kl_avg"]
+    kls = [v for _, name, v in vae_small.rows if name == "kl_avg"]
     assert kls[-1] > 0.0
 
 
 def test_quantized_vae_trains(sprites256):
     cfg = ExperimentConfig(latent=4, hidden=16, iters=30, batch=16, seed=0,
                       visible="quantized", log_every=10)
-    bundle, log = TRAINERS["vae"](sprites256, cfg)
-    assert all(np.isfinite(r["value"]) for r in log.rows)
-    elbos = [r["value"] for r in log.rows if r["name"] == "elbo"]
+    bundle, rows = TRAINERS["vae"](sprites256, cfg)
+    assert all(np.isfinite(v) for _, _, v in rows)
+    elbos = [v for _, name, v in rows if name == "elbo"]
     assert elbos[-1] > elbos[0]
 
 
@@ -241,11 +241,11 @@ def test_bernoulli_likelihood_refuses_data_outside_the_unit_interval(
 
 def test_vae_training_is_deterministic(sprites256):
     cfg = ExperimentConfig(latent=4, hidden=32, iters=20, batch=32, seed=9)
-    b1, log1 = TRAINERS["vae"](sprites256, cfg)
-    b2, log2 = TRAINERS["vae"](sprites256, cfg)
+    b1, rows1 = TRAINERS["vae"](sprites256, cfg)
+    b2, rows2 = TRAINERS["vae"](sprites256, cfg)
     for k, v in b1.named_parameters().items():
         assert np.array_equal(v.data, b2.named_parameters()[k].data)
-    assert log1.rows == log2.rows
+    assert rows1 == rows2
 
 
 def _param_bytes(bundle):
@@ -260,11 +260,11 @@ def test_vae_steps_each_part_at_its_own_rate(sprites256):
                          faster.nets["gen"].parameters()):
         assert not np.array_equal(want.data, got.data)
     # One Adam per part steps as one joint Adam at the same rate does.
-    split, split_log = TRAINERS["vae"](sprites256, ExperimentConfig(
+    split, split_rows = TRAINERS["vae"](sprites256, ExperimentConfig(
         lr_enc=2e-3, lr_gen=2e-3, **base))
-    joint, joint_log = TRAINERS["vae"](sprites256, ExperimentConfig(lr=2e-3, **base))
+    joint, joint_rows = TRAINERS["vae"](sprites256, ExperimentConfig(lr=2e-3, **base))
     assert _param_bytes(split) == _param_bytes(joint)
-    assert split_log.rows == joint_log.rows
+    assert split_rows == joint_rows
 
 
 def test_vae_aborts_on_divergence(sprites256):
@@ -337,18 +337,18 @@ def test_bce_matches_hand_formula_and_saturates():
 def test_gan_training_runs_and_logs(sprites256):
     cfg = ExperimentConfig(latent=4, hidden=32, iters=30, batch=32, seed=1,
                       log_every=10)
-    bundle, log = TRAINERS["gan"](sprites256, cfg)
-    names = {r["name"] for r in log.rows}
+    bundle, rows = TRAINERS["gan"](sprites256, cfg)
+    names = {name for _, name, _ in rows}
     assert names == {"loss_disc", "loss_gen"}
-    assert all(np.isfinite(r["value"]) for r in log.rows)
+    assert all(np.isfinite(v) for _, _, v in rows)
     assert set(bundle.nets) == {"gen", "data_disc"}
 
 
 def test_gan_reverse_kl_variant_runs(sprites256):
     cfg = ExperimentConfig(latent=4, hidden=32, iters=30, batch=32, seed=1,
                       generator_loss="reverse_kl", log_every=10)
-    _, log = TRAINERS["gan"](sprites256, cfg)
-    assert all(np.isfinite(r["value"]) for r in log.rows)
+    _, rows = TRAINERS["gan"](sprites256, cfg)
+    assert all(np.isfinite(v) for _, _, v in rows)
 
 
 def test_gan_step_runs_the_generator_once(sprites256, monkeypatch):
@@ -370,8 +370,8 @@ def test_gan_step_runs_the_generator_once(sprites256, monkeypatch):
 def test_aae_training_reduces_reconstruction(sprites256):
     cfg = ExperimentConfig(latent=8, hidden=64, iters=300, batch=64, seed=2,
                       log_every=50)
-    bundle, log = TRAINERS["aae"](sprites256, cfg)
-    recon = [r["value"] for r in log.rows if r["name"] == "recon"]
+    bundle, rows = TRAINERS["aae"](sprites256, cfg)
+    recon = [v for _, name, v in rows if name == "recon"]
     assert recon[-1] < 0.5 * recon[0]
     assert "data_disc" not in bundle.nets
 
@@ -379,8 +379,8 @@ def test_aae_training_reduces_reconstruction(sprites256):
 def test_aae_l1_recon_mode_runs(sprites256):
     cfg = ExperimentConfig(latent=4, hidden=32, iters=30, batch=32, seed=3,
                       recon="l1", log_every=10)
-    _, log = TRAINERS["aae"](sprites256, cfg)
-    recon = [r["value"] for r in log.rows if r["name"] == "recon"]
+    _, rows = TRAINERS["aae"](sprites256, cfg)
+    recon = [v for _, name, v in rows if name == "recon"]
     assert all(np.isfinite(v) and v >= 0.0 for v in recon)
 
 
@@ -482,9 +482,9 @@ def test_vgh_losses_gradients_via_grad_check():
 def test_train_vgh_step_counts_match_iterations(sprites256):
     cfg = ExperimentConfig(latent=4, hidden=32, iters=17, batch=32, seed=5,
                       log_every=5)
-    _, log = TRAINERS["vghpp"](sprites256, cfg)
-    counts = {r["name"]: r["value"] for r in log.rows
-              if r["name"].startswith("updates_")}
+    _, rows = TRAINERS["vghpp"](sprites256, cfg)
+    counts = {name: v for _, name, v in rows
+              if name.startswith("updates_")}
     assert counts == {"updates_enc": 17.0, "updates_gen": 17.0,
                       "updates_data_disc": 17.0, "updates_code_disc": 17.0}
 
@@ -493,11 +493,11 @@ def test_train_vgh_logs_all_losses_finite(sprites256):
     cfg = ExperimentConfig(latent=4, hidden=32, iters=25, batch=32, seed=6,
                       log_every=5)
     for variant in ("vgh", "vghpp"):
-        _, log = TRAINERS[variant](sprites256, cfg)
-        names = {r["name"] for r in log.rows}
+        _, rows = TRAINERS[variant](sprites256, cfg)
+        names = {name for _, name, _ in rows}
         assert {"loss_enc", "loss_gen", "loss_disc", "loss_code_disc",
                 "recon"} <= names
-        assert all(np.isfinite(r["value"]) for r in log.rows)
+        assert all(np.isfinite(v) for _, _, v in rows)
 
 
 # Each model's log rows, in the order it logs them at one iteration.
@@ -514,11 +514,11 @@ _ROWS = {
 def test_every_trainer_logs_at_the_shared_cadence(sprites256, model):
     cfg = ExperimentConfig(model=model, latent=4, hidden=16, iters=7,
                            batch=16, seed=4, log_every=3)
-    _, log = TRAINERS[model](sprites256, cfg)
+    _, rows = TRAINERS[model](sprites256, cfg)
     want = [(step, name) for step in (0, 3, 6) for name in _ROWS[model]]
     if model in ("vgh", "vghpp"):
         want += [(6, f"updates_{part}") for part in PARTS[model]]
-    assert [(r["step"], r["name"]) for r in log.rows] == want
+    assert [(step, name) for step, name, _ in rows] == want
 
 
 def _reference_train_vgh(data, cfg, variant):
@@ -548,7 +548,7 @@ def _reference_train_vgh(data, cfg, variant):
         for key, name in (("enc", "loss_enc"), ("gen", "loss_gen"),
                           ("data_disc", "loss_disc"),
                           ("code_disc", "loss_code_disc"), ("recon", "recon")):
-            rows.append({"step": step, "name": name, "value": seen[key]})
+            rows.append((step, name, seen[key]))
     return b, rows
 
 
@@ -556,13 +556,13 @@ def _reference_train_vgh(data, cfg, variant):
 def test_train_vgh_matches_full_graph_updates_exactly(sprites256, variant):
     cfg = ExperimentConfig(latent=4, hidden=16, iters=5, batch=32, seed=8,
                            log_every=1)
-    got, log = TRAINERS[variant](sprites256, cfg)
+    got, got_rows = TRAINERS[variant](sprites256, cfg)
     want, rows = _reference_train_vgh(sprites256, cfg, variant)
     got_params, want_params = got.named_parameters(), want.named_parameters()
     assert got_params.keys() == want_params.keys()
     for name, p in got_params.items():
         assert np.array_equal(p.data, want_params[name].data), name
-    assert [r for r in log.rows if not r["name"].startswith("updates_")] == rows
+    assert [r for r in got_rows if not r[1].startswith("updates_")] == rows
 
 
 # Network applications in one VGH iteration, per network, (taped, untaped):

@@ -1,17 +1,28 @@
-"""The benchmark's per-layer tracer (perfbench/tracer.py) against the package.
+"""The benchmark (perfbench/) against the package.
 
 The tracer wraps package functions by name. Renaming or deleting one breaks
-``perfbench/run.py --trace 1``; this test fails first. The tracer module is
-loaded from its file and only read.
+``perfbench/run.py --trace 1``; the first test fails first. The tracer
+module is loaded from its file and only read. A change that breaks a
+workload's commands or checks fails the smoke test of ``run.py``, which runs
+on a copy of perfbench/ and src/ so that no run or result lands in the
+checkout.
 """
 
 import importlib.util
+import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import dmvi
 from dmvi import cli
 
-_TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+_ROOT = Path(__file__).resolve().parents[1]
+_TRACER = _ROOT / "perfbench" / "tracer.py"
 
 
 def _load_tracer():
@@ -45,3 +56,19 @@ def test_tracer_counts_commands_and_restores_every_attribute(tmp_path):
     for (_, attr), (owner, original) in first.items():
         now = owner[attr] if isinstance(owner, dict) else getattr(owner, attr)
         assert now is original, attr
+
+
+@pytest.mark.parametrize("workload", ["train-narrow", "analyze"])
+def test_benchmark_round_is_correct(tmp_path, workload):
+    for name in ("perfbench", "src"):
+        shutil.copytree(_ROOT / name, tmp_path / name,
+                        ignore=shutil.ignore_patterns("__pycache__", "runs",
+                                                      "results"))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", "5", "--seconds", "1"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, proc.stderr
