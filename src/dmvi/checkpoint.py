@@ -120,18 +120,28 @@ def load_checkpoint(path: str):
         except UnicodeDecodeError as e:
             raise ParseError(f"tensor name at offset {r.pos - name_len} is "
                              f"not UTF-8: {raw_name[:16]!r}") from e
+        if name in tensors:
+            raise ParseError(f"tensor {name!r} is listed twice, again at "
+                             f"offset {r.pos - name_len}")
         rank = r.u("<I", "rank")
         shape = tuple(
             struct.unpack(f"<{rank}Q", r.take(8 * rank, "extents")))
         size = math.prod(shape)
         payload = r.take(8 * size, f"payload of {name}")
         tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+    if r.pos != len(body):
+        raise ParseError(f"{len(body) - r.pos} bytes at offset {r.pos} after "
+                         f"the last of {count} tensors")
     return tensors, config_hash
 
 
 def apply_checkpoint(bundle, tensors: dict) -> None:
-    """Copy saved arrays into a bundle's parameters, by name."""
+    """Copy saved arrays into a bundle's parameters, by name; the
+    checkpoint holds each parameter and nothing else."""
     params = bundle.named_parameters()
+    extra = sorted(tensors.keys() - params.keys())
+    if extra:
+        raise ShapeError(f"checkpoint holds tensors the model lacks: {extra}")
     for name, param in params.items():
         if name not in tensors:
             raise ShapeError(f"checkpoint is missing tensor {name!r}")

@@ -12,9 +12,8 @@ import argparse
 import os
 import sys
 
-from .datasets import GENERATORS
 from .errors import ContractError, NumericsError, ParseError, ShapeError
-from .experiment import (SETTINGS, ExperimentConfig, execute,
+from .experiment import (COMMANDS, SETTINGS, ExperimentConfig, execute,
                          remove_artifacts, value_type, write_json)
 
 EXIT_OK = 0
@@ -23,33 +22,8 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 
-# Subcommand -> (help, flags). A flag is named after its field, or given as
-# (flag, field) where it is not, or as (flag, field, choices) where it
-# offers fewer choices than the field allows.
-_SUBCOMMANDS = {
-    "train": ("train a model", (
-        "model", "dataset", "n", "idx_path", "latent", "hidden", "lam", "lr",
-        "lr_enc", "lr_gen", "lr_disc", "lr_code", "iters", "batch", "visible",
-        "recon", "generator_loss", "mc_samples", "log_every")),
-    "estimate-kl": ("estimate marginal KL on a run", (
-        "method", "run", "num_z", "ratio_iters", "ratio_hidden",
-        "ratio_layers", "gmm_k", "gmm_iters", "ar_iters", "ar_hidden")),
-    "surgery": ("decompose the average posterior KL", ("run", "num_z")),
-    "low-posterior": ("decode prior draws with the smallest q(z)",
-                      ("run", "num_z", ("--n", "low_n"))),
-    "diversity": ("pairwise 1-SSIM of decoded samples",
-                  ("run", ("--n", "div_n"))),
-    "synth-gauss": ("affine-Gaussian estimation/minimization study", (
-        "mode", "k", ("--iters", "synth_iters"), "samples",
-        ("--log-every", "synth_log_every"))),
-    "dataset": ("generate or inspect datasets", (
-        ("--mode", "data_mode"), ("--kind", "dataset", tuple(GENERATORS)),
-        "n", ("--data", "data_path"))),
-}
-
-
 def _build_parser(argv) -> argparse.ArgumentParser:
-    """The parser for ``argv``: every subcommand, but with flags only on the
+    """The parser for ``argv``: every command, but with flags only on the
     one ``argv[0]`` names, or on all when it names none. Adding all ~70
     flags costs more than a short command's own set-up."""
     parser = argparse.ArgumentParser(
@@ -57,8 +31,8 @@ def _build_parser(argv) -> argparse.ArgumentParser:
         description="Train small generative models and estimate how far "
                     "their aggregate posterior sits from the prior.")
     sub = parser.add_subparsers(dest="command", required=True)
-    named = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
-    for command, (help_text, flags) in _SUBCOMMANDS.items():
+    named = argv[0] if argv and argv[0] in COMMANDS else None
+    for command, (_body, help_text, flags) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         if named not in (None, command):
             continue
@@ -121,7 +95,7 @@ def main(argv=None) -> int:
         # and the defaults unless a config file could have named them.
         code = EXIT_IO if isinstance(e, OSError) else EXIT_CONFIG
         args = _build_parser(argv).parse_args(argv)
-        reads_run = "run" in _SUBCOMMANDS[args.command][1]
+        reads_run = "run" in COMMANDS[args.command][2]
         out, run = args.out, getattr(args, "run", None)
         if not args.config:
             out, run = out or ExperimentConfig.out, run or ExperimentConfig.run
@@ -129,7 +103,7 @@ def main(argv=None) -> int:
             print(f"error: {e}", file=sys.stderr)
             return code
         return _fail(out, code, e, run)
-    if "run" in _SUBCOMMANDS[cfg.command][1] and _is_run_dir(cfg.out, cfg.run):
+    if "run" in COMMANDS[cfg.command][2] and _is_run_dir(cfg.out, cfg.run):
         return _fail(cfg.out, EXIT_CONFIG,
                      ContractError(f"--out {cfg.out!r} is the run directory"),
                      cfg.run)

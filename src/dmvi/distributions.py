@@ -1,6 +1,7 @@
-"""Diagonal-Gaussian posteriors, the prior, and the array helpers of the
-marginal-KL estimators. The visible distributions are not here:
-``models.ModelBundle`` reads the decoder's output itself.
+"""Diagonal-Gaussian posteriors, the prior's log density, and the array
+helpers of the marginal-KL estimators. A prior draw is ``rng.normal`` of the
+codes' shape. The visible distributions are not here: ``models.ModelBundle``
+reads the decoder's output itself.
 
 Graph-valued operations (Tensor in, Tensor out) carry gradients for
 training. The estimators evaluate densities over large sample blocks where
@@ -57,18 +58,12 @@ def kl_diag_standard(q: DiagGaussian) -> Tensor:
     return engine.kl_diag_standard(q.mean, q.logvar)
 
 
-@dataclass
-class StandardPrior:
-    dim: int
-
-    def sample(self, rng: RngStream, n: int) -> np.ndarray:
-        return rng.normal((n, self.dim))
-
-    def log_prob(self, z: np.ndarray) -> np.ndarray:
-        # Scored as a one-component mixture, so a posterior equal to the
-        # prior gives log q(z) - log p(z) of exactly 0.
-        zero = np.zeros((1, self.dim))
-        return gauss_logpdf_pairs(zero, zero)(z)[..., 0]
+def standard_log_prob(z: np.ndarray) -> np.ndarray:
+    """Log density of each row of ``z`` under the prior N(0, I). It is
+    scored as a one-component mixture, so a posterior equal to the prior
+    gives log q(z) - log p(z) of exactly 0."""
+    zero = np.zeros((1, z.shape[-1]))
+    return gauss_logpdf_pairs(zero, zero)(z)[..., 0]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ import numpy as np
 
 from .distributions import (
     DiagGaussian,
-    StandardPrior,
     VAR_FLOOR,
     diag_log_prob,
     gauss_logpdf_np,  # unused here; perfbench/tracer.py patches this name
@@ -28,6 +27,7 @@ from .distributions import (
     log_mean_exp,
     mean_stderr,
     reparam,
+    standard_log_prob,
 )
 from .errors import ContractError, NumericsError
 from . import engine
@@ -83,8 +83,7 @@ def mc_marginal_kl(post: DiagGaussian, num_z: int,
     if num_z < 1:
         raise ContractError("num_z must be positive")
     z = _sample_codes(post, num_z, rng)
-    prior = StandardPrior(z.shape[1])
-    value, stderr = mean_stderr(marginal_log_q(z, post) - prior.log_prob(z))
+    value, stderr = mean_stderr(marginal_log_q(z, post) - standard_log_prob(z))
     return EstimateReport("mc", value, stderr, num_z, inner=post.mean.shape[0])
 
 
@@ -336,7 +335,6 @@ def density_model_kl(model, post: DiagGaussian, num_z: int,
                      rng: RngStream) -> EstimateReport:
     """Plug-in estimate with a fitted density t: mean of log t(z) - log p(z)."""
     z = _sample_codes(post, num_z, rng)
-    prior = StandardPrior(z.shape[1])
-    value, stderr = mean_stderr(model.log_prob(z) - prior.log_prob(z))
+    value, stderr = mean_stderr(model.log_prob(z) - standard_log_prob(z))
     method = "gmm" if isinstance(model, GmmModel) else "ar"
     return EstimateReport(method, value, stderr, num_z, inner=1)

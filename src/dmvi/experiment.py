@@ -295,8 +295,7 @@ def _cmd_estimate(cfg: ExperimentConfig):
     else:
         codes = est._sample_codes(post, cfg.num_z, rng.child("codes"))
         if cfg.method == "ratio":
-            prior = est.StandardPrior(bundle.latent).sample(rng.child("prior"),
-                                                            cfg.num_z)
+            prior = rng.child("prior").normal((cfg.num_z, bundle.latent))
             report = est.ratio_kl(codes, prior, cfg, rng.child("clf"))
         else:
             model = (est.gmm_fit(codes, cfg.gmm_k, cfg.gmm_iters,
@@ -369,17 +368,13 @@ def _cmd_synth(cfg: ExperimentConfig):
                     {"true_kl": result["true_kl"], "est_kl": result["est_kl"],
                      "k": cfg.k, "d": task.d})
         return [(0, name, result[name]) for name in ("true_kl", "est_kl")], None
-    result = run_minimization(task, cfg.synth_iters, cfg.synth_log_every)
+    rows, report = run_minimization(task, cfg.synth_iters,
+                                    cfg.synth_log_every)
     with new_file(os.path.join(cfg.out, "trajectory.csv")) as f:
-        f.write(trajectory_csv(result["trajectory"]))
-    write_json(cfg.out, "report.json",
-                {"status": result["status"], "k": cfg.k, "d": task.d,
-                 "initial_kl": result["initial_kl"],
-                 "final_kl": result["final_kl"],
-                 "min_kl": result["min_kl"],
-                 "min_kl_step": result["min_kl_step"]})
-    return [(r["step"], name, r[name]) for r in result["trajectory"]
-            for name in ("true_kl", "est_kl")], None
+        f.write(trajectory_csv(rows))
+    write_json(cfg.out, "report.json", {**report, "k": cfg.k, "d": task.d})
+    return [(r[0], name, value) for r in rows
+            for name, value in zip(("true_kl", "est_kl"), r[1:3])], None
 
 
 def _cmd_dataset(cfg: ExperimentConfig):
@@ -409,8 +404,7 @@ def _cmd_dataset(cfg: ExperimentConfig):
                          f"dtype {data.dtype}, shape {list(data.shape)}")
     info = {"shape": list(data.shape), "min": float(data.min()),
             "max": float(data.max()), "digest": array_digest(data)}
-    write_json(cfg.out, "report.json", info)
-    print(json.dumps(info, sort_keys=True))
+    print(json.dumps(write_json(cfg.out, "report.json", info), sort_keys=True))
     return [], None
 
 
@@ -429,41 +423,59 @@ def remove_artifacts(out: str) -> None:
             os.unlink(os.path.join(out, name))
 
 
-def write_json(out: str, name: str, payload: dict) -> None:
+def write_json(out: str, name: str, payload: dict) -> dict:
     """``payload`` as sorted JSON; a non-finite float, at the top level or
-    in a list, is written as null."""
+    in a list, is written as null. Returns the object written."""
     def clean(v):
         if isinstance(v, list):
             return [clean(x) for x in v]
         return None if isinstance(v, float) and not np.isfinite(v) else v
 
+    payload = {k: clean(v) for k, v in payload.items()}
     with new_file(os.path.join(out, name)) as f:
-        json.dump({k: clean(v) for k, v in payload.items()}, f,
-                  sort_keys=True, indent=1)
+        json.dump(payload, f, sort_keys=True, indent=1)
         f.write("\n")
+    return payload
 
 
-_COMMANDS = {
-    "train": _cmd_train,
-    "estimate-kl": _cmd_estimate,
-    "surgery": _cmd_surgery,
-    "low-posterior": _cmd_low_posterior,
-    "diversity": _cmd_diversity,
-    "synth-gauss": _cmd_synth,
-    "dataset": _cmd_dataset,
+# Command -> (body, help, flags); cli builds its parser from it. A flag is
+# named after its field, or given as (flag, field) where it is not, or as
+# (flag, field, choices) where it offers fewer choices than the field allows.
+COMMANDS = {
+    "train": (_cmd_train, "train a model", (
+        "model", "dataset", "n", "idx_path", "latent", "hidden", "lam", "lr",
+        "lr_enc", "lr_gen", "lr_disc", "lr_code", "iters", "batch", "visible",
+        "recon", "generator_loss", "mc_samples", "log_every")),
+    "estimate-kl": (_cmd_estimate, "estimate marginal KL on a run", (
+        "method", "run", "num_z", "ratio_iters", "ratio_hidden",
+        "ratio_layers", "gmm_k", "gmm_iters", "ar_iters", "ar_hidden")),
+    "surgery": (_cmd_surgery, "decompose the average posterior KL",
+                ("run", "num_z")),
+    "low-posterior": (_cmd_low_posterior,
+                      "decode prior draws with the smallest q(z)",
+                      ("run", "num_z", ("--n", "low_n"))),
+    "diversity": (_cmd_diversity, "pairwise 1-SSIM of decoded samples",
+                  ("run", ("--n", "div_n"))),
+    "synth-gauss": (_cmd_synth,
+                    "affine-Gaussian estimation/minimization study", (
+                        "mode", "k", ("--iters", "synth_iters"), "samples",
+                        ("--log-every", "synth_log_every"))),
+    "dataset": (_cmd_dataset, "generate or inspect datasets", (
+        ("--mode", "data_mode"), ("--kind", "dataset", tuple(GENERATORS)),
+        "n", ("--data", "data_path"))),
 }
 
 
 def execute(cfg: ExperimentConfig) -> str:
     """Run one command; artifacts land in cfg.out. Returns the out dir."""
-    if cfg.command not in _COMMANDS:
+    if cfg.command not in COMMANDS:
         raise ContractError(f"unknown command {cfg.command!r}")
     cfg.validate()
     # No status.json until this command finishes ok: a run it interrupts is
     # refused, not read as the old one. ``main`` refused ``out`` == ``run``.
     with contextlib.suppress(FileNotFoundError):
         os.unlink(os.path.join(cfg.out, "status.json"))
-    rows, extra = _COMMANDS[cfg.command](cfg)
+    rows, extra = COMMANDS[cfg.command][0](cfg)
     _finish(cfg, rows, extra)
     write_json(cfg.out, "status.json", {"status": "ok", "exit_code": 0})
     return cfg.out

@@ -4,7 +4,8 @@ Both distributions are pushforwards x = z W + b of a standard normal z in
 R^k to R^d with d = max(1, k/10), so the true KL is available in closed
 form at every step. The classifier sees target samples as label 1; the
 learner trains on the classifier's log-odds, whose batch mean is itself
-the running KL(learner ‖ target) estimate.
+the running KL(learner ‖ target) estimate. ``run_minimization`` returns
+the trajectory and report that ``synth-gauss --mode minimize`` writes.
 """
 
 from __future__ import annotations
@@ -84,15 +85,15 @@ def run_estimation(task: SyntheticTask, cfg: ExperimentConfig, samples: int,
             "report": report}
 
 
-def run_minimization(task: SyntheticTask, iters: int, log_every: int) -> dict:
+def run_minimization(task: SyntheticTask, iters: int, log_every: int):
     """Alternating 1:1 classifier/learner updates on the learner's KL.
 
-    Trajectory rows are (step, true_kl, est_kl, status). The run stops
-    early with status "diverged" when the true KL exceeds 10x its initial
-    value or the numerics fall over; the estimate column is logged as-is
-    and is not expected to track the truth. The learner wanders at a noise
-    floor, so the lowest logged true KL (``min_kl``, at ``min_kl_step``) is
-    reported beside the final one.
+    Returns the trajectory rows (step, true_kl, est_kl, status) and the
+    report.json fields of the run. It stops early with status "diverged"
+    when the true KL exceeds 10x its initial value or the numerics fall
+    over; the estimate column is logged as-is and is not expected to track
+    the truth. The learner wanders at a noise floor, so the lowest logged
+    true KL (``min_kl``, at ``min_kl_step``) is reported beside the final.
     """
     if iters < 1:
         raise ContractError("iters must be positive")
@@ -104,8 +105,7 @@ def run_minimization(task: SyntheticTask, iters: int, log_every: int) -> dict:
     loop = root.child("minimize")
 
     initial = task.true_kl()
-    rows = [{"step": 0, "true_kl": initial, "est_kl": float("nan"),
-             "status": "ok"}]
+    rows = [(0, initial, float("nan"), "ok")]
     status = "ok"
     for step in range(1, iters + 1):
         x_p = task.target.sample(loop, BATCH)
@@ -125,8 +125,7 @@ def run_minimization(task: SyntheticTask, iters: int, log_every: int) -> dict:
             minimize(l_tape, l_loss, opt_l, what="learner loss", step=step)
         except NumericsError:
             status = "diverged"
-            rows.append({"step": step, "true_kl": float("nan"),
-                         "est_kl": float("nan"), "status": status})
+            rows.append((step, float("nan"), float("nan"), status))
             break
 
         if step % log_every == 0 or step == iters:
@@ -137,20 +136,17 @@ def run_minimization(task: SyntheticTask, iters: int, log_every: int) -> dict:
             row_status = "ok"
             if not np.isfinite(tk) or tk > DIVERGENCE_FACTOR * initial:
                 row_status = status = "diverged"
-            rows.append({"step": step, "true_kl": tk,
-                         "est_kl": l_loss.item(), "status": row_status})
+            rows.append((step, tk, l_loss.item(), row_status))
             if status == "diverged":
                 break
-    best = min((r for r in rows if np.isfinite(r["true_kl"])),
-               key=lambda r: r["true_kl"])
-    return {"trajectory": rows, "status": status, "initial_kl": initial,
-            "final_kl": rows[-1]["true_kl"], "min_kl": best["true_kl"],
-            "min_kl_step": best["step"]}
+    best_step, best_kl, _, _ = min((r for r in rows if np.isfinite(r[1])),
+                                   key=lambda r: r[1])
+    return rows, {"status": status, "initial_kl": initial,
+                  "final_kl": rows[-1][1], "min_kl": best_kl,
+                  "min_kl_step": best_step}
 
 
 def trajectory_csv(rows) -> str:
-    out = ["step,true_kl,est_kl,status"]
-    for r in rows:
-        out.append(f"{r['step']},{r['true_kl']:.10g},{r['est_kl']:.10g},"
-                   f"{r['status']}")
-    return "\n".join(out) + "\n"
+    return "step,true_kl,est_kl,status\n" + "".join(
+        f"{step},{true_kl:.10g},{est_kl:.10g},{status}\n"
+        for step, true_kl, est_kl, status in rows)

@@ -26,7 +26,6 @@ from dmvi.distributions import (
     kl_full_gauss,
 )
 from dmvi.estimators import (
-    StandardPrior,
     _sample_codes,
     marginal_log_q,
     mc_marginal_kl,
@@ -220,7 +219,7 @@ def test_ratio_estimator_sanity(toy_vae):
         post = bundle.posterior(data)
         mc = mc_marginal_kl(post, 1024, r.child("mc"))
         codes = _sample_codes(post, 8000, r.child("codes"))
-        prior = StandardPrior(bundle.latent).sample(r.child("prior"), 8000)
+        prior = r.child("prior").normal((8000, bundle.latent))
         est = ratio_kl(codes, prior,
                        ExperimentConfig(ratio_hidden=128, ratio_layers=3,
                                         ratio_iters=1000),
@@ -247,14 +246,15 @@ def test_synthetic_minimization_trend():
         ok = 0
         fracs = []
         for seed in range(5):
-            out = run_minimization(make_task(k, seed), 4000, log_every=4000)
-            frac = out["final_kl"] / out["initial_kl"]
+            _, report = run_minimization(make_task(k, seed), 4000,
+                                         log_every=4000)
+            frac = report["final_kl"] / report["initial_kl"]
             fracs.append(frac)
-            ok += out["status"] == "ok" and frac <= bound
+            ok += report["status"] == "ok" and frac <= bound
         hits[k] = (ok, fracs)
         assert ok >= 4, f"k={k}: {fracs}"
-    big = run_minimization(make_task(1000, 0), 300, log_every=100)
-    assert [r["step"] for r in big["trajectory"]] == [0, 100, 200, 300]
+    rows, big = run_minimization(make_task(1000, 0), 300, log_every=100)
+    assert [r[0] for r in rows] == [0, 100, 200, 300]
     dt = time.perf_counter() - t0
     print(f"[gate] minimization: k=10 {hits[10][0]}/5 k=100 {hits[100][0]}/5 "
           f"k=1000 recorded {big['initial_kl']:.1f}->{big['final_kl']:.1f} "

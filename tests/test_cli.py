@@ -570,6 +570,21 @@ def test_dataset_generate_then_inspect(tmp_path):
     assert _read_json(ins / "report.json")["digest"] == rep["digest"]
 
 
+def test_inspect_prints_the_report_it_writes(tmp_path, capsys):
+    data = _npy(tmp_path, "odd.npy", np.array([[1.0, np.nan], [np.inf, 2.0]]))
+    out = tmp_path / "ins"
+    assert cli.main(["dataset", "--mode", "inspect", "--data", data,
+                     "--out", str(out)]) == 0
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    printed = json.loads(capsys.readouterr().out.splitlines()[0],
+                         parse_constant=refuse)
+    assert printed == _read_json(out / "report.json")
+    assert printed["max"] is None and printed["min"] is None
+
+
 def test_percent_in_out_dir_finishes(tmp_path):
     out = tmp_path / "a%b"
     assert cli.main(["dataset", "--mode", "generate", "--kind", "rings",
@@ -733,31 +748,51 @@ def _ini(tmp, text):
     return str(path)
 
 
-def _non_utf8_name_run(tmp, run):
-    """A copy of ``run`` whose first tensor is renamed to the bytes ff fe,
-    under a valid digest."""
-    copy = tmp / "renamed"
+# Bytes of a checkpoint before its tensor count: magic, version, config hash.
+_CKPT_HEADER = 4 + 4 + 32
+
+
+def _edited_run(tmp, run, edit):
+    """A copy of ``run`` whose checkpoint body, all but the digest, is
+    ``edit(body)``, under a valid digest."""
+    copy = tmp / "edited"
     shutil.copytree(run, copy)
     ckpt = copy / "checkpoint.dmvi"
-    body = ckpt.read_bytes()[:-32]
-    at = 4 + 4 + 32 + 4            # magic, version, config hash, count
+    body = edit(ckpt.read_bytes()[:-32])
+    ckpt.write_bytes(body + hashlib.sha256(body).digest())
+    return str(copy)
+
+
+def _non_utf8_name(body):
+    """``body`` with its first tensor renamed to the bytes ff fe."""
+    at = _CKPT_HEADER + 4
     (n,) = struct.unpack_from("<H", body, at)
-    body = body[:at] + struct.pack("<H", 2) + b"\xff\xfe" + body[at + 2 + n:]
-    ckpt.write_bytes(body + hashlib.sha256(body).digest())
-    return str(copy)
+    return body[:at] + struct.pack("<H", 2) + b"\xff\xfe" + body[at + 2 + n:]
 
 
-def _huge_tensor_run(tmp, run):
-    """A copy of ``run`` whose checkpoint holds one tensor of shape
-    (2**32, 2**32) and no payload, under a valid digest: counted in int64,
-    its 2**64 elements wrap to 0."""
-    copy = tmp / "huge"
-    shutil.copytree(run, copy)
-    ckpt = copy / "checkpoint.dmvi"
-    body = ckpt.read_bytes()[:4 + 4 + 32]      # magic, version, config hash
-    body += struct.pack("<IH1sI2Q", 1, 1, b"w", 2, 2**32, 2**32)
-    ckpt.write_bytes(body + hashlib.sha256(body).digest())
-    return str(copy)
+def _huge_tensor(body):
+    """``body`` holding one tensor of shape (2**32, 2**32) and no payload:
+    counted in int64, its 2**64 elements wrap to 0."""
+    return body[:_CKPT_HEADER] + struct.pack("<IH1sI2Q", 1, 1, b"w", 2,
+                                             2**32, 2**32)
+
+
+def _run_with_tensor(tmp, run, name, arr=None):
+    """A copy of ``run`` whose checkpoint lists one more tensor after the
+    others: ``name`` holding ``arr``, or a second copy of the run's own
+    ``name``."""
+    if arr is None:
+        arr = load_checkpoint(str(run / "checkpoint.dmvi"))[0][name]
+
+    def edit(body):
+        (count,) = struct.unpack_from("<I", body, _CKPT_HEADER)
+        return (body[:_CKPT_HEADER] + struct.pack("<I", count + 1)
+                + body[_CKPT_HEADER + 4:] + struct.pack("<H", len(name))
+                + name.encode() + struct.pack(f"<I{arr.ndim}Q", arr.ndim,
+                                              *arr.shape)
+                + arr.astype("<f8").tobytes())
+
+    return _edited_run(tmp, run, edit)
 
 
 def _estimate_run(tmp, run):
@@ -931,9 +966,22 @@ _EXIT_CODES = [
                                         payload=b"")],
                  4, "require 18446744073709551616", id="idx-extents-overflow"),
     pytest.param(lambda tmp, run: ["estimate-kl", "--num-z", "16", "--run",
-                                   _huge_tensor_run(tmp, run)],
+                                   _edited_run(tmp, run, _huge_tensor)],
                  4, "need 147573952589676412928 bytes for payload of w",
                  id="checkpoint-extents-overflow"),
+    pytest.param(lambda tmp, run: ["estimate-kl", "--num-z", "16", "--run",
+                                   _edited_run(tmp, run,
+                                               lambda body: body + bytes(24))],
+                 4, "24 bytes at offset", id="checkpoint-trailing-bytes"),
+    pytest.param(lambda tmp, run: ["estimate-kl", "--num-z", "16", "--run",
+                                   _run_with_tensor(tmp, run, "enc.fc0.W")],
+                 4, "tensor 'enc.fc0.W' is listed twice",
+                 id="checkpoint-repeated-tensor"),
+    pytest.param(lambda tmp, run: ["estimate-kl", "--num-z", "16", "--run",
+                                   _run_with_tensor(tmp, run, "bogus.W",
+                                                    np.ones((2, 3)))],
+                 2, "checkpoint holds tensors the model lacks: ['bogus.W']",
+                 id="checkpoint-extra-tensor"),
     pytest.param(lambda tmp, run: ["dataset", "--mode", "inspect", "--data",
                                    _idx(tmp, "x.idx.gz", (20, 9),
                                         gzipped=True, truncated=True)],
@@ -945,7 +993,7 @@ _EXIT_CODES = [
                                    _npy(tmp, "text.npy", np.array(["a", "b"]))],
                  4, "no numeric values", id="string-npy"),
     pytest.param(lambda tmp, run: ["surgery", "--num-z", "16", "--run",
-                                   _non_utf8_name_run(tmp, run)],
+                                   _edited_run(tmp, run, _non_utf8_name)],
                  4, "not UTF-8", id="non-utf8-tensor-name"),
     _on_interrupted_rerun("estimate-kl", "--num-z", "16"),
     _on_interrupted_rerun("surgery", "--num-z", "16"),

@@ -11,7 +11,6 @@ from dmvi.distributions import (
     LOGVAR_FLOOR,
     AffineGaussian,
     DiagGaussian,
-    StandardPrior,
     affine_to_moments,
     diag_log_prob,
     gauss_logpdf_np,
@@ -22,6 +21,7 @@ from dmvi.distributions import (
     log_mean_exp,
     mean_stderr,
     reparam,
+    standard_log_prob,
 )
 from dmvi.errors import ContractError, NumericsError
 from dmvi.experiment import ExperimentConfig
@@ -279,10 +279,9 @@ def test_sample_full_gauss_moments():
 
 
 def test_standard_prior_log_prob():
-    p = StandardPrior(3)
     z = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, -1.0]])
     want = stats.multivariate_normal.logpdf(z, np.zeros(3), np.eye(3))
-    assert np.allclose(p.log_prob(z), want, atol=1e-12)
+    assert np.allclose(standard_log_prob(z), want, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

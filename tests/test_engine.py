@@ -979,7 +979,7 @@ _LEARNERS = {
         _codes(6), ExperimentConfig(ar_hidden=4, ar_iters=4),
         RngStream(7)).log_prob(_codes(8)).tolist(),
     "minimize": lambda data: run_minimization(make_task(10, 9), 4,
-                                              log_every=1)["trajectory"],
+                                              log_every=1)[0],
     "gan-nonsat": lambda data: _train_rows(TRAINERS["gan"], data),
     "gan-reverse_kl": lambda data: _train_rows(TRAINERS["gan"], data,
                                                generator_loss="reverse_kl"),

@@ -6,13 +6,14 @@ Carlo), so the trajectory's truth column can be trusted downstream.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from dmvi import synth_gauss
-from dmvi.errors import ContractError
+from dmvi import cli, synth_gauss
+from dmvi.errors import ContractError, NumericsError
 from dmvi.experiment import ExperimentConfig
 from dmvi.rng import RngStream
 from dmvi.synth_gauss import (
@@ -36,9 +37,7 @@ def _scipy_kl(A, B):
 def _rows_equal(ra, rb):
     def feq(x, y):
         return x == y or (x != x and y != y)    # nan-aware
-    return (ra["step"] == rb["step"] and ra["status"] == rb["status"]
-            and feq(ra["true_kl"], rb["true_kl"])
-            and feq(ra["est_kl"], rb["est_kl"]))
+    return all(feq(x, y) for x, y in zip(ra, rb))
 
 
 def test_observed_dim_is_tenth_of_latent():
@@ -79,21 +78,20 @@ def test_true_kl_matches_monte_carlo():
 
 
 def test_minimization_reduces_true_kl():
-    out = run_minimization(make_task(10, 0), 600, log_every=100)
-    assert out["status"] == "ok"
-    assert out["final_kl"] < 0.6 * out["initial_kl"]   # pilot reached 0.39x
-    assert [r["step"] for r in out["trajectory"]] == list(range(0, 700, 100))
+    rows, report = run_minimization(make_task(10, 0), 600, log_every=100)
+    assert report["status"] == "ok"
+    assert report["final_kl"] < 0.6 * report["initial_kl"]   # pilot: 0.39x
+    assert [r[0] for r in rows] == list(range(0, 700, 100))
 
 
 def test_trajectory_row_contract():
-    out = run_minimization(make_task(5, 0), 10, log_every=4)
-    rows = out["trajectory"]
-    first = rows[0]
-    assert first["step"] == 0 and first["status"] == "ok"
-    assert np.isnan(first["est_kl"]) and np.isfinite(first["true_kl"])
-    assert [r["step"] for r in rows[1:]] == [4, 8, 10]   # multiples + last
-    for r in rows[1:]:
-        assert np.isfinite(r["est_kl"])
+    rows, _report = run_minimization(make_task(5, 0), 10, log_every=4)
+    step, true_kl, est_kl, status = rows[0]
+    assert step == 0 and status == "ok"
+    assert np.isnan(est_kl) and np.isfinite(true_kl)
+    assert [r[0] for r in rows[1:]] == [4, 8, 10]   # multiples + last
+    for _step, _true_kl, est_kl, _status in rows[1:]:
+        assert np.isfinite(est_kl)
 
 
 def test_minimization_rejects_nonpositive_iters():
@@ -103,22 +101,56 @@ def test_minimization_rejects_nonpositive_iters():
 
 def test_runaway_learner_marks_run_diverged(monkeypatch):
     monkeypatch.setattr(synth_gauss, "LEARNER_LR", 1e6)
-    out = run_minimization(make_task(10, 0), 50, log_every=1)
-    assert out["status"] == "diverged"
-    rows = out["trajectory"]
-    assert rows[-1]["status"] == "diverged"
+    rows, report = run_minimization(make_task(10, 0), 50, log_every=1)
+    assert report["status"] == "diverged"
+    assert rows[-1][3] == "diverged"
     assert len(rows) == 2                     # stopped at the first check
-    tk = rows[-1]["true_kl"]
-    assert (not np.isfinite(tk)) or tk > 10.0 * out["initial_kl"]
+    tk = rows[-1][1]
+    assert (not np.isfinite(tk)) or tk > 10.0 * report["initial_kl"]
+
+
+def _fail_at_step_3(monkeypatch):
+    """Make the classifier or learner loss of step 3 non-finite."""
+    minimize = synth_gauss.minimize
+
+    def failing(tape, loss, *opts, what, step):
+        if step == 3:
+            raise NumericsError(f"{what} is not finite at step {step}")
+        minimize(tape, loss, *opts, what=what, step=step)
+
+    monkeypatch.setattr(synth_gauss, "minimize", failing)
+
+
+def test_numeric_failure_ends_the_run_diverged(monkeypatch):
+    _fail_at_step_3(monkeypatch)
+    rows, report = run_minimization(make_task(5, 0), 10, log_every=1)
+    step, true_kl, est_kl, status = rows[-1]
+    assert (step, status) == (3, "diverged")
+    assert np.isnan(true_kl) and np.isnan(est_kl)
+    assert [r[0] for r in rows] == [0, 1, 2, 3]
+    assert report["status"] == "diverged" and np.isnan(report["final_kl"])
+    best = min(rows[:-1], key=lambda r: r[1])
+    assert (report["min_kl_step"], report["min_kl"]) == best[:2]
+
+
+def test_numeric_failure_through_the_cli(monkeypatch, tmp_path):
+    _fail_at_step_3(monkeypatch)
+    out = tmp_path / "synth"
+    assert cli.main(["synth-gauss", "--k", "5", "--iters", "10",
+                     "--log-every", "1", "--out", str(out)]) == 0
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    assert lines[-1] == "3,nan,nan,diverged"
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "diverged" and report["final_kl"] is None
+    assert report["min_kl"] is not None
 
 
 def test_minimization_is_deterministic():
-    a = run_minimization(make_task(10, 7), 100, log_every=50)
-    b = run_minimization(make_task(10, 7), 100, log_every=50)
-    assert len(a["trajectory"]) == len(b["trajectory"])
-    assert all(_rows_equal(ra, rb)
-               for ra, rb in zip(a["trajectory"], b["trajectory"]))
-    assert trajectory_csv(a["trajectory"]) == trajectory_csv(b["trajectory"])
+    a, _ = run_minimization(make_task(10, 7), 100, log_every=50)
+    b, _ = run_minimization(make_task(10, 7), 100, log_every=50)
+    assert len(a) == len(b)
+    assert all(_rows_equal(ra, rb) for ra, rb in zip(a, b))
+    assert trajectory_csv(a) == trajectory_csv(b)
 
 
 def test_minimization_tapes_the_learner_once_per_step(monkeypatch):
@@ -135,11 +167,10 @@ def test_minimization_tapes_the_learner_once_per_step(monkeypatch):
         return linear(x, layers, *args)
 
     monkeypatch.setattr(synth_gauss.engine, "linear", counting)
-    out = run_minimization(task, 120, log_every=10)
+    rows, _report = run_minimization(task, 120, log_every=10)
     assert calls == [True] * 120
     h = hashlib.sha256()
-    h.update(np.array([[r["true_kl"], r["est_kl"]]
-                       for r in out["trajectory"]]).tobytes())
+    h.update(np.array([r[1:3] for r in rows]).tobytes())
     h.update(task.learner_W.data.tobytes())
     h.update(task.learner_b.data.tobytes())
     assert h.hexdigest() == (
@@ -147,16 +178,15 @@ def test_minimization_tapes_the_learner_once_per_step(monkeypatch):
 
 
 def test_trajectory_csv_round_trips():
-    out = run_minimization(make_task(5, 0), 10, log_every=5)
-    rows = out["trajectory"]
+    rows, _report = run_minimization(make_task(5, 0), 10, log_every=5)
     lines = trajectory_csv(rows).strip().split("\n")
     assert lines[0] == "step,true_kl,est_kl,status"
     assert len(lines) == 1 + len(rows)
-    for line, row in zip(lines[1:], rows):
-        step, tk, ek, status = line.split(",")
-        assert int(step) == row["step"]
-        assert status == row["status"]
-        for text, val in [(tk, row["true_kl"]), (ek, row["est_kl"])]:
+    for line, (step, true_kl, est_kl, status) in zip(lines[1:], rows):
+        text_step, tk, ek, text_status = line.split(",")
+        assert int(text_step) == step
+        assert text_status == status
+        for text, val in [(tk, true_kl), (ek, est_kl)]:
             if val != val:
                 assert text == "nan"
             else:

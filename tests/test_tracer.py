@@ -5,7 +5,7 @@ The tracer wraps package functions by name. Renaming or deleting one breaks
 module is loaded from its file and only read. A change that breaks a
 workload's commands or checks fails the smoke test of ``run.py``, which runs
 on a copy of perfbench/ and src/ so that no run or result lands in the
-checkout.
+checkout, once untraced and once with every tracer wrapper installed.
 """
 
 import importlib.util
@@ -58,8 +58,10 @@ def test_tracer_counts_commands_and_restores_every_attribute(tmp_path):
         assert now is original, attr
 
 
-@pytest.mark.parametrize("workload", ["train-narrow", "analyze"])
-def test_benchmark_round_is_correct(tmp_path, workload):
+@pytest.mark.parametrize("workload, trace", [
+    pytest.param(workload, trace, id=workload + ("-traced" if trace else ""))
+    for trace in (0, 1) for workload in ("train-narrow", "analyze")])
+def test_benchmark_round_is_correct(tmp_path, workload, trace):
     for name in ("perfbench", "src"):
         shutil.copytree(_ROOT / name, tmp_path / name,
                         ignore=shutil.ignore_patterns("__pycache__", "runs",
@@ -67,7 +69,7 @@ def test_benchmark_round_is_correct(tmp_path, workload):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", "5", "--seconds", "1"],
+         "--seed", "5", "--seconds", "1", "--trace", str(trace)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
