@@ -146,12 +146,17 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 # Primitives.
 
 
+# The vjps of add, sub and mul leave out (None) the gradient of a parent
+# that requires none, as ``linear``'s does; ``backward`` never reads it.
+
+
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = Tensor(a.data + b.data)
 
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
     return _record(out, "add", (a, b), vjp)
 
@@ -161,7 +166,8 @@ def sub(a, b) -> Tensor:
     out = Tensor(a.data - b.data)
 
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.data.shape) if b.requires_grad else None)
 
     return _record(out, "sub", (a, b), vjp)
 
@@ -172,8 +178,8 @@ def mul(a, b) -> Tensor:
 
     def vjp(g):
         return (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
+            _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
         )
 
     return _record(out, "mul", (a, b), vjp)
@@ -291,16 +297,34 @@ def log(x) -> Tensor:
     return _record(out, "log", (x,), vjp)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) never overflows. minimum(x, -x) rather than -abs(x) keeps
-    # the sign bit of a NaN input.
-    e = np.exp(np.minimum(x, -x))
-    d = 1.0 + e
+def _exp_neg_abs(x: np.ndarray) -> np.ndarray:
+    """exp(-|x|), the one transcendental call behind ``_sigmoid`` and
+    ``_softplus``. It never overflows. minimum(x, -x) rather than -abs(x)
+    keeps the sign bit of a NaN input."""
+    return np.exp(np.minimum(x, -x))
+
+
+def _sigmoid(x: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+    """sigmoid(x), from ``e = _exp_neg_abs(x)`` when the caller has it."""
+    if e is None:
+        e = _exp_neg_abs(x)
     # The numerator is 1 for x >= 0 (there e <= 1) and e otherwise, chosen
     # by a maximum rather than a per-entry branch, which costs about 5x the
     # arithmetic on random signs. maximum passes a NaN e through with its
     # sign, so every entry rounds as the two-branch form does.
-    return np.maximum(e, x >= 0) / d
+    return np.maximum(e, x >= 0) / (1.0 + e)
+
+
+def _softplus(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """log(1 + exp(x)) as max(x, 0) + log1p(e), ``e = _exp_neg_abs(x)``.
+
+    numpy's vectorised exp and log1p take about a sixth of the time of
+    ``np.logaddexp(0, x)``, which calls the C library's scalar exp and
+    log1p per entry. The two differ in the last bits on about 5% of
+    entries (at most 3 ulp measured); at ±0, ±inf and NaN they agree
+    exactly. No gradient reads this value.
+    """
+    return np.maximum(x, 0.0) + np.log1p(e)
 
 
 def sigmoid(x) -> Tensor:
@@ -375,10 +399,11 @@ def neg_log_odds_mean(x) -> Tensor:
 def softplus(x) -> Tensor:
     """log(1 + exp(x)), safe for large |x|."""
     x = as_tensor(x)
-    out = Tensor(np.logaddexp(0.0, x.data))
+    e = _exp_neg_abs(x.data)
+    out = Tensor(_softplus(x.data, e))
 
     def vjp(g):
-        return (g * _sigmoid(x.data),)
+        return (g * _sigmoid(x.data, e),)
 
     return _record(out, "softplus", (x,), vjp)
 
@@ -491,16 +516,18 @@ def kl_diag_standard(mean, logvar) -> Tensor:
 def bernoulli_log_prob(logits, x) -> Tensor:
     """Σ x·l − softplus(l) per row over the last axis, for logits l and
     targets x of one shape: one node in place of the mul, softplus, sub and
-    sum ops. Parents (logits, logits)."""
+    sum ops. Parents (logits, logits). One exp(−|l|) serves the softplus
+    value and the sigmoid of the vjp."""
     logits = as_tensor(logits)
     x = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
     _same_shape("bernoulli_log_prob", logits.data, x)
-    terms = x * logits.data - np.logaddexp(0.0, logits.data)
+    e = _exp_neg_abs(logits.data)
+    terms = x * logits.data - _softplus(logits.data, e)
     out = Tensor(terms.sum(axis=-1))
 
     def vjp(g):
         g = g[..., None]
-        return -g * _sigmoid(logits.data), g * x
+        return -g * _sigmoid(logits.data, e), g * x
 
     return _record(out, "bernoulli_log_prob", (logits, logits), vjp)
 

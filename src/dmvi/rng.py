@@ -13,6 +13,9 @@ import hashlib
 import numpy as np
 
 
+_SEED_SEQUENCE = np.random.SeedSequence(0)
+
+
 def _derive_key(seed: int, label: str) -> int:
     h = hashlib.blake2b(f"{seed}/{label}".encode(), digest_size=8)
     return int.from_bytes(h.digest(), "little")
@@ -28,12 +31,17 @@ class RngStream:
 
     def _next(self) -> np.random.Generator:
         if self._bits is None:
-            self._bits = np.random.Philox(key=self.seed)
+            # Built from a fixed SeedSequence, then keyed through the state:
+            # Philox(key=seed) would also build a SeedSequence() from OS
+            # entropy, and throw it away.
+            self._bits = np.random.Philox(_SEED_SEQUENCE)
             self._gen = np.random.Generator(self._bits)
-            # Key [seed, 0], counter 0, an empty buffer, no cached uint32.
-            # Draw i sets counter word 1 to i: its own 2**64-block window, so
-            # one call can consume ~2**66 doubles without touching the next.
+            # Key [seed, 0], counter 0, an empty buffer, no cached uint32:
+            # the state of Philox(key=seed). Draw i sets counter word 1 to
+            # i: its own 2**64-block window, so one call can consume ~2**66
+            # doubles without touching the next.
             self._state = self._bits.state
+            self._state["state"]["key"][:] = (self.seed, 0)
         self._state["state"]["counter"][1] = self.counter
         self._bits.state = self._state
         self.counter += 1

@@ -1,6 +1,7 @@
 """Reference routes the tests compare the package against: a
 central-difference check of the reverse-mode gradients, the fused ELBO
-nodes of ``engine`` as the separate ops each replaces, the
+nodes of ``engine`` as the separate ops each replaces, the Bernoulli
+likelihood node with its value from ``np.logaddexp``, the
 full-covariance Gaussian sampler and density that give an independent
 Monte Carlo route to ``kl_full_gauss``, the per-row sprite loop, the
 ``ConfigParser`` writer of ``to_ini``, the freshly built Philox
@@ -123,6 +124,24 @@ def neg_mean(x, scale=1.0, minus=None):
 ELBO_NODES = {fn.__name__: fn for fn in (
     reparam, kl_diag_standard, bernoulli_log_prob, diag_log_prob,
     l1_reconstruction, neg_mean)}
+
+
+def logaddexp_bernoulli_log_prob(logits, x):
+    """``engine.bernoulli_log_prob`` with its value taken from
+    ``np.logaddexp(0, l)``, which calls the C library's scalar exp and
+    log1p per entry, and the node's vjp: the sigmoid of the logits and the
+    targets, never the softplus value."""
+    logits = engine.as_tensor(logits)
+    x = np.asarray(x.data if isinstance(x, engine.Tensor) else x,
+                   dtype=np.float64)
+    terms = x * logits.data - np.logaddexp(0.0, logits.data)
+    out = engine.Tensor(terms.sum(axis=-1))
+
+    def vjp(g):
+        g = g[..., None]
+        return -g * engine._sigmoid(logits.data), g * x
+
+    return engine._record(out, "bernoulli_log_prob", (logits, logits), vjp)
 
 
 def sample_full_gauss(mean: np.ndarray, cov: np.ndarray, n: int,

@@ -622,6 +622,79 @@ def test_sigmoid_matches_the_masked_branches_bitwise():
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def _ulps(a, b):
+    """Units in the last place between two arrays of non-negative doubles."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+def test_softplus_is_within_4_ulp_of_logaddexp():
+    rng = RngStream(12)
+    edges = np.array([37.0, -37.0, 745.0, -745.0, 746.0, -746.0,
+                      1e308, -1e308])
+    x = np.concatenate([edges] + [rng.normal((100000,)) * scale
+                                  for scale in (1.0, 10.0, 400.0)])
+    got, want = engine.softplus(x).data, np.logaddexp(0.0, x)
+    assert (got >= 0.0).all() and not np.signbit(got).any()
+    assert _ulps(got, want).max() <= 4
+
+
+# Where the softplus formula must give np.logaddexp's bits exactly.
+_EXACT_EDGES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan])
+
+
+def test_softplus_and_bernoulli_equal_logaddexp_at_zeros_infinities_nan():
+    # A non-finite loss is refused by its finiteness, so these entries
+    # must decide exactly as np.logaddexp did.
+    logits = np.stack([_EXACT_EDGES, _EXACT_EDGES])
+    x = np.array([[0.0] * 6, [1.0] * 6])
+    with np.errstate(invalid="ignore"):
+        want = np.logaddexp(0.0, _EXACT_EDGES)
+        got = engine.softplus(_EXACT_EDGES).data
+        node = engine.bernoulli_log_prob(logits, x).data
+        ref = references.logaddexp_bernoulli_log_prob(logits, x).data
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert node.view(np.uint64).tolist() == ref.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("fractional", [False, True])
+def test_bernoulli_vjp_is_the_sigmoid_and_the_targets_bitwise(fractional):
+    # The vjp reads exp(-|l|), never the softplus value: its gradients are
+    # -g * sigmoid(l) and g * x as the two-branch sigmoid rounds them.
+    rng = RngStream(13)
+    edges = np.array([36.7, -36.7, 745.0, -745.0, 1e308, -1e308])
+    l = np.concatenate([_EXACT_EDGES, edges, rng.normal((588,)) * 4.0,
+                        rng.normal((600,)) * 400.0]).reshape(40, 30)
+    x = rng.uniform(l.shape)
+    if not fractional:
+        x = (x < 0.5).astype(np.float64)
+    g = rng.normal((40,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with engine.Tape():
+            out = engine.bernoulli_log_prob(engine.parameter(l), x)
+        got = out.vjp(g)
+        want = (-g[:, None] * _masked_sigmoid(l), g[:, None] * x)
+    for a, b in zip(got, want):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_arithmetic_vjps_skip_parents_that_need_no_gradient():
+    # W * mask in the AR model's conditionals: the mask's product is not
+    # computed, the weight's rounds as before.
+    r = RngStream(14)
+    w = engine.parameter(r.normal((3, 4)))
+    mask, row, g = r.normal((3, 4)), r.normal((4,)), r.normal((3, 4))
+    cases = [(engine.mul, g * mask, g * row), (engine.add, g, g),
+             (engine.sub, g, -g)]
+    for op, left_grad, right_grad in cases:
+        with engine.Tape():
+            left, right = op(w, mask), op(row, w)
+        got_w, got_mask = left.vjp(g)
+        got_row, got_w2 = right.vjp(g)
+        assert got_mask is None and got_row is None
+        assert got_w.tobytes() == left_grad.tobytes()
+        assert got_w2.tobytes() == right_grad.tobytes()
+
+
 def _where_linear(x, W, b, slope, W2, b2, g):
     """A two-layer ``engine.linear``'s forward value and vjp with the hidden
     layer's scale chosen by ``np.where``, the branch form the layer must
@@ -1046,9 +1119,9 @@ _ELBO_TRAINERS = {
 }
 
 
-def _train_exact(model, data, over):
-    """The log rows and parameter bytes of a few dozen steps."""
-    cfg = ExperimentConfig(latent=4, hidden=16, iters=30, batch=12, seed=5,
+def _train_exact(model, data, over, iters=30):
+    """The log rows and parameter bytes of ``iters`` steps."""
+    cfg = ExperimentConfig(latent=4, hidden=16, iters=iters, batch=12, seed=5,
                            log_every=3, **over)
     bundle, rows = TRAINERS[model](data, cfg)
     return rows, {k: v.data.tobytes()
@@ -1073,6 +1146,35 @@ def test_elbo_nodes_train_exactly_as_separate_ops(sprites256, monkeypatch,
     want = _train_exact(model, sprites256, over)
     assert "reparam" in calls
     assert got == want
+
+
+_BERNOULLI_TRAINERS = {
+    "vae": ("vae", {}),
+    "vae-mc3": ("vae", {"mc_samples": 3}),
+    "aae-loglik": ("aae", {"recon": "loglik"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BERNOULLI_TRAINERS))
+def test_bernoulli_training_never_reads_the_softplus_value(sprites256,
+                                                          monkeypatch, name):
+    # The node's value, a logged loss, may move in the last bits with the
+    # softplus formula; every parameter must keep its bytes.
+    model, over = _BERNOULLI_TRAINERS[name]
+    got_rows, got = _train_exact(model, sprites256, over, iters=300)
+    calls = []
+
+    def logaddexp_node(*args):
+        calls.append(1)
+        return references.logaddexp_bernoulli_log_prob(*args)
+
+    monkeypatch.setattr(engine, "bernoulli_log_prob", logaddexp_node)
+    want_rows, want = _train_exact(model, sprites256, over, iters=300)
+    assert calls
+    assert got == want
+    assert [r[:2] for r in got_rows] == [r[:2] for r in want_rows]
+    np.testing.assert_allclose([r[2] for r in got_rows],
+                               [r[2] for r in want_rows], rtol=1e-12, atol=0)
 
 
 # Tape nodes per training step at hidden 16: the networks are one node

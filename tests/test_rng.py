@@ -105,3 +105,16 @@ def test_child_draws_ignore_the_parents_draws():
     alone = RngStream(4).child("c")
     for (draw, _), got in zip(_DRAWS, mixed):
         assert np.array_equal(got, draw(alone))
+
+
+def test_draws_read_no_os_entropy(monkeypatch):
+    # Philox(key=...) builds and drops a SeedSequence() from OS entropy;
+    # a stream keys a generator built from a fixed SeedSequence instead.
+    import numpy.random.bit_generator as bit_generator
+
+    def refuse(bits):
+        raise AssertionError("OS entropy read")
+
+    want = philox_draw(11, 0).standard_normal((3,))
+    monkeypatch.setattr(bit_generator, "randbits", refuse)
+    assert np.array_equal(RngStream(11).normal((3,)), want)
