@@ -2,13 +2,14 @@
 
 Precedence for every setting: package default, then config file values,
 then command-line flags, then the DMVI_SEED environment variable (seed
-only). Every flag is derived from an ExperimentConfig field. Exit codes:
-0 ok, 2 configuration error, 3 numeric divergence, 4 I/O error.
+only). Every flag is derived from an ExperimentConfig field. A command
+exits 0 when it succeeds, else with the code EXIT_CODES gives its error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -16,10 +17,11 @@ from .errors import ContractError, NumericsError, ParseError, ShapeError
 from .experiment import (COMMANDS, SETTINGS, ExperimentConfig, execute,
                          remove_artifacts, value_type, write_json)
 
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_NUMERIC = 3
-EXIT_IO = 4
+# The one map from a failed command's exception to its exit code: 2 config
+# error (a count no array can hold too), 3 numeric divergence, 4 I/O error.
+# Any other exception is a fault of the program: exit 1 and a traceback.
+EXIT_CODES = {ContractError: 2, ShapeError: 2, MemoryError: 2,
+              NumericsError: 3, ParseError: 4, OSError: 4}
 
 
 def _build_parser(argv) -> argparse.ArgumentParser:
@@ -48,75 +50,61 @@ def _build_parser(argv) -> argparse.ArgumentParser:
     return parser
 
 
-def build_config(argv) -> ExperimentConfig:
-    args = _build_parser(argv).parse_args(argv)
-    if getattr(args, "config", None):
-        with open(args.config) as f:
-            cfg = ExperimentConfig.from_ini(f.read())
-    else:
-        cfg = ExperimentConfig()
+def build_config(argv, args=None) -> ExperimentConfig:
+    """The config ``argv`` resolves to; ``args`` is ``argv`` parsed, if it
+    already is. A bad DMVI_SEED is a ContractError."""
+    args = args or _build_parser(argv).parse_args(argv)
+    cfg = ExperimentConfig.read(args.config) if args.config else ExperimentConfig()
     cfg.command = args.command
     for name, value in vars(args).items():
         if name in SETTINGS and name != "command" and value is not None:
             setattr(cfg, name, value)
-    env_seed = os.environ.get("DMVI_SEED")
-    if env_seed is not None:
-        cfg.seed = int(env_seed)
+    if "DMVI_SEED" in os.environ:
+        try:
+            cfg.seed = int(os.environ["DMVI_SEED"])
+        except ValueError as e:
+            raise ContractError(f"DMVI_SEED: {e}") from e
     return cfg
 
 
-def _is_run_dir(out: str, run: str | None) -> bool:
-    return bool(run) and os.path.realpath(out) == os.path.realpath(run)
-
-
-def _fail(out: str, code: int, exc: Exception, run: str = "") -> int:
-    """Report a failed command on stderr and in ``out``/status.json, the
-    only artifact it leaves there. Nothing is removed or written where
-    ``out`` is the ``run`` directory: any file there, an error status too,
-    would spoil the run."""
-    print(f"error: {exc}", file=sys.stderr)
-    if _is_run_dir(out, run):
-        return code
-    try:
-        remove_artifacts(out)
-        write_json(out, "status.json",
-                   {"status": "error", "exit_code": code, "error": str(exc)})
-    except OSError:
-        pass
-    return code
+def _status_dir(command: str, out: str | None, run: str | None):
+    """Where a failed command leaves its status.json: ``out``, or None
+    where that is unknown or may be the ``run`` directory the command
+    reads. Any file there, an error status too, would spoil the run."""
+    if out is None or "run" in COMMANDS[command][2] and (
+            run is None or run and
+            os.path.realpath(out) == os.path.realpath(run)):
+        return None
+    return out
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
+    # Until a config is built, out and run come from the flags and the
+    # defaults, unless a config file could have named them.
+    out, run = args.out, getattr(args, "run", None)
+    if not args.config:
+        out, run = out or ExperimentConfig.out, run or ExperimentConfig.run
+    out = _status_dir(args.command, out, run)
     try:
-        cfg = build_config(argv)
-    except (OSError, ValueError) as e:   # unreadable or rejected config
-        # file, or a bad DMVI_SEED: out and run are known from the flags
-        # and the defaults unless a config file could have named them.
-        code = EXIT_IO if isinstance(e, OSError) else EXIT_CONFIG
-        args = _build_parser(argv).parse_args(argv)
-        reads_run = "run" in COMMANDS[args.command][2]
-        out, run = args.out, getattr(args, "run", None)
-        if not args.config:
-            out, run = out or ExperimentConfig.out, run or ExperimentConfig.run
-        if out is None or (reads_run and run is None):
-            print(f"error: {e}", file=sys.stderr)
-            return code
-        return _fail(out, code, e, run)
-    if "run" in COMMANDS[cfg.command][2] and _is_run_dir(cfg.out, cfg.run):
-        return _fail(cfg.out, EXIT_CONFIG,
-                     ContractError(f"--out {cfg.out!r} is the run directory"),
-                     cfg.run)
-    try:
-        out = execute(cfg)
-    except (ContractError, ShapeError) as e:
-        return _fail(cfg.out, EXIT_CONFIG, e)
-    except NumericsError as e:
-        return _fail(cfg.out, EXIT_NUMERIC, e)
-    except (ParseError, OSError) as e:
-        return _fail(cfg.out, EXIT_IO, e)
-    print(out)
-    return EXIT_OK
+        cfg = build_config(argv, args)
+        out = _status_dir(cfg.command, cfg.out, cfg.run)
+        if out is None:
+            raise ContractError(f"--out {cfg.out!r} is the run directory")
+        done = execute(cfg)
+    except tuple(EXIT_CODES) as e:
+        code = next(c for t, c in EXIT_CODES.items() if isinstance(e, t))
+        print(f"error: {e}", file=sys.stderr)
+        # A failed command leaves status.json as its only artifact.
+        if out is not None:
+            with contextlib.suppress(OSError):
+                remove_artifacts(out)
+                write_json(out, "status.json", {
+                    "status": "error", "exit_code": code, "error": str(e)})
+        return code
+    print(done)
+    return 0
 
 
 if __name__ == "__main__":

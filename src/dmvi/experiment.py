@@ -16,6 +16,7 @@ import json
 import os
 import typing
 from dataclasses import asdict, dataclass, field, fields, replace
+from tokenize import TokenError
 
 import numpy as np
 
@@ -133,6 +134,16 @@ class ExperimentConfig:
                     raise ContractError(f"[{section}] {name}: {e}") from e
         return cfg
 
+    @classmethod
+    def read(cls, path: str) -> "ExperimentConfig":
+        """``from_ini`` of the file at ``path``; text that is not UTF-8 is a
+        ContractError."""
+        try:
+            with open(path, encoding="utf-8") as f:
+                return cls.from_ini(f.read())
+        except UnicodeDecodeError as e:
+            raise ContractError(f"config {path!r} is not UTF-8: {e}") from e
+
     def config_hash(self) -> bytes:
         """SHA-256 of every setting but where a run is written or read."""
         return hashlib.sha256(replace(self, out="", run="").to_ini()
@@ -239,8 +250,7 @@ def load_run(run_dir: str):
     cfg_path = os.path.join(run_dir, "config.ini")
     if not os.path.exists(cfg_path):
         raise ContractError(f"{run_dir!r} has no config.ini")
-    with open(cfg_path) as f:
-        src = ExperimentConfig.from_ini(f.read())
+    src = ExperimentConfig.read(cfg_path)
     if src.command != "train":
         raise ContractError(f"run {run_dir!r} was written by "
                             f"{src.command!r}, not by train")
@@ -397,7 +407,8 @@ def _cmd_dataset(cfg: ExperimentConfig):
             if not isinstance(data, np.ndarray):
                 data.close()
                 raise ValueError("it is an .npz archive")
-        except (ValueError, EOFError) as e:
+        except (ValueError, EOFError, OverflowError, MemoryError,
+                TokenError) as e:     # a header numpy cannot read or hold
             raise ParseError(f"{cfg.data_path!r} is not a .npy array: {e}") from e
     if data.size == 0 or data.dtype.kind not in "biuf":
         raise ParseError(f"{cfg.data_path!r} holds no numeric values: "

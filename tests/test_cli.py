@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -795,6 +796,15 @@ def _run_with_tensor(tmp, run, name, arr=None):
     return _edited_run(tmp, run, edit)
 
 
+def _non_utf8_run(tmp, run):
+    """A copy of ``run`` whose config.ini starts with the byte ff."""
+    copy = tmp / "non-utf8"
+    shutil.copytree(run, copy)
+    ini = copy / "config.ini"
+    ini.write_bytes(b"\xff" + ini.read_bytes()[1:])
+    return str(copy)
+
+
 def _estimate_run(tmp, run):
     """The output directory of an estimate-kl command on ``run``."""
     out = tmp / "estimate"
@@ -995,6 +1005,18 @@ _EXIT_CODES = [
     pytest.param(lambda tmp, run: ["surgery", "--num-z", "16", "--run",
                                    _edited_run(tmp, run, _non_utf8_name)],
                  4, "not UTF-8", id="non-utf8-tensor-name"),
+    pytest.param(lambda tmp, run: ["surgery", "--num-z", "16", "--run",
+                                   _non_utf8_run(tmp, run)],
+                 2, "config.ini' is not UTF-8", id="non-utf8-run-config"),
+    # Counts whose first array is larger than the 2**47-byte address space,
+    # so that no overcommit policy lets the allocation succeed.
+    pytest.param(lambda tmp, run: ["diversity", "--run", str(run),
+                                   "--n", "10000000000000"],
+                 2, "Unable to allocate", id="diversity-n-unallocatable"),
+    pytest.param(lambda tmp, run: ["estimate-kl", "--run", str(run),
+                                   "--method", "ratio",
+                                   "--num-z", "100000000000000"],
+                 2, "Unable to allocate", id="ratio-num-z-unallocatable"),
     _on_interrupted_rerun("estimate-kl", "--num-z", "16"),
     _on_interrupted_rerun("surgery", "--num-z", "16"),
     _on_interrupted_rerun("low-posterior", "--num-z", "16", "--n", "3"),
@@ -1014,6 +1036,35 @@ def test_exit_code_table(tiny_run, tmp_path, argv, code, error):
         assert set(status) == {"status", "exit_code", "error"}
         assert status["status"] == "error" and status["exit_code"] == code
         assert error in status["error"]
+
+
+def test_non_utf8_config_is_refused_alike(tiny_run, tmp_path):
+    # The same byte in a --config file and in a run's config.ini: the same
+    # code, and the same error but for the file's path.
+    given = tmp_path / "given.ini"
+    given.write_bytes(b"\xff" + (tiny_run / "config.ini").read_bytes()[1:])
+    run = _non_utf8_run(tmp_path, tiny_run)
+    flags = {str(given): ["--run", str(tiny_run), "--config", str(given)],
+             os.path.join(run, "config.ini"): ["--run", run]}
+    errors = []
+    for i, (path, given_flags) in enumerate(flags.items()):
+        out = tmp_path / f"out{i}"
+        assert cli.main(["surgery", "--num-z", "16", *given_flags,
+                         "--out", str(out)]) == 2
+        errors.append(_read_json(out / "status.json")["error"]
+                      .replace(repr(path), "<path>"))
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("config <path> is not UTF-8: ")
+
+
+def test_readme_lists_exactly_the_exit_codes():
+    readme = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    with open(readme) as f:
+        section = f.read().split("\n## Exit codes\n")[1].split("\n## ")[0]
+    listed = [int(code) for code in re.findall(r"^\| (\d+) \|", section,
+                                               re.MULTILINE)]
+    assert sorted(listed) == sorted({0, *cli.EXIT_CODES.values()})
 
 
 @pytest.mark.parametrize("name", [name for name, f in SETTINGS.items()
