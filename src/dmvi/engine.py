@@ -70,10 +70,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
 
@@ -215,8 +211,8 @@ def linear(x, layers, slope: float = 0.0) -> Tensor:
 
     The vjp computes only what a parent that requires a gradient needs: it
     skips the weight product and bias sum of a frozen layer (see
-    ``backward``'s ``params``), and stops below the lowest layer that needs
-    anything when ``x`` needs nothing.
+    ``backward``'s ``params``), and the input product when ``x`` needs
+    nothing.
     """
     x = as_tensor(x)
     layers = [(as_tensor(W), as_tensor(b)) for W, b in layers]
@@ -254,12 +250,7 @@ def linear(x, layers, slope: float = 0.0) -> Tensor:
 
     def vjp(g):
         grads = [None] * len(parents)
-        lowest = 0
-        if not x.requires_grad:
-            while lowest <= last and not (layers[lowest][0].requires_grad
-                                          or layers[lowest][1].requires_grad):
-                lowest += 1
-        for i in range(last, lowest - 1, -1):
+        for i in range(last, -1, -1):
             W, b = layers[i]
             if i < last:
                 g = g * scales[i]
@@ -267,7 +258,7 @@ def linear(x, layers, slope: float = 0.0) -> Tensor:
                 grads[2 * i + 1] = inputs[i].T @ g
             if b.requires_grad:
                 grads[2 * i + 2] = g.sum(axis=0)
-            if i > lowest or x.requires_grad:
+            if i > 0 or x.requires_grad:
                 g = g @ W.data.T
         if x.requires_grad:
             grads[0] = g

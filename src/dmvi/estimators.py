@@ -33,7 +33,7 @@ from .errors import ContractError, NumericsError
 from . import engine
 from .nn import MLP
 from .optim import Adam, minimize
-from .rng import RngStream
+from .rng import RngStream, check_shape
 
 if TYPE_CHECKING:
     from .experiment import ExperimentConfig
@@ -77,14 +77,21 @@ def _sample_codes(post: DiagGaussian, num_z: int,
     return reparam(q, rng.normal(q.mean.shape)).data
 
 
-def mc_marginal_kl(post: DiagGaussian, num_z: int,
-                   rng: RngStream) -> EstimateReport:
-    """Monte Carlo estimate: mean over codes of log q(z) - log p(z)."""
+def _plug_in_kl(method: str, log_t, post: DiagGaussian, num_z: int,
+                rng: RngStream, inner: int) -> EstimateReport:
+    """Mean and stderr of log t(z) - log p(z) over codes z ~ q(z)."""
     if num_z < 1:
         raise ContractError("num_z must be positive")
     z = _sample_codes(post, num_z, rng)
-    value, stderr = mean_stderr(marginal_log_q(z, post) - standard_log_prob(z))
-    return EstimateReport("mc", value, stderr, num_z, inner=post.mean.shape[0])
+    value, stderr = mean_stderr(log_t(z) - standard_log_prob(z))
+    return EstimateReport(method, value, stderr, num_z, inner=inner)
+
+
+def mc_marginal_kl(post: DiagGaussian, num_z: int,
+                   rng: RngStream) -> EstimateReport:
+    """Monte Carlo estimate: mean over codes of log q(z) - log p(z)."""
+    return _plug_in_kl("mc", lambda z: marginal_log_q(z, post), post, num_z,
+                       rng, inner=post.mean.shape[0])
 
 
 def avg_posterior_kl(post: DiagGaussian) -> float:
@@ -171,6 +178,7 @@ def ratio_kl(samples_q: np.ndarray, samples_p: np.ndarray,
     train_q, eval_q = split(samples_q, rng.child("split_q"))
     train_p, eval_p = split(samples_p, rng.child("split_p"))
 
+    check_shape(cfg.ratio_layers)                    # the widths tuple
     dims = (d,) + (cfg.ratio_hidden,) * cfg.ratio_layers + (1,)
     net = MLP(dims, rng.child("net"), "leaky", "ratio")
     status = "ok"
@@ -206,6 +214,7 @@ def _gmm_log_joint(x: np.ndarray, weights, means, variances):
 
 @dataclass
 class GmmModel:
+    method = "gmm"           # the EstimateReport method it is scored under
     weights: np.ndarray      # (k,)
     means: np.ndarray        # (k, d)
     variances: np.ndarray    # (k, d), floored
@@ -286,7 +295,10 @@ class ArGaussModel:
     no update can open a masked connection.
     """
 
+    method = "ar"
+
     def __init__(self, dim: int, hidden: int, rng: RngStream):
+        check_shape((dim - 1, hidden))                   # block's entries
         self.dim = dim
         block = np.repeat(np.arange(1, dim), hidden)     # coordinate fed
         self.mask_in = (np.arange(dim)[:, None] < block).astype(np.float64)
@@ -334,7 +346,20 @@ def ar_fit(samples: np.ndarray, cfg: ExperimentConfig,
 def density_model_kl(model, post: DiagGaussian, num_z: int,
                      rng: RngStream) -> EstimateReport:
     """Plug-in estimate with a fitted density t: mean of log t(z) - log p(z)."""
-    z = _sample_codes(post, num_z, rng)
-    value, stderr = mean_stderr(model.log_prob(z) - standard_log_prob(z))
-    method = "gmm" if isinstance(model, GmmModel) else "ar"
-    return EstimateReport(method, value, stderr, num_z, inner=1)
+    return _plug_in_kl(model.method, model.log_prob, post, num_z, rng, inner=1)
+
+
+def estimate_kl(post: DiagGaussian, cfg: ExperimentConfig,
+                rng: RngStream) -> EstimateReport:
+    """``estimate-kl``'s estimate by ``cfg.method``: mc draws on ``rng``, the
+    others their codes on "codes"; ratio then draws as many prior codes on
+    "prior" and trains on "clf"; gmm and ar fit on "fit", score on "eval"."""
+    if cfg.method == "mc":
+        return mc_marginal_kl(post, cfg.num_z, rng)
+    codes = _sample_codes(post, cfg.num_z, rng.child("codes"))
+    if cfg.method == "ratio":
+        prior = rng.child("prior").normal(codes.shape)
+        return ratio_kl(codes, prior, cfg, rng.child("clf"))
+    model = (gmm_fit(codes, cfg.gmm_k, cfg.gmm_iters, rng.child("fit"))
+             if cfg.method == "gmm" else ar_fit(codes, cfg, rng.child("fit")))
+    return density_model_kl(model, post, cfg.num_z, rng.child("eval"))

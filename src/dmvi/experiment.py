@@ -296,23 +296,10 @@ def _load_posterior_run(cfg: ExperimentConfig):
 
 
 def _cmd_estimate(cfg: ExperimentConfig):
-    from . import estimators as est
+    from .estimators import estimate_kl
 
-    bundle, post = _load_posterior_run(cfg)
-    rng = RngStream(cfg.seed).child("estimate")
-    if cfg.method == "mc":
-        report = est.mc_marginal_kl(post, cfg.num_z, rng)
-    else:
-        codes = est._sample_codes(post, cfg.num_z, rng.child("codes"))
-        if cfg.method == "ratio":
-            prior = rng.child("prior").normal((cfg.num_z, bundle.latent))
-            report = est.ratio_kl(codes, prior, cfg, rng.child("clf"))
-        else:
-            model = (est.gmm_fit(codes, cfg.gmm_k, cfg.gmm_iters,
-                                 rng.child("fit")) if cfg.method == "gmm"
-                     else est.ar_fit(codes, cfg, rng.child("fit")))
-            report = est.density_model_kl(model, post, cfg.num_z,
-                                          rng.child("eval"))
+    _bundle, post = _load_posterior_run(cfg)
+    report = estimate_kl(post, cfg, RngStream(cfg.seed).child("estimate"))
     write_json(cfg.out, "report.json",
                {**asdict(report), "config_hash": cfg.config_hash().hex()})
     rows = ([(0, f"kl_{cfg.method}", report.value)]

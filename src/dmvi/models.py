@@ -95,9 +95,6 @@ class ModelBundle:
     def code_prob(self, z) -> Tensor:
         return engine.sigmoid(self.code_logit(z))
 
-    def component_params(self) -> dict:
-        return {name: net.parameters() for name, net in self.nets.items()}
-
     def named_parameters(self) -> dict:
         return {k: v for net in self.nets.values()
                 for k, v in net.named_parameters().items()}
@@ -125,17 +122,10 @@ def build_bundle(cfg: ExperimentConfig, data_dim: int, rng: RngStream | None,
 # Loss pieces.
 
 
-def _safe_log(p: Tensor) -> Tensor:
-    return engine.log(engine.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP))
-
-
-def _log_not(p: Tensor) -> Tensor:
-    return engine.log(engine.clip(1.0 - p, PROB_CLAMP, 1.0 - PROB_CLAMP))
-
-
 def ratio_penalty(p: Tensor) -> Tensor:
     """-log p + log(1-p): pushes the classifier toward calling p 'real'."""
-    return _log_not(p) - _safe_log(p)
+    return (engine.log(engine.clip(1.0 - p, PROB_CLAMP, 1.0 - PROB_CLAMP))
+            - engine.log(engine.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)))
 
 
 def _elbo_sums(x, bundle: ModelBundle, rng: RngStream, mc_samples: int):
@@ -244,9 +234,8 @@ def _train(data: np.ndarray, cfg: ExperimentConfig, model: str):
             f"[{data.min():g}, {data.max():g}]")
     root = RngStream(cfg.seed)
     bundle = build_bundle(cfg, data.shape[1], root.child("init"), PARTS[model])
-    rates = {name: getattr(cfg, setting) for name, setting in _RATES.items()}
-    opts = {name: Adam(params, cfg.lr if rates[name] is None else rates[name])
-            for name, params in bundle.component_params().items()}
+    opts = {name: Adam(net.parameters(), getattr(cfg, _RATES[name]) or cfg.lr)
+            for name, net in bundle.nets.items()}
     loop, rows, step = root.child("loop"), [], _STEPS[model]
     for i in range(cfg.iters):
         logs = step(bundle, opts, cfg, _minibatch(data, loop, cfg.batch), loop, i)

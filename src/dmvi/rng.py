@@ -9,11 +9,26 @@ labelled child stream, cannot depend on call order elsewhere in the program.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
+from .errors import ContractError
+
 
 _SEED_SEQUENCE = np.random.SeedSequence(0)
+_INDEX_MAX = np.iinfo(np.intp).max
+
+
+def check_shape(shape) -> None:
+    """Refuse, as a ContractError, an array of ``shape`` (a count or a tuple
+    of them) with 8-byte entries that numpy could not index: one extent, or
+    the bytes of all of them, past the index range. A zero extent counts as
+    1, so that every extent is checked."""
+    dims = tuple(shape) if isinstance(shape, (tuple, list)) else (shape,)
+    if math.prod(max(int(n), 1) for n in dims) * 8 > _INDEX_MAX:
+        raise ContractError(f"shape {dims} is past numpy's index range: no "
+                            f"array can hold it")
 
 
 def _derive_key(seed: int, label: str) -> int:
@@ -47,14 +62,30 @@ class RngStream:
         self.counter += 1
         return self._gen
 
+    # numpy refuses a shape past its index range with a plain ValueError. A
+    # draw checks its shape only then, so that one that succeeds pays
+    # nothing for the check, and re-raises any other ValueError as it is.
+
     def normal(self, shape=()) -> np.ndarray:
-        return self._next().standard_normal(shape)
+        try:
+            return self._next().standard_normal(shape)
+        except ValueError:
+            check_shape(shape)
+            raise
 
     def uniform(self, shape=()) -> np.ndarray:
-        return self._next().random(shape)
+        try:
+            return self._next().random(shape)
+        except ValueError:
+            check_shape(shape)
+            raise
 
     def integers(self, low: int, high: int, shape=()) -> np.ndarray:
-        return self._next().integers(low, high, size=shape)
+        try:
+            return self._next().integers(low, high, size=shape)
+        except ValueError:
+            check_shape(shape)
+            raise
 
     def permutation(self, n: int) -> np.ndarray:
         return self._next().permutation(n)

@@ -401,6 +401,26 @@ def test_estimate_mc_writes_report(tiny_run, tmp_path):
     assert any(r["name"] == "kl_mc" for r in rows)
 
 
+@pytest.mark.parametrize("method", ["mc", "ratio", "gmm", "ar"])
+def test_estimate_kl_is_the_record_estimate_kl_writes(tiny_run, tmp_path,
+                                                      method):
+    from dataclasses import asdict
+
+    from dmvi.estimators import estimate_kl
+
+    argv = ["estimate-kl", "--run", str(tiny_run), "--method", method,
+            "--num-z", "80", "--ratio-iters", "30", "--ar-iters", "30",
+            "--gmm-k", "3", "--seed", "4", "--out", str(tmp_path / "est")]
+    assert cli.main(argv) == 0
+    written = _read_json(tmp_path / "est" / "report.json")
+    del written["config_hash"]
+    cfg = cli.build_config(argv)
+    bundle, data, _src = load_run(str(tiny_run))
+    report = estimate_kl(bundle.posterior(data), cfg,
+                         RngStream(cfg.seed).child("estimate"))
+    assert asdict(report) == written
+
+
 def test_estimate_without_encoder_is_config_error(tmp_path):
     run = tmp_path / "gan"
     assert cli.main(_train_args(run, model="gan", iters=5)) == 0
@@ -1017,6 +1037,26 @@ _EXIT_CODES = [
                                    "--method", "ratio",
                                    "--num-z", "100000000000000"],
                  2, "Unable to allocate", id="ratio-num-z-unallocatable"),
+    # Counts past numpy's index range, refused where they become a shape,
+    # before anything is allocated: a draw's own count, a product of two
+    # settings, and two counts that size no draw.
+    pytest.param(lambda tmp, run: ["estimate-kl", "--run", str(run),
+                                   "--num-z", "100000000000000000000"],
+                 2, "shape (100000000000000000000,) is past numpy's index "
+                    "range", id="num-z-past-index-range"),
+    pytest.param(lambda tmp, run: ["synth-gauss", "--k", "10000000000"],
+                 2, "shape (10000000000, 1000000000) is past numpy's index "
+                    "range", id="synth-k-past-index-range"),
+    pytest.param(lambda tmp, run: ["estimate-kl", "--run", str(run),
+                                   "--method", "ar",
+                                   "--ar-hidden", "100000000000000000000"],
+                 2, "past numpy's index range",
+                 id="ar-hidden-past-index-range"),
+    pytest.param(lambda tmp, run: ["estimate-kl", "--run", str(run),
+                                   "--method", "ratio",
+                                   "--ratio-layers", "100000000000000000000"],
+                 2, "past numpy's index range",
+                 id="ratio-layers-past-index-range"),
     _on_interrupted_rerun("estimate-kl", "--num-z", "16"),
     _on_interrupted_rerun("surgery", "--num-z", "16"),
     _on_interrupted_rerun("low-posterior", "--num-z", "16", "--n", "3"),

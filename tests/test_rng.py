@@ -1,7 +1,9 @@
 """Counter-based random streams: reproducibility and independence."""
 
 import numpy as np
+import pytest
 
+from dmvi.errors import ContractError
 from dmvi.rng import RngStream
 from references import philox_draw
 
@@ -118,3 +120,22 @@ def test_draws_read_no_os_entropy(monkeypatch):
     want = philox_draw(11, 0).standard_normal((3,))
     monkeypatch.setattr(bit_generator, "randbits", refuse)
     assert np.array_equal(RngStream(11).normal((3,)), want)
+
+
+_PAST = 2**63                       # one more than numpy's largest index
+
+
+@pytest.mark.parametrize("draw", [
+    lambda r, n: r.normal((n,)), lambda r, n: r.uniform((3, n)),
+    lambda r, n: r.integers(0, 5, (n,)),
+    lambda r, n: r.normal((2**40, 2**40)),      # each extent fits, not both
+], ids=["normal", "uniform", "integers", "product"])
+def test_a_shape_past_the_index_range_is_a_config_error(draw):
+    with pytest.raises(ContractError, match="past numpy's index range"):
+        draw(RngStream(0), _PAST)
+
+
+def test_other_value_errors_of_a_draw_stay_what_they_are():
+    with pytest.raises(ValueError) as e:
+        RngStream(0).integers(5, 1, (3,))           # low above high
+    assert type(e.value) is ValueError
